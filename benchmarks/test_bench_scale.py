@@ -9,7 +9,7 @@ rung reports an honest, isolated peak RSS.
 
 Per rung, ``benchmarks/output/BENCH_scale.json`` records population,
 build seconds (world construction included), archive bytes, peak RSS,
-and warm query latency.  Two regression gates run over the ladder:
+and cold summary-query latency.  Two regression gates run over the ladder:
 
 * **sublinear memory** — peak RSS must grow strictly slower than the
   population between adjacent rungs (the bounded-memory invariant:
@@ -76,13 +76,15 @@ _RUNG_SCRIPT = textwrap.dedent(
 
     from repro.archive import ArchiveBuilder, MeasurementArchive
     from repro.measurement.metrics import SweepMetrics, current_rss_bytes
-    from repro.sim import ConflictScenarioConfig
+    from repro.scenario import ScenarioSpec
 
     divisor, directory, window_start, window_end, chunk = (
         int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4], int(sys.argv[5])
     )
     metrics = SweepMetrics()
-    config = ConflictScenarioConfig(scale=float(divisor), with_pki=False)
+    config = ScenarioSpec.resolve("baseline").with_config(
+        scale=float(divisor), with_pki=False
+    ).compile()
     started = time.perf_counter()
     builder = ArchiveBuilder(
         directory, config, metrics=metrics, chunk_domains=chunk
@@ -94,15 +96,11 @@ _RUNG_SCRIPT = textwrap.dedent(
     archive = MeasurementArchive(directory)
     population = archive.manifest.population_size
 
-    # Warm query latency: coarse longitudinal queries replay stored
-    # summaries; time the second pass (caches hot), report both.
+    # Query latency: coarse longitudinal queries replay stored
+    # summaries, read here from disk on a freshly opened archive.
     started = time.perf_counter()
-    cold = archive.load_summaries(window_start, window_end)
+    archive.load_summaries(window_start, window_end)
     cold_query_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    warm = archive.load_summaries(window_start, window_end)
-    warm_query_seconds = time.perf_counter() - started
-    assert warm == cold and all(s is not None for s in warm)
 
     print(json.dumps({
         "divisor": divisor,
@@ -112,7 +110,6 @@ _RUNG_SCRIPT = textwrap.dedent(
         "archive_bytes": report.bytes_written,
         "peak_rss_bytes": max(metrics.peak_rss_bytes, current_rss_bytes()),
         "cold_query_seconds": round(cold_query_seconds, 6),
-        "warm_query_seconds": round(warm_query_seconds, 6),
     }))
     """
 )

@@ -14,13 +14,11 @@ memory.  This module is the fast path around that:
   :class:`~repro.core.reducers.RecentWindowReducer` line for line), so
   a summary replayed later is bit-identical to re-reducing the day.
   The archive builder calls this once per day and serialises the result
-  into the shard's v3 summary block.
+  into the shard's summary block.
 * :class:`ArchiveQueryKernel` answers the coarse longitudinal queries
   (Figures 1-5, headline, every ``series``) straight from those stored
   summaries: one partial file read per day, no per-domain columns, no
-  world construction.  Days stored as format-v2 shards fall back to
-  reducing the full shard on the fly (which does build the world), so
-  old archives stay queryable.
+  world construction.
 
 The record-object path remains the oracle: the equivalence suite in
 ``tests/archive/test_kernel.py`` proves kernel results bit-identical to
@@ -29,7 +27,6 @@ record-path results for every figure the kernel serves.
 
 from __future__ import annotations
 
-import datetime as _dt
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -46,7 +43,7 @@ from ..core.labels import (
 )
 from ..errors import ArchiveError
 from ..measurement.fast import DailySnapshot
-from ..timeline import DateLike, as_date
+from ..timeline import DateLike
 from .summary import DaySummary
 
 __all__ = [
@@ -198,49 +195,20 @@ def recent_record_from_summary(
 class ArchiveQueryKernel:
     """Serves day aggregates for one archive-backed collector.
 
-    Stored v3 summaries are read directly (partial file reads through
-    the archive's summary cache); v2 days fall back to the record path
-    — collect the snapshot, reduce it with :func:`summarize_snapshot` —
-    and memoise the result, so a legacy archive pays the slow path once
-    per day per kernel.
+    Stored summaries are read directly (partial file reads through the
+    archive's summary cache).
     """
 
     def __init__(self, collector) -> None:
         self._collector = collector
-        self._computed: Dict[_dt.date, DaySummary] = {}
-
-    def day_summary(self, date: DateLike) -> DaySummary:
-        """One day's summary: stored if the shard has one, else computed."""
-        date_obj = as_date(date)
-        summary = self._collector.archive.load_summary(date_obj)
-        if summary is None:
-            summary = self._computed.get(date_obj)
-            if summary is None:
-                summary = summarize_snapshot(self._collector.collect(date_obj))
-                self._computed[date_obj] = summary
-        return summary
 
     def sweep_summaries(
         self, start: DateLike, end: DateLike, step: int = 1
     ) -> List[DaySummary]:
-        """Summaries for every ``step`` days in ``[start, end]``.
-
-        Stored summary blocks are fetched through the archive's range
-        read — a bounded parallel read when the archive was opened with
-        ``readers > 1`` — and only days without a stored summary (v2
-        shards) fall back to the serial compute-and-memoise path.
-        """
+        """Summaries for every ``step`` days in ``[start, end]``."""
         if step < 1:
             raise ArchiveError(f"sweep step must be >= 1 day: {step}")
-        stored = self._collector.archive.load_summaries(start, end, step)
-        day = as_date(start)
-        summaries: List[DaySummary] = []
-        for summary in stored:
-            if summary is None:
-                summary = self.day_summary(day)
-            summaries.append(summary)
-            day += _dt.timedelta(days=step)
-        return summaries
+        return self._collector.archive.load_summaries(start, end, step)
 
     def full_sweep_records(
         self, start: DateLike, end: DateLike, step: int = 1

@@ -26,9 +26,11 @@ without ever touching — or decompressing — the per-domain columns.  The
 header CRC32 still covers the header itself (with the CRC field zeroed)
 followed by *both* uncompressed blocks, so a bit flip anywhere in the
 file — including the date ordinal or record count in the header — is
-caught before any value is trusted.  Version-2 shards (single payload,
-no summary) remain readable; their summaries are recomputed on the fly
-by the query kernel.  Writes are build-order independent and
+caught before any value is trusted.  Version 3 is the only format
+read or written; any other version is refused with an
+:class:`~repro.errors.ArchiveError` naming it, which the archive's
+self-healing and ``repro archive repair`` turn into a rebuild.  Writes
+are build-order independent and
 byte-deterministic: the same day record always serialises to the same
 bytes, which is what makes interrupted-then-resumed archive builds
 byte-identical to uninterrupted ones.
@@ -78,15 +80,13 @@ SHARD_MAGIC = b"REPROARC"
 SHARD_VERSION = 3
 
 #: Common prefix of every shard version: ``magic, version, flags`` —
-#: enough to dispatch on the format before trusting anything else.
+#: enough to check the format before trusting anything else.
 _PREFIX = struct.Struct("<8sHH")
 
-#: v2: ``magic, version, flags, date ordinal, record count, crc32,
-#: uncompressed payload length``.
-_HEADER_V2 = struct.Struct("<8sHHIIIQ")
-
-#: v3 appends ``compressed summary length, summary crc32`` so the
-#: summary block can be located and verified from the header alone.
+#: ``magic, version, flags, date ordinal, record count, crc32,
+#: uncompressed payload length, compressed summary length, summary
+#: crc32`` — the summary block is located and verified from the header
+#: alone.
 _HEADER_V3 = struct.Struct("<8sHHIIIQII")
 
 #: Fixed compression level: determinism requires one canonical encoding.
@@ -106,8 +106,9 @@ class DayShardRecord:
     indexing over the population), the plan-id columns as int32 — so
     snapshot reconstruction and the columnar kernels consume them
     without any per-query conversion or copy.  ``summary`` carries the
-    day's pre-aggregated :class:`~repro.archive.summary.DaySummary`
-    when the shard stores one (format v3), else ``None``.
+    day's pre-aggregated :class:`~repro.archive.summary.DaySummary`:
+    always set on a record read from disk, and required before one is
+    written.
     """
 
     __slots__ = (
@@ -464,16 +465,6 @@ def _decode_payload(date: _dt.date, count: int, payload: bytes) -> DayShardRecor
     return record
 
 
-def _shard_crc_v2(
-    flags: int, ordinal: int, count: int, payload_length: int, payload: bytes
-) -> int:
-    """v2 header-covering CRC32: header bytes with the CRC field zeroed,
-    then the uncompressed payload — every stored header field (flags
-    included) is part of the checksummed message."""
-    zeroed = _HEADER_V2.pack(SHARD_MAGIC, 2, flags, ordinal, count, 0, payload_length)
-    return zlib.crc32(payload, zlib.crc32(zeroed))
-
-
 def _shard_crc_v3(
     flags: int,
     ordinal: int,
@@ -484,7 +475,7 @@ def _shard_crc_v3(
     summary: bytes,
     payload: bytes,
 ) -> int:
-    """v3 CRC32 over the zeroed header, then the uncompressed summary,
+    """CRC32 over the zeroed header, then the uncompressed summary,
     then the uncompressed columns — both blocks and every header field
     (the summary's own length and CRC included) are covered."""
     zeroed = _HEADER_V3.pack(
@@ -511,28 +502,16 @@ def _decompress_block(blob: bytes, path: str, what: str) -> bytes:
     return data
 
 
-def encode_shard(
-    record: DayShardRecord, version: int = SHARD_VERSION
-) -> Tuple[bytes, int]:
+def encode_shard(record: DayShardRecord) -> Tuple[bytes, int]:
     """Serialise ``record`` to its canonical on-disk bytes.
 
     Returns ``(blob, crc32)``; the CRC covers the header (with its CRC
-    field zeroed) plus every uncompressed block.  ``version=2`` emits
-    the legacy single-block format byte-for-byte (used by tests to
-    exercise the fallback path); version 3 additionally requires
-    ``record.summary`` to be populated.
+    field zeroed) plus every uncompressed block.  ``record.summary``
+    must be populated.
     """
     payload = bytes(_encode_payload(record))
     ordinal = record.date.toordinal()
     count = len(record.measured)
-    if version == 2:
-        crc = _shard_crc_v2(0, ordinal, count, len(payload), payload)
-        header = _HEADER_V2.pack(
-            SHARD_MAGIC, 2, 0, ordinal, count, crc, len(payload)
-        )
-        return header + zlib.compress(payload, _ZLIB_LEVEL), crc
-    if version != 3:
-        raise ArchiveError(f"cannot encode shard format version {version}")
     if record.summary is None:
         raise ArchiveError(
             f"format v3 shard for {record.date} requires a DaySummary"
@@ -556,7 +535,6 @@ def write_shard(
     record: DayShardRecord,
     faults=None,
     retries: int = 6,
-    version: int = SHARD_VERSION,
 ) -> Tuple[int, int]:
     """Serialise ``record`` to ``path`` atomically.
 
@@ -566,53 +544,41 @@ def write_shard(
     workers, injected faults, and interrupted builds never leave a torn
     shard behind the final name.
     """
-    blob, crc = encode_shard(record, version=version)
+    blob, crc = encode_shard(record)
     atomic_write_bytes(path, blob, faults=faults, site="shard.write", retries=retries)
     return len(blob), crc
 
 
+def _check_header(path: str, head: bytes) -> None:
+    """Check a shard's magic, version and header length.
+
+    Any version but :data:`SHARD_VERSION` is refused by name.
+    """
+    if len(head) < _PREFIX.size:
+        raise ArchiveCorruptError(f"shard {path} is shorter than its header")
+    magic, version, _ = _PREFIX.unpack_from(head)
+    if magic != SHARD_MAGIC:
+        raise ArchiveCorruptError(f"shard {path} has bad magic {magic!r}")
+    if version != SHARD_VERSION:
+        raise ArchiveError(
+            f"shard {path} has format version {version}, expected "
+            f"{SHARD_VERSION} (rebuild it with 'repro archive repair')"
+        )
+    if len(head) < _HEADER_V3.size:
+        raise ArchiveCorruptError(f"shard {path} is shorter than its header")
+
+
 def _verify_shard_blob(
     path: str, blob: bytes, expected_crc: Optional[int]
-) -> Tuple[int, _dt.date, int, int, Optional[bytes], bytes]:
+) -> Tuple[_dt.date, int, int, bytes, bytes]:
     """Verify one in-memory shard blob end to end.
 
     Shared by :func:`read_shard` and :func:`probe_shard`: checks the
-    magic, version, manifest CRC, summary CRC (v3), and the
-    whole-shard CRC over the decompressed blocks.  Returns
-    ``(version, date, count, crc, summary_bytes, payload_bytes)`` —
-    ``summary_bytes`` is ``None`` for v2 shards.
+    magic, version, manifest CRC, summary CRC, and the whole-shard CRC
+    over the decompressed blocks.  Returns
+    ``(date, count, crc, summary_bytes, payload_bytes)``.
     """
-    if len(blob) < _PREFIX.size:
-        raise ArchiveCorruptError(f"shard {path} is shorter than its header")
-    magic, version, _ = _PREFIX.unpack_from(blob)
-    if magic != SHARD_MAGIC:
-        raise ArchiveCorruptError(f"shard {path} has bad magic {magic!r}")
-
-    if version == 2:
-        if len(blob) < _HEADER_V2.size:
-            raise ArchiveCorruptError(f"shard {path} is shorter than its header")
-        (magic, version, flags, ordinal, count, crc,
-         payload_length) = _HEADER_V2.unpack_from(blob)
-        if expected_crc is not None and crc != expected_crc:
-            raise ArchiveStaleError(
-                f"shard {path} crc {crc:#010x} does not match the manifest"
-            )
-        payload = _decompress_block(blob[_HEADER_V2.size:], path, "payload")
-        if len(payload) != payload_length:
-            raise ArchiveCorruptError(
-                f"shard {path} payload length {len(payload)} != header "
-                f"{payload_length}"
-            )
-        if _shard_crc_v2(flags, ordinal, count, payload_length, payload) != crc:
-            raise ArchiveCorruptError(f"shard {path} is corrupt (crc mismatch)")
-        return 2, _dt.date.fromordinal(ordinal), count, crc, None, payload
-
-    if version != 3:
-        raise ArchiveError(
-            f"shard {path} has format version {version}, expected <= {SHARD_VERSION}"
-        )
-    if len(blob) < _HEADER_V3.size:
-        raise ArchiveCorruptError(f"shard {path} is shorter than its header")
+    _check_header(path, blob)
     (magic, version, flags, ordinal, count, crc, payload_length,
      summary_blob_length, summary_crc) = _HEADER_V3.unpack_from(blob)
     if expected_crc is not None and crc != expected_crc:
@@ -641,7 +607,7 @@ def _verify_shard_blob(
         summary_blob_length, summary_crc, summary, payload,
     ) != crc:
         raise ArchiveCorruptError(f"shard {path} is corrupt (crc mismatch)")
-    return 3, _dt.date.fromordinal(ordinal), count, crc, summary, payload
+    return _dt.date.fromordinal(ordinal), count, crc, summary, payload
 
 
 def read_shard(path: str, expected_crc: Optional[int] = None) -> DayShardRecord:
@@ -650,7 +616,7 @@ def read_shard(path: str, expected_crc: Optional[int] = None) -> DayShardRecord:
     The failure is classified by subclass: damaged bytes raise
     :class:`ArchiveCorruptError`; a healthy shard that disagrees with
     the manifest's expected CRC raises :class:`ArchiveStaleError`.
-    Both format versions are readable; a v3 record carries its decoded
+    The record carries its decoded
     :class:`~repro.archive.summary.DaySummary` on ``record.summary``.
     """
     try:
@@ -658,12 +624,11 @@ def read_shard(path: str, expected_crc: Optional[int] = None) -> DayShardRecord:
             blob = handle.read()
     except OSError as exc:
         raise ArchiveCorruptError(f"cannot read shard {path}: {exc}") from exc
-    version, date, count, _, summary, payload = _verify_shard_blob(
+    date, count, _, summary, payload = _verify_shard_blob(
         path, blob, expected_crc
     )
     record = _decode_payload(date, count, payload)
-    if version == 3:
-        record.summary = decode_summary(date, summary)
+    record.summary = decode_summary(date, summary)
     return record
 
 
@@ -679,7 +644,7 @@ class ShardProbe:
 
     __slots__ = (
         "date", "records", "crc32", "file_bytes",
-        "population_size", "epoch_start_day", "version",
+        "population_size", "epoch_start_day",
     )
 
     def __init__(
@@ -690,7 +655,6 @@ class ShardProbe:
         file_bytes: int,
         population_size: int,
         epoch_start_day: int,
-        version: int,
     ) -> None:
         self.date = date
         self.records = records
@@ -698,10 +662,9 @@ class ShardProbe:
         self.file_bytes = file_bytes
         self.population_size = population_size
         self.epoch_start_day = epoch_start_day
-        self.version = version
 
     def __repr__(self) -> str:
-        return f"ShardProbe({self.date}, {self.records} records, v{self.version})"
+        return f"ShardProbe({self.date}, {self.records} records)"
 
 
 def probe_shard(path: str) -> ShardProbe:
@@ -719,51 +682,30 @@ def probe_shard(path: str) -> ShardProbe:
             blob = handle.read()
     except OSError as exc:
         raise ArchiveCorruptError(f"cannot read shard {path}: {exc}") from exc
-    version, date, count, crc, _, payload = _verify_shard_blob(path, blob, None)
+    date, count, crc, _, payload = _verify_shard_blob(path, blob, None)
     view = memoryview(payload)
     epoch_start_day, offset = read_svarint(view, 0)
     population_size, _ = read_uvarint(view, offset)
-    return ShardProbe(
-        date, count, crc, size, population_size, epoch_start_day, version
-    )
+    return ShardProbe(date, count, crc, size, population_size, epoch_start_day)
 
 
 def read_summary(
     path: str, expected_crc: Optional[int] = None
-) -> Tuple[Optional[DaySummary], int]:
-    """Read only a shard's pre-aggregated summary, if it stores one.
+) -> Tuple[DaySummary, int]:
+    """Read only a shard's pre-aggregated summary.
 
     Returns ``(summary, bytes_read)``.  This is the coarse-query fast
     path: it reads the fixed header plus the compressed summary block —
-    a few hundred bytes — and never touches the per-domain columns.  A
-    v2 shard has no summary block, so the result is ``(None, ...)`` and
-    the caller falls back to reducing the full shard.  ``expected_crc``
-    is checked against the header's whole-shard CRC (the manifest value)
-    so a stale or swapped file is refused before its summary is trusted;
-    the summary bytes themselves are verified against the header's
-    dedicated summary CRC.
+    a few hundred bytes — and never touches the per-domain columns.
+    ``expected_crc`` is checked against the header's whole-shard CRC
+    (the manifest value) so a stale or swapped file is refused before
+    its summary is trusted; the summary bytes themselves are verified
+    against the header's dedicated summary CRC.
     """
     try:
         with open(path, "rb") as handle:
             head = handle.read(_HEADER_V3.size)
-            if len(head) < _PREFIX.size:
-                raise ArchiveCorruptError(
-                    f"shard {path} is shorter than its header"
-                )
-            magic, version, _ = _PREFIX.unpack_from(head)
-            if magic != SHARD_MAGIC:
-                raise ArchiveCorruptError(f"shard {path} has bad magic {magic!r}")
-            if version == 2:
-                return None, len(head)
-            if version != 3:
-                raise ArchiveError(
-                    f"shard {path} has format version {version}, "
-                    f"expected <= {SHARD_VERSION}"
-                )
-            if len(head) < _HEADER_V3.size:
-                raise ArchiveCorruptError(
-                    f"shard {path} is shorter than its header"
-                )
+            _check_header(path, head)
             (magic, version, flags, ordinal, count, crc, payload_length,
              summary_blob_length, summary_crc) = _HEADER_V3.unpack(head)
             if expected_crc is not None and crc != expected_crc:

@@ -30,7 +30,6 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +66,20 @@ _DEFAULT_CACHE_SHARDS = 16
 #: Suffix quarantined shards are renamed to (not matched by the
 #: ``*.shard`` orphan scan, so they never look adoptable).
 QUARANTINE_SUFFIX = ".quarantined"
+
+
+def _read_record(path: str, entry) -> Tuple[DayShardRecord, DaySummary, int]:
+    """The whole-shard reader :meth:`MeasurementArchive.load_day` uses."""
+    record = read_shard(path, expected_crc=entry.crc32)
+    return record, record.summary, entry.bytes
+
+
+def _read_summary_block(
+    path: str, entry
+) -> Tuple[DaySummary, DaySummary, int]:
+    """The partial summary-block reader behind ``load_summary``."""
+    summary, bytes_read = read_summary(path, expected_crc=entry.crc32)
+    return summary, summary, bytes_read
 
 
 class Problem:
@@ -146,7 +159,6 @@ class MeasurementArchive:
         faults=None,
         read_retries: int = 3,
         retry_backoff: float = 0.01,
-        readers: int = 1,
     ) -> None:
         self.directory = str(directory)
         self.manifest = Manifest.load(self.directory)
@@ -155,16 +167,11 @@ class MeasurementArchive:
         self.faults = faults
         self.read_retries = int(read_retries)
         self.retry_backoff = float(retry_backoff)
-        #: Default reader-pool width for range reads: shard decode is
-        #: mostly zlib (which releases the GIL), so uncached shards of
-        #: one range are fetched and inflated concurrently when > 1.
-        #: Single-day reads and ``readers=1`` keep the serial path.
-        self.readers = max(1, int(readers))
         self._cache_shards = max(1, int(cache_shards))
         self._cache: "OrderedDict[_dt.date, DayShardRecord]" = OrderedDict()
         #: Decoded per-day summaries (a few hundred bytes each, so no
-        #: eviction); ``None`` marks a v2 shard with no stored summary.
-        self._summaries: Dict[_dt.date, Optional[DaySummary]] = {}
+        #: eviction); every shard admitted to the LRU donates its own.
+        self._summaries: Dict[_dt.date, DaySummary] = {}
         #: Per-date uncached-read ordinals keying service.archive_read
         #: fault decisions (a retry re-rolls under a fresh key).
         self._service_reads: Dict[_dt.date, int] = {}
@@ -190,28 +197,79 @@ class MeasurementArchive:
     def path_for(self, date: DateLike) -> str:
         """The shard path for ``date`` (which must be covered)."""
         date_obj = as_date(date)
+        return os.path.join(self.directory, self._entry(date_obj).file)
+
+    def _entry(self, date_obj: _dt.date):
         entry = self.manifest.days.get(date_obj)
         if entry is None:
             raise ArchiveError(
                 f"archive {self.directory} does not cover {date_obj} "
                 "(extend it with 'repro archive build')"
             )
-        return os.path.join(self.directory, entry.file)
+        return entry
 
     def load_day(self, date: DateLike) -> DayShardRecord:
         """The day's shard record, CRC-verified, via the LRU cache.
 
         Transient read errors retry with bounded backoff; integrity
-        failures self-heal (quarantine + rebuild) when the archive was
-        opened with its scenario config.
+        failures self-heal when the archive was opened with its
+        scenario config.
+        """
+        return self._load(date, self._cache, "archive_shards", _read_record)
+
+    def load_summary(self, date: DateLike) -> DaySummary:
+        """The day's pre-aggregated summary.
+
+        The coarse-query fast path: the shard answers from the first
+        few hundred bytes of the file (header + compressed summary
+        block) without decompressing — or reading — the per-domain
+        columns.  A shard already decoded by :meth:`load_day` donates
+        its summary for free.
+        """
+        return self._load(
+            date, self._summaries, "archive_summaries", _read_summary_block
+        )
+
+    def load_summaries(
+        self, start: DateLike, end: DateLike, step: int = 1
+    ) -> List[DaySummary]:
+        """Per-day summaries for every ``step`` days in ``[start, end]``.
+
+        Days the archive does not cover raise, exactly as
+        :meth:`load_summary` would.
+        """
+        if step < 1:
+            raise ArchiveError(f"range step must be >= 1 day: {step}")
+        start_date = as_date(start)
+        end_date = as_date(end)
+        if start_date > end_date:
+            raise ArchiveError(f"inverted range: {start_date} > {end_date}")
+        summaries: List[DaySummary] = []
+        day = start_date
+        while day <= end_date:
+            summaries.append(self.load_summary(day))
+            day += _dt.timedelta(days=step)
+        return summaries
+
+    def _load(self, date: DateLike, cache: Dict, counter: str, read):
+        """Serve ``date`` from ``cache``, else read it from disk with ``read``.
+
+        The one read procedure, shared by :meth:`load_day` and
+        :meth:`load_summary`.  A cache hit returns at once.  A read
+        that must leave memory checks the request deadline, rolls the
+        ``service.archive_read`` fault, looks the day up in the
+        manifest, reads it with transient-error retry, and admits the
+        result to the caches.  Integrity failures self-heal (quarantine
+        + rebuild) when the archive was opened with its scenario config.
         """
         date_obj = as_date(date)
         with self._lock:
-            cached = self._cache.get(date_obj)
+            cached = cache.get(date_obj)
             if cached is not None:
-                self._cache.move_to_end(date_obj)
+                if cache is self._cache:
+                    self._cache.move_to_end(date_obj)
                 if self.metrics is not None:
-                    self.metrics.record_cache("archive_shards", 1, 0)
+                    self.metrics.record_cache(counter, 1, 0)
                 return cached
             # A read that must leave memory is a phase boundary: a
             # request whose budget already ran out stops here instead
@@ -226,286 +284,43 @@ class MeasurementArchive:
                 self.faults.check(
                     "service.archive_read", f"{date_obj}#{ordinal}"
                 )
-            entry = self.manifest.days.get(date_obj)
-            if entry is None:
-                raise ArchiveError(
-                    f"archive {self.directory} does not cover {date_obj} "
-                    "(extend it with 'repro archive build')"
-                )
+            entry = self._entry(date_obj)
             try:
-                record = self._read_day(date_obj, entry)
+                value = self._read(date_obj, entry, counter, read)
             except ArchiveMismatchError:
                 raise
             except ArchiveError as exc:
                 if self.config is None:
                     raise
-                record = self._heal_day(date_obj, exc)
-            self._cache[date_obj] = record
-            while len(self._cache) > self._cache_shards:
-                self._cache.popitem(last=False)
-            return record
+                self._admit(date_obj, self._heal_day(date_obj, exc))
+                return cache[date_obj]
+            if cache is self._cache:
+                self._admit(date_obj, value)
+            else:
+                cache[date_obj] = value
+            return value
 
-    def load_range(
-        self,
-        start: DateLike,
-        end: DateLike,
-        step: int = 1,
-        readers: Optional[int] = None,
-    ) -> List[DayShardRecord]:
-        """Every covered day record in ``[start, end]`` at ``step`` days.
+    def _admit(self, date_obj: _dt.date, record: DayShardRecord) -> None:
+        """Put a decoded shard (and its summary) into the caches."""
+        self._summaries[date_obj] = record.summary
+        self._cache[date_obj] = record
+        while len(self._cache) > self._cache_shards:
+            self._cache.popitem(last=False)
 
-        A range read for the serving layer: each day goes through the
-        shared LRU (so concurrent requests over overlapping windows hit
-        memory), and days the archive does not cover raise, exactly as
-        :meth:`load_day` would.
+    def _read(self, date_obj: _dt.date, entry, counter: str, read):
+        """One CRC-checked read of ``entry``, with transient-error retry.
 
-        With ``readers > 1`` (argument, else the archive's default),
-        uncached days are read and decoded through a bounded thread
-        pool: the file IO and zlib inflate of different shards overlap
-        (zlib releases the GIL), while cache admission, fault-decision
-        ordering, and self-healing stay serialised under the archive
-        lock.  Each record is produced by the same CRC-checked
-        :meth:`_read_day` the serial path runs, so results are
-        bit-identical to a serial read — proven per figure in
-        ``tests/archive/test_parallel_read``.
+        ``read(path, entry)`` returns ``(value, summary, bytes_read)``;
+        the summary's date and measured count must agree with the
+        manifest entry, whichever kind of read it was.
         """
-        dates = self._range_dates(start, end, step)
-        effective = self.readers if readers is None else max(1, int(readers))
-        if effective <= 1 or len(dates) <= 1:
-            return [self.load_day(day) for day in dates]
-
-        records: Dict[_dt.date, DayShardRecord] = {}
-        missing: List[Tuple[_dt.date, object]] = []
-        with self._lock:
-            for date_obj in dates:
-                if date_obj in records:
-                    continue
-                cached = self._cache.get(date_obj)
-                if cached is not None:
-                    self._cache.move_to_end(date_obj)
-                    if self.metrics is not None:
-                        self.metrics.record_cache("archive_shards", 1, 0)
-                    records[date_obj] = cached
-                    continue
-                check_deadline("archive_read")
-                if self.faults is not None:
-                    ordinal = self._service_reads.get(date_obj, 0)
-                    self._service_reads[date_obj] = ordinal + 1
-                    self.faults.check(
-                        "service.archive_read", f"{date_obj}#{ordinal}"
-                    )
-                entry = self.manifest.days.get(date_obj)
-                if entry is None:
-                    raise ArchiveError(
-                        f"archive {self.directory} does not cover {date_obj} "
-                        "(extend it with 'repro archive build')"
-                    )
-                missing.append((date_obj, entry))
-
-        if missing:
-            pool_width = min(effective, len(missing))
-            with ThreadPoolExecutor(
-                max_workers=pool_width, thread_name_prefix="shard-read"
-            ) as pool:
-                futures = [
-                    (date_obj, pool.submit(self._read_day, date_obj, entry))
-                    for date_obj, entry in missing
-                ]
-                outcomes: List[Tuple[_dt.date, object, Optional[BaseException]]] = []
-                for date_obj, future in futures:
-                    try:
-                        outcomes.append((date_obj, future.result(), None))
-                    except BaseException as exc:  # classified below
-                        outcomes.append((date_obj, None, exc))
-            with self._lock:
-                for date_obj, record, error in outcomes:
-                    if error is not None:
-                        # Mirror load_day's triage exactly: mismatches
-                        # and non-archive errors (RecoveryError,
-                        # deadline) propagate; integrity damage heals
-                        # when a config is present, else raises.  The
-                        # pool has already drained, so a failure never
-                        # leaves reader threads hanging.
-                        if (
-                            not isinstance(error, ArchiveError)
-                            or isinstance(error, ArchiveMismatchError)
-                            or self.config is None
-                        ):
-                            raise error
-                        record = self._heal_day(date_obj, error)
-                    records[date_obj] = record
-                    self._cache[date_obj] = record
-                    self._cache.move_to_end(date_obj)
-                while len(self._cache) > self._cache_shards:
-                    self._cache.popitem(last=False)
-        return [records[day] for day in dates]
-
-    def load_summaries(
-        self,
-        start: DateLike,
-        end: DateLike,
-        step: int = 1,
-        readers: Optional[int] = None,
-    ) -> List[Optional[DaySummary]]:
-        """Per-day summaries over a range, parallel like :meth:`load_range`.
-
-        The coarse-query analogue of a parallel range read: uncached
-        summary blocks (a partial read of each shard's first few
-        hundred bytes) are fetched through the bounded reader pool.
-        Entries are ``None`` for v2 shards with no stored summary,
-        exactly as :meth:`load_summary` reports them.
-        """
-        dates = self._range_dates(start, end, step)
-        effective = self.readers if readers is None else max(1, int(readers))
-        if effective <= 1 or len(dates) <= 1:
-            return [self.load_summary(day) for day in dates]
-
-        summaries: Dict[_dt.date, Optional[DaySummary]] = {}
-        missing: List[Tuple[_dt.date, object]] = []
-        with self._lock:
-            for date_obj in dates:
-                if date_obj in summaries:
-                    continue
-                cached_record = self._cache.get(date_obj)
-                if cached_record is not None and cached_record.summary is not None:
-                    if self.metrics is not None:
-                        self.metrics.record_cache("archive_summaries", 1, 0)
-                    summaries[date_obj] = cached_record.summary
-                    continue
-                if date_obj in self._summaries:
-                    if self.metrics is not None:
-                        self.metrics.record_cache("archive_summaries", 1, 0)
-                    summaries[date_obj] = self._summaries[date_obj]
-                    continue
-                check_deadline("archive_read")
-                if self.faults is not None:
-                    ordinal = self._service_reads.get(date_obj, 0)
-                    self._service_reads[date_obj] = ordinal + 1
-                    self.faults.check(
-                        "service.archive_read", f"{date_obj}#{ordinal}"
-                    )
-                entry = self.manifest.days.get(date_obj)
-                if entry is None:
-                    raise ArchiveError(
-                        f"archive {self.directory} does not cover {date_obj} "
-                        "(extend it with 'repro archive build')"
-                    )
-                missing.append((date_obj, entry))
-
-        if missing:
-            pool_width = min(effective, len(missing))
-            with ThreadPoolExecutor(
-                max_workers=pool_width, thread_name_prefix="summary-read"
-            ) as pool:
-                futures = [
-                    (date_obj, pool.submit(self._read_summary, date_obj, entry))
-                    for date_obj, entry in missing
-                ]
-                outcomes: List[Tuple[_dt.date, object, Optional[BaseException]]] = []
-                for date_obj, future in futures:
-                    try:
-                        outcomes.append((date_obj, future.result(), None))
-                    except BaseException as exc:
-                        outcomes.append((date_obj, None, exc))
-            with self._lock:
-                for date_obj, summary, error in outcomes:
-                    if error is not None:
-                        if (
-                            not isinstance(error, ArchiveError)
-                            or isinstance(error, ArchiveMismatchError)
-                            or self.config is None
-                        ):
-                            raise error
-                        record = self._heal_day(date_obj, error)
-                        self._cache[date_obj] = record
-                        while len(self._cache) > self._cache_shards:
-                            self._cache.popitem(last=False)
-                        summary = record.summary
-                    summaries[date_obj] = summary
-                    self._summaries[date_obj] = summary
-        return [summaries[day] for day in dates]
-
-    @staticmethod
-    def _range_dates(
-        start: DateLike, end: DateLike, step: int
-    ) -> List[_dt.date]:
-        if step < 1:
-            raise ArchiveError(f"range step must be >= 1 day: {step}")
-        start_date = as_date(start)
-        end_date = as_date(end)
-        if start_date > end_date:
-            raise ArchiveError(
-                f"inverted range: {start_date} > {end_date}"
-            )
-        dates: List[_dt.date] = []
-        day = start_date
-        while day <= end_date:
-            dates.append(day)
-            day += _dt.timedelta(days=step)
-        return dates
-
-    def load_summary(self, date: DateLike) -> Optional[DaySummary]:
-        """The day's pre-aggregated summary, or ``None`` for v2 shards.
-
-        The coarse-query fast path: a v3 shard answers from the first
-        few hundred bytes of the file (header + compressed summary
-        block) without decompressing — or reading — the per-domain
-        columns.  Goes through the same deadline, fault-injection, and
-        self-healing discipline as :meth:`load_day`; a decoded shard
-        already sitting in the LRU donates its summary for free.
-        """
-        date_obj = as_date(date)
-        with self._lock:
-            cached_record = self._cache.get(date_obj)
-            if cached_record is not None and cached_record.summary is not None:
-                if self.metrics is not None:
-                    self.metrics.record_cache("archive_summaries", 1, 0)
-                return cached_record.summary
-            if date_obj in self._summaries:
-                if self.metrics is not None:
-                    self.metrics.record_cache("archive_summaries", 1, 0)
-                return self._summaries[date_obj]
-            check_deadline("archive_read")
-            if self.faults is not None:
-                ordinal = self._service_reads.get(date_obj, 0)
-                self._service_reads[date_obj] = ordinal + 1
-                self.faults.check(
-                    "service.archive_read", f"{date_obj}#{ordinal}"
-                )
-            entry = self.manifest.days.get(date_obj)
-            if entry is None:
-                raise ArchiveError(
-                    f"archive {self.directory} does not cover {date_obj} "
-                    "(extend it with 'repro archive build')"
-                )
-            try:
-                summary = self._read_summary(date_obj, entry)
-            except ArchiveMismatchError:
-                raise
-            except ArchiveError as exc:
-                if self.config is None:
-                    raise
-                # Healing re-reads the whole shard; rebuilt shards are
-                # v3, so the healed record always carries a summary.
-                record = self._heal_day(date_obj, exc)
-                self._cache[date_obj] = record
-                while len(self._cache) > self._cache_shards:
-                    self._cache.popitem(last=False)
-                summary = record.summary
-            self._summaries[date_obj] = summary
-            return summary
-
-    def _read_summary(
-        self, date_obj: _dt.date, entry
-    ) -> Optional[DaySummary]:
-        """One partial summary read, with transient-error retry."""
         path = os.path.join(self.directory, entry.file)
         for attempt in range(self.read_retries + 1):
             started = time.perf_counter()
             try:
                 if self.faults is not None:
                     self.faults.check("shard.read", f"{entry.file}#{attempt}")
-                summary, bytes_read = read_summary(path, expected_crc=entry.crc32)
+                value, summary, bytes_read = read(path, entry)
                 break
             except TransientIOError as exc:
                 if attempt >= self.read_retries:
@@ -515,55 +330,23 @@ class MeasurementArchive:
                     ) from exc
                 time.sleep(backoff_seconds(attempt, self.retry_backoff))
         elapsed = time.perf_counter() - started
-        if summary is not None and summary.date != date_obj:
+        if summary.date != date_obj:
             raise ArchiveStaleError(
-                f"shard {entry.file} contains {summary.date}, "
-                f"manifest says {date_obj}"
+                f"shard {entry.file} contains {summary.date}, manifest says {date_obj}"
+            )
+        if summary.measured_count != entry.records:
+            raise ArchiveStaleError(
+                f"shard {entry.file} has {summary.measured_count} records, "
+                f"manifest says {entry.records}"
             )
         if self.metrics is not None:
-            self.metrics.record_cache("archive_summaries", 0, 1)
+            self.metrics.record_cache(counter, 0, 1)
             with self.metrics.phase("archive_read") as stat:
                 pass
             stat.wall_seconds += elapsed
             stat.snapshots += 1
             stat.notes["bytes"] = int(stat.notes.get("bytes", 0)) + bytes_read
-        return summary
-
-    def _read_day(self, date_obj: _dt.date, entry) -> DayShardRecord:
-        """One CRC-checked shard read, with transient-error retry."""
-        path = os.path.join(self.directory, entry.file)
-        for attempt in range(self.read_retries + 1):
-            started = time.perf_counter()
-            try:
-                if self.faults is not None:
-                    self.faults.check("shard.read", f"{entry.file}#{attempt}")
-                record = read_shard(path, expected_crc=entry.crc32)
-                break
-            except TransientIOError as exc:
-                if attempt >= self.read_retries:
-                    raise RecoveryError(
-                        f"could not read shard {entry.file} after "
-                        f"{attempt + 1} attempts: {exc}"
-                    ) from exc
-                time.sleep(backoff_seconds(attempt, self.retry_backoff))
-        elapsed = time.perf_counter() - started
-        if record.date != date_obj:
-            raise ArchiveStaleError(
-                f"shard {entry.file} contains {record.date}, manifest says {date_obj}"
-            )
-        if len(record.measured) != entry.records:
-            raise ArchiveStaleError(
-                f"shard {entry.file} has {len(record.measured)} records, "
-                f"manifest says {entry.records}"
-            )
-        if self.metrics is not None:
-            self.metrics.record_cache("archive_shards", 0, 1)
-            with self.metrics.phase("archive_read") as stat:
-                pass
-            stat.wall_seconds += elapsed
-            stat.snapshots += 1
-            stat.notes["bytes"] = int(stat.notes.get("bytes", 0)) + entry.bytes
-        return record
+        return value
 
     # ------------------------------------------------------------------
     # Self-healing
@@ -615,7 +398,7 @@ class MeasurementArchive:
             raise RecoveryError(
                 f"rebuild of {date_obj} produced no shard (original error: {cause})"
             ) from cause
-        record = self._read_day(date_obj, entry)
+        record = self._read(date_obj, entry, "archive_shards", _read_record)
         if self.metrics is not None:
             self.metrics.record_recovery("shards_rebuilt", 1)
         return record
@@ -895,30 +678,14 @@ class ArchiveCollector:
     def sweep(
         self, start: DateLike, end: DateLike, step: int = 1
     ) -> Iterator[ArchivedSnapshot]:
-        """Replay every ``step`` days in [start, end] from disk.
-
-        When the archive was opened with ``readers > 1``, days are
-        prefetched in bounded batches through the parallel range read
-        (a batch of a few pool-widths of shards decodes concurrently),
-        while the yielded snapshots stay in strict date order and
-        bit-identical to serial collection.
-        """
+        """Replay every ``step`` days in [start, end] from disk."""
         if step < 1:
             raise ArchiveError(f"sweep step must be >= 1 day: {step}")
-        if self._archive.readers <= 1:
-            day = as_date(start)
-            end_date = as_date(end)
-            while day <= end_date:
-                yield self.collect(day)
-                day += _dt.timedelta(days=step)
-            return
-        dates = MeasurementArchive._range_dates(start, end, step)
-        batch = self._archive.readers * 4
-        for index in range(0, len(dates), batch):
-            chunk = dates[index:index + batch]
-            records = self._archive.load_range(chunk[0], chunk[-1], step)
-            for record in records:
-                yield ArchivedSnapshot(self.world, record)
+        day = as_date(start)
+        end_date = as_date(end)
+        while day <= end_date:
+            yield self.collect(day)
+            day += _dt.timedelta(days=step)
 
     def records(
         self, date: DateLike, domain_indices: Optional[Sequence[int]] = None

@@ -55,17 +55,12 @@ class ExperimentContext:
         profile: bool = False,
         archive: Optional[Union[str, "MeasurementArchive"]] = None,
         faults=None,
-        archive_readers: int = 1,
         scenario: Optional[Union[str, "ScenarioSpec"]] = None,
     ) -> None:
         if cadence_days < 1:
             raise AnalysisError(f"cadence must be >= 1 day: {cadence_days}")
         if workers < 1:
             raise AnalysisError(f"workers must be >= 1: {workers}")
-        if archive_readers < 1:
-            raise AnalysisError(
-                f"archive_readers must be >= 1: {archive_readers}"
-            )
         if archive is not None and world is not None:
             raise AnalysisError(
                 "pass either a prebuilt world or an archive, not both"
@@ -118,15 +113,12 @@ class ExperimentContext:
                     self.archive.config = self.config
                 if self.archive.faults is None:
                     self.archive.faults = faults
-                if archive_readers > 1 and self.archive.readers == 1:
-                    self.archive.readers = archive_readers
             else:
                 self.archive = MeasurementArchive(
                     archive,
                     metrics=self.metrics,
                     config=self.config,
                     faults=faults,
-                    readers=archive_readers,
                 )
             # A stale or foreign archive must be refused, not silently
             # mixed with a freshly simulated world.

@@ -190,8 +190,8 @@ def run_detectors(
 
     Order is detector order then each detector's internal (sorted)
     order, so the sequence numbers the engine assigns are reproducible.
-    The first archived day — and any v2 shard without a summary block —
-    has nothing to compare against and yields no findings.
+    The first archived day has nothing to compare against, so a
+    missing side (``None``) yields no findings.
     """
     if previous is None or current is None:
         return []

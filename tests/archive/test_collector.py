@@ -5,8 +5,8 @@ import shutil
 
 import pytest
 
-from repro.archive import ArchiveCollector, MeasurementArchive
-from repro.errors import AnalysisError, ArchiveError
+from repro.archive import ArchiveCollector, MeasurementArchive, archive_digest
+from repro.errors import AnalysisError, ArchiveError, ArchiveStaleError
 from repro.experiments import ExperimentContext, run_experiment
 from repro.measurement.fast import DEFAULT_OUTAGE_DATES
 
@@ -155,32 +155,33 @@ class TestVerify:
 
 
 class TestLoadRange:
-    """Range reads share the day-shard LRU with single-day reads."""
+    """Range summary reads share the per-day summary cache."""
 
     def test_range_matches_per_day_loads(self, built_archive):
         archive = MeasurementArchive(built_archive)
-        records = archive.load_range("2022-02-24", "2022-02-26")
-        assert len(records) == 3
-        for offset, record in enumerate(records):
+        summaries = archive.load_summaries("2022-02-24", "2022-02-26")
+        assert len(summaries) == 3
+        for offset, summary in enumerate(summaries):
             day = datetime.date(2022, 2, 24 + offset)
-            assert record is archive.load_day(day)
+            assert summary.date == day
+            assert summary is archive.load_summary(day)
 
     def test_range_step_skips_days(self, built_archive):
         archive = MeasurementArchive(built_archive)
-        records = archive.load_range("2022-02-24", "2022-03-02", step=3)
-        assert len(records) == 3
+        summaries = archive.load_summaries("2022-02-24", "2022-03-02", step=3)
+        assert [summary.date.day for summary in summaries] == [24, 27, 2]
 
     def test_inverted_range_rejected(self, built_archive):
         archive = MeasurementArchive(built_archive)
         with pytest.raises(ArchiveError, match="inverted range"):
-            archive.load_range("2022-03-05", "2022-03-01")
+            archive.load_summaries("2022-03-05", "2022-03-01")
         with pytest.raises(ArchiveError, match="step"):
-            archive.load_range("2022-03-01", "2022-03-05", step=0)
+            archive.load_summaries("2022-03-01", "2022-03-05", step=0)
 
     def test_uncovered_day_raises(self, built_archive):
         archive = MeasurementArchive(built_archive)
         with pytest.raises(ArchiveError, match="does not cover"):
-            archive.load_range("2031-01-01", "2031-01-02")
+            archive.load_summaries("2031-01-01", "2031-01-02")
 
     def test_concurrent_readers_share_cache(self, built_archive):
         from concurrent.futures import ThreadPoolExecutor
@@ -192,12 +193,37 @@ class TestLoadRange:
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(
                 pool.map(
-                    lambda _: archive.load_range("2022-02-24", "2022-02-26"),
+                    lambda _: archive.load_summaries("2022-02-24", "2022-02-26"),
                     range(4),
                 )
             )
         assert all(result == results[0] for result in results)
-        counters = metrics.summary()["caches"]["archive_shards"]
+        counters = metrics.summary()["caches"]["archive_summaries"]
         # 3 distinct days were read from disk exactly once each.
         assert counters["misses"] == 3
         assert counters["hits"] == 9
+
+
+class TestManifestIdentity:
+    """Both read kinds hold a shard to its manifest entry."""
+
+    def test_summary_read_checks_record_count(
+        self, tmp_path, archive_config, built_archive
+    ):
+        copy = str(tmp_path / "copy")
+        shutil.copytree(built_archive, copy)
+        day = datetime.date(2022, 3, 4)
+        archive = MeasurementArchive(copy)
+        archive.manifest.days[day].records += 1
+        archive.manifest.save(copy)
+
+        with pytest.raises(ArchiveStaleError, match="records"):
+            MeasurementArchive(copy).load_summary(day)
+        with pytest.raises(ArchiveStaleError, match="records"):
+            MeasurementArchive(copy).load_day(day)
+
+        healed = MeasurementArchive(copy, config=archive_config)
+        assert healed.load_summary(day) == (
+            MeasurementArchive(built_archive).load_summary(day)
+        )
+        assert archive_digest(copy) == archive_digest(built_archive)

@@ -3,12 +3,14 @@
 The record-object path (scatter shard columns, rebuild the world, run
 the day reducers) is the oracle; the kernel path (per-shard summaries,
 no world) must produce byte-for-byte identical query output for every
-figure and series it serves — across scales, TLD filters, and the
-format-v2 fallback.
+figure and series it serves — across scales and TLD filters.
 """
 
+import datetime as dt
 import os
 import shutil
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ import pytest
 from repro.archive import (
     ArchiveBuilder,
     MeasurementArchive,
+    archive_digest,
     summarize_snapshot,
 )
-from repro.archive.shard import encode_shard, read_shard
+from repro.archive.shard import read_shard, read_summary
+from repro.errors import ArchiveError
 from repro.experiments import ExperimentContext
 from repro.scenario import ScenarioSpec
 
@@ -35,28 +39,6 @@ SERIES = (
     "sanctioned_composition",
     "listed_counts",
 )
-
-
-def downgrade_to_v2(directory: str) -> int:
-    """Rewrite every shard of an archive as format v2, fixing the manifest.
-
-    Returns the number of shards rewritten.  This is how the fallback
-    tests manufacture a legacy archive from a current build.
-    """
-    archive = MeasurementArchive(directory)
-    rewritten = 0
-    for date in archive.manifest.covered_dates():
-        entry = archive.manifest.days[date]
-        path = os.path.join(directory, entry.file)
-        record = read_shard(path, expected_crc=entry.crc32)
-        blob, crc = encode_shard(record, version=2)
-        with open(path, "wb") as handle:
-            handle.write(blob)
-        entry.bytes = len(blob)
-        entry.crc32 = crc
-        rewritten += 1
-    archive.manifest.save(directory)
-    return rewritten
 
 
 class TestKernelBitIdentity:
@@ -92,8 +74,7 @@ class TestKernelBitIdentity:
 
     def test_stored_summary_matches_recomputation(self, archive_context):
         """A shard's stored summary == summarising its snapshot today."""
-        kernel = archive_context.collector.kernel
-        stored = kernel.day_summary("2022-03-04")
+        stored = archive_context.archive.load_summary("2022-03-04")
         recomputed = summarize_snapshot(
             archive_context.collector.collect("2022-03-04")
         )
@@ -151,40 +132,55 @@ class TestLazyWorld:
         assert context._world is not None
 
 
-class TestV2Fallback:
-    """Legacy (v2) archives stay fully queryable, summaries computed on the fly."""
+class TestV2Refused:
+    """Format v2 is no longer read: it is refused by name, then repaired."""
 
-    @pytest.fixture(scope="class")
-    def v2_archive(self, tmp_path_factory, built_archive):
-        copy = str(tmp_path_factory.mktemp("kernel-v2") / "arch")
+    @staticmethod
+    def v2_bytes(path):
+        """Repack a v3 shard's columns as a legacy v2 file.
+
+        v2 is the v3 header without the summary fields, followed by the
+        compressed payload alone; its CRC covers the zeroed header and
+        the uncompressed payload.
+        """
+        v3 = struct.Struct("<8sHHIIIQII")
+        v2 = struct.Struct("<8sHHIIIQ")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        (magic, _, flags, ordinal, count, _, payload_length,
+         summary_length, _) = v3.unpack_from(blob)
+        payload = zlib.decompress(blob[v3.size + summary_length:])
+        zeroed = v2.pack(magic, 2, flags, ordinal, count, 0, payload_length)
+        crc = zlib.crc32(payload, zlib.crc32(zeroed))
+        header = v2.pack(magic, 2, flags, ordinal, count, crc, payload_length)
+        return header + zlib.compress(payload, 6), crc
+
+    def test_v2_shard_refused_and_repaired(
+        self, tmp_path, archive_config, built_archive
+    ):
+        copy = str(tmp_path / "arch")
         shutil.copytree(built_archive, copy)
-        assert downgrade_to_v2(copy) > 0
-        return copy
+        day = dt.date(2022, 3, 4)
+        archive = MeasurementArchive(copy)
+        entry = archive.manifest.days[day]
+        path = os.path.join(copy, entry.file)
+        blob, crc = self.v2_bytes(path)
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        entry.bytes, entry.crc32 = len(blob), crc
+        archive.manifest.save(copy)
 
-    def test_v2_archive_verifies_clean(self, v2_archive):
-        assert MeasurementArchive(v2_archive).verify() == []
+        for read in (read_shard, read_summary):
+            with pytest.raises(ArchiveError, match="format version 2"):
+                read(path, expected_crc=crc)
+        problems = MeasurementArchive(copy).verify_detailed()
+        assert [(problem.kind, problem.date) for problem in problems] == [
+            ("corrupt", day)
+        ]
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_v2_experiments_identical(
-        self, experiment, archive_config, v2_archive, live_context
-    ):
-        context = ExperimentContext(
-            config=archive_config, cadence_days=CADENCE, archive=v2_archive
-        )
-        spec = {"kind": "experiment", "experiment": experiment}
-        assert context.api.query_json(spec) == live_context.api.query_json(spec)
-
-    def test_v2_summary_computed_on_fly_matches_stored(
-        self, archive_config, v2_archive, built_archive
-    ):
-        v2_context = ExperimentContext(
-            config=archive_config, cadence_days=CADENCE, archive=v2_archive
-        )
-        assert v2_context.archive.load_summary("2022-03-04") is None
-        computed = v2_context.collector.kernel.day_summary("2022-03-04")
-        stored = MeasurementArchive(built_archive).load_summary("2022-03-04")
-        assert stored is not None
-        assert computed == stored
+        report = MeasurementArchive(copy).repair(archive_config)
+        assert report.ok and report.rebuilt == [day]
+        assert archive_digest(copy) == archive_digest(built_archive)
 
 
 class TestPlanZeroSentinel:

@@ -109,7 +109,7 @@ class TestRoundTrip:
 
 
 class TestSummaryBlock:
-    """Format v3's pre-aggregated summary block and the v2 fallback."""
+    """The pre-aggregated summary block."""
 
     def test_summary_round_trips(self, tmp_path):
         original = record()
@@ -125,20 +125,6 @@ class TestSummaryBlock:
         assert summary == original.summary
         # The whole point: the per-domain columns are never read.
         assert bytes_read < file_bytes
-
-    def test_v2_still_writable_and_readable(self, tmp_path):
-        original = record()
-        path = str(tmp_path / "day.shard")
-        _, crc = write_shard(path, original, version=2)
-        loaded = read_shard(path, expected_crc=crc)
-        assert loaded == original
-        assert loaded.summary is None
-
-    def test_v2_partial_read_has_no_summary(self, tmp_path):
-        path = str(tmp_path / "day.shard")
-        _, crc = write_shard(path, record(), version=2)
-        summary, _ = read_summary(path, expected_crc=crc)
-        assert summary is None
 
     def test_v3_requires_summary(self, tmp_path):
         bare = record()

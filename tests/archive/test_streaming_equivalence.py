@@ -313,9 +313,8 @@ class TestBuilderEquivalence:
         whole, streamed = equivalent_archives
         whole_archive = MeasurementArchive(whole)
         stream_archive = MeasurementArchive(streamed)
-        assert stream_archive.load_range(START, END) == (
-            whole_archive.load_range(START, END)
-        )
+        for day in whole_archive.manifest.covered_dates():
+            assert stream_archive.load_day(day) == whole_archive.load_day(day)
         assert stream_archive.load_summaries(START, END) == (
             whole_archive.load_summaries(START, END)
         )
