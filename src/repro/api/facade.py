@@ -400,16 +400,13 @@ class AnalysisFacade:
         date = as_date(spec.date)
         check_deadline("records_collect")
         snapshot = self._context.collector.collect(date)
-        population = self._context.world.population
-        matched = [
-            int(index)
-            for index in snapshot.measured
-            if spec.tld is None
-            or population.record(int(index)).name.tld == spec.tld
-        ]
+        matched = snapshot.measured
+        if spec.tld is not None:
+            tlds = self._context.world.population.tld
+            matched = matched[tlds[matched] == spec.tld.encode("utf-8")]
         offset = spec.offset or 0
         limit = DEFAULT_RECORDS_LIMIT if spec.limit is None else spec.limit
-        page = matched[offset : offset + limit]
+        page = matched[offset : offset + limit].tolist()
         records = []
         for index in page:
             measurement = snapshot.measurement_for(index)

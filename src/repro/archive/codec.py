@@ -252,4 +252,7 @@ def read_string(view: memoryview, offset: int) -> Tuple[str, int]:
     end = offset + length
     if end > len(view):
         raise ArchiveError("truncated string in shard payload")
-    return bytes(view[offset:end]).decode("utf-8"), end
+    try:
+        return bytes(view[offset:end]).decode("utf-8"), end
+    except UnicodeDecodeError:
+        raise ArchiveError("invalid UTF-8 in shard payload") from None

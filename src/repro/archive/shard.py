@@ -122,8 +122,10 @@ class DayShardRecord:
         "_dns_plan_ns",
         "_domains",
         "_apex",
-        "_positions",
         "_tail",
+        "_view",
+        "_domain_offsets",
+        "_apex_offsets",
     )
 
     def __init__(
@@ -155,7 +157,7 @@ class DayShardRecord:
         self.date = date
         self.epoch_start_day = int(epoch_start_day)
         self.population_size = int(population_size)
-        self.measured = np.asarray(measured, dtype=np.int64)
+        self.measured = _ascending(np.asarray(measured, dtype=np.int64))
         self.dns_ids = np.asarray(dns_ids, dtype=np.int32)
         self.hosting_ids = np.asarray(hosting_ids, dtype=np.int32)
         self.summary: Optional[DaySummary] = None
@@ -163,24 +165,34 @@ class DayShardRecord:
             int(plan_id): (tuple(names), tuple(int(a) for a in addresses))
             for plan_id, (names, addresses) in dns_plan_ns.items()
         }
-        self._domains = [str(d) for d in domains]
-        self._apex = [tuple(int(a) for a in addresses) for addresses in apex]
-        self._positions: Optional[Dict[int, int]] = None
+        self._domains: Optional[List[str]] = [str(d) for d in domains]
+        self._apex: Optional[List[Tuple[int, ...]]] = [
+            tuple(int(a) for a in addresses) for addresses in apex
+        ]
         self._tail: Optional[Tuple[bytes, int]] = None
+        self._view: Optional[memoryview] = None
+        self._domain_offsets: Optional[np.ndarray] = None
+        self._apex_offsets: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Lazily-decoded columns
+    # Lazily-indexed columns
     # ------------------------------------------------------------------
     #
     # Reducer sweeps only ever read the three numeric columns above; the
     # NS plan table, domain names, and apex runs are needed solely to
-    # materialise DomainMeasurement records.  A record decoded from disk
-    # therefore keeps the undecoded payload tail and thaws these columns
-    # on first access, which makes archive-backed sweeps pay for the
-    # structural columns only.
+    # materialise DomainMeasurement records, and a records page needs
+    # only a handful of them.  A record decoded from disk therefore
+    # keeps the undecoded payload tail and, on first access, indexes it
+    # once: the plan table is parsed, and the byte offset of every
+    # position's domain string and apex run is recorded.  Each record
+    # then decodes just its own string and run.
 
-    def _thaw(self) -> None:
-        payload, offset = self._tail  # type: ignore[misc]
+    def _index(self) -> None:
+        tail = self._tail
+        if tail is None:
+            # Another query thread indexed this cached record meanwhile.
+            return
+        payload, offset = tail
         view = memoryview(payload)
         count = len(self.measured)
 
@@ -201,49 +213,61 @@ class DayShardRecord:
                 names.append(pool[pool_id])
             addresses, offset = read_delta_run(view, offset)
             dns_plan_ns[plan_id] = (tuple(names), tuple(addresses))
-
-        domains: List[str] = []
-        for _ in range(count):
-            domain, offset = read_string(view, offset)
-            domains.append(domain)
-        apex: List[Tuple[int, ...]] = []
-        for _ in range(count):
-            addresses, offset = read_delta_run(view, offset)
-            apex.append(tuple(addresses))
-        if offset != len(view):
-            raise ArchiveError(
-                f"{len(view) - offset} trailing bytes in shard payload"
-            )
         missing = set(np.unique(self.dns_ids).tolist()) - set(dns_plan_ns)
         if missing:
             raise ArchiveError(
                 f"dns plans missing from the shard table: {sorted(missing)}"
             )
+
+        domain_offsets, offset = _index_strings(view, offset, count)
+        apex_offsets, offset = _index_runs(view, offset, count)
+        if offset != len(view):
+            raise ArchiveError(
+                f"{len(view) - offset} trailing bytes in shard payload"
+            )
         self._dns_plan_ns = dns_plan_ns
-        self._domains = domains
-        self._apex = apex
+        self._view = view
+        self._domain_offsets = domain_offsets
+        self._apex_offsets = apex_offsets
         self._tail = None
+
+    def _domain_at(self, position: int) -> str:
+        """The A-label name at ``position``."""
+        if self._tail is not None:
+            self._index()
+        if self._domains is not None:
+            return self._domains[position]
+        return read_string(self._view, int(self._domain_offsets[position]))[0]
+
+    def _apex_at(self, position: int) -> Tuple[int, ...]:
+        """The sorted apex address run at ``position``."""
+        if self._tail is not None:
+            self._index()
+        if self._apex is not None:
+            return self._apex[position]
+        run, _ = read_delta_run(self._view, int(self._apex_offsets[position]))
+        return tuple(run)
 
     @property
     def dns_plan_ns(self) -> Dict[int, Tuple[Tuple[str, ...], Tuple[int, ...]]]:
         """Per-DNS-plan ``(ns_names, ns_addresses)`` for the day's epoch."""
         if self._tail is not None:
-            self._thaw()
+            self._index()
         return self._dns_plan_ns
 
     @property
     def domains(self) -> List[str]:
         """Per-measured-domain A-label names."""
-        if self._tail is not None:
-            self._thaw()
-        return self._domains
+        if self._domains is not None:
+            return self._domains
+        return [self._domain_at(p) for p in range(len(self.measured))]
 
     @property
     def apex(self) -> List[Tuple[int, ...]]:
         """Per-measured-domain sorted apex address tuples."""
-        if self._tail is not None:
-            self._thaw()
-        return self._apex
+        if self._apex is not None:
+            return self._apex
+        return [self._apex_at(p) for p in range(len(self.measured))]
 
     # ------------------------------------------------------------------
     # Construction from a live snapshot
@@ -319,22 +343,20 @@ class DayShardRecord:
         names, addresses = self.dns_plan_ns[int(self.dns_ids[position])]
         return DomainMeasurement(
             self.date,
-            DomainName.parse(self.domains[position]),
+            DomainName.parse(self._domain_at(position)),
             names,
             addresses,
-            self.apex[position],
+            self._apex_at(position),
             domain_index=int(self.measured[position]),
         )
 
     def measurement_for(self, domain_index: int) -> DomainMeasurement:
         """The record of one measured domain (by population index)."""
-        if self._positions is None:
-            self._positions = {
-                int(index): position
-                for position, index in enumerate(self.measured)
-            }
-        position = self._positions.get(int(domain_index))
-        if position is None:
+        position = int(np.searchsorted(self.measured, domain_index))
+        if (
+            position == len(self.measured)
+            or self.measured[position] != domain_index
+        ):
             raise ArchiveError(
                 f"domain {domain_index} was not measured on {self.date}"
             )
@@ -366,6 +388,88 @@ class DayShardRecord:
 
     def __repr__(self) -> str:
         return f"DayShardRecord({self.date}, {len(self.measured)} measured)"
+
+
+def _ascending(measured: np.ndarray) -> np.ndarray:
+    """``measured`` itself; refuses a column that is not strictly ascending.
+
+    Record lookup by population index is a binary search over it.
+    """
+    if measured.size > 1 and not (measured[1:] > measured[:-1]).all():
+        raise ArchiveError("measured column is not strictly ascending")
+    return measured
+
+
+def _index_strings(
+    view: memoryview, offset: int, count: int
+) -> Tuple[np.ndarray, int]:
+    """Offsets of ``count`` length-prefixed strings starting at ``offset``.
+
+    Returns ``(offsets, next_offset)``.  The whole region is checked to
+    be UTF-8 with one C-level decode: every length prefix ends in a
+    byte below 0x80, which can never sit inside a multi-byte sequence,
+    so the region decodes exactly when every string does.  The leading
+    bytes of the rare multi-byte prefixes are zeroed first, since they
+    could complete a string's dangling sequence.
+    """
+    start = offset
+    offsets: List[int] = []
+    wide: List[int] = []
+    try:
+        for _ in range(count):
+            offsets.append(offset)
+            length = view[offset]
+            if length < 0x80:
+                offset += 1 + length
+            else:
+                prefix = offset
+                length, offset = read_uvarint(view, offset)
+                wide.extend(range(prefix, offset - 1))
+                offset += length
+    except IndexError:
+        raise ArchiveError("truncated string in shard payload") from None
+    if offset > len(view):
+        raise ArchiveError("truncated string in shard payload")
+    region = bytearray(view[start:offset])
+    for position in wide:
+        region[position - start] = 0
+    try:
+        region.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ArchiveError("invalid UTF-8 in shard payload") from None
+    return np.asarray(offsets, dtype=np.int64), offset
+
+
+def _index_runs(
+    view: memoryview, offset: int, count: int
+) -> Tuple[np.ndarray, int]:
+    """Offsets of ``count`` delta runs starting at ``offset``.
+
+    Returns ``(offsets, next_offset)``.  Varint boundaries are found
+    vectorised (every varint ends in its only byte below 0x80); the walk
+    then hops from each run's count varint past its deltas.
+    """
+    region = np.frombuffer(view, dtype=np.uint8, offset=offset)
+    stops = np.flatnonzero(region < 0x80)
+    starts = np.empty_like(stops)
+    starts[:1] = 0
+    starts[1:] = stops[:-1] + 1
+    heads = region[starts].tolist()
+    total = len(heads)
+    runs: List[int] = []
+    varint = 0
+    for _ in range(count):
+        if varint >= total:
+            raise ArchiveError("truncated varint in shard payload")
+        runs.append(varint)
+        length = heads[varint]
+        if length & 0x80:
+            length, _ = read_uvarint(view, offset + int(starts[varint]))
+        varint += 1 + length
+    if varint > total:
+        raise ArchiveError("truncated varint in shard payload")
+    end = offset + (int(stops[varint - 1]) + 1 if varint else 0)
+    return offset + starts[np.asarray(runs, dtype=np.int64)], end
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +528,7 @@ def _decode_payload(date: _dt.date, count: int, payload: bytes) -> DayShardRecor
     """Decode the structural columns; string/apex columns stay lazy.
 
     The payload has already passed its CRC check, so the undecoded tail
-    is known intact — :meth:`DayShardRecord._thaw` parses it on first
+    is known intact — :meth:`DayShardRecord._index` indexes it on first
     record materialisation.
 
     The three numeric columns decode vectorised and exactly once:
@@ -453,15 +557,17 @@ def _decode_payload(date: _dt.date, count: int, payload: bytes) -> DayShardRecor
     record.date = date
     record.epoch_start_day = epoch_start_day
     record.population_size = population_size
-    record.measured = measured32.astype(np.int64)
+    record.measured = _ascending(measured32.astype(np.int64))
     record.dns_ids = dns_ids
     record.hosting_ids = hosting_ids
     record.summary = None
     record._dns_plan_ns = {}
-    record._domains = []
-    record._apex = []
-    record._positions = None
+    record._domains = None
+    record._apex = None
     record._tail = (payload, offset)
+    record._view = None
+    record._domain_offsets = None
+    record._apex_offsets = None
     return record
 
 
@@ -673,7 +779,7 @@ def probe_shard(path: str) -> ShardProbe:
     Runs the same integrity checks as :func:`read_shard` (magic,
     version, summary CRC, whole-shard CRC over the decompressed
     blocks) but decodes only the tiny payload prefix — no column
-    arrays, no string thaw.  Raises the same classified
+    arrays, no string index.  Raises the same classified
     :class:`ArchiveError` subclasses on damage.
     """
     try:

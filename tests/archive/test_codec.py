@@ -123,6 +123,11 @@ class TestString:
         with pytest.raises(ArchiveError):
             read_string(memoryview(bytes(buffer[:-1])), 0)
 
+    def test_invalid_utf8_rejected(self):
+        # A lone lead byte: the length prefix is fine, the text is not.
+        with pytest.raises(ArchiveError, match="invalid UTF-8"):
+            read_string(memoryview(bytes([2, 0x41, 0xD0])), 0)
+
 
 class TestCrc32Combine:
     """crc32_combine(crc(a), crc(b), len(b)) == crc(a || b), exactly."""

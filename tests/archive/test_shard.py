@@ -2,14 +2,19 @@
 
 import datetime as dt
 import struct
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.archive.shard import (
     SHARD_MAGIC,
     SHARD_VERSION,
     DayShardRecord,
+    _decode_payload,
+    _encode_payload,
     read_shard,
     read_summary,
     write_shard,
@@ -93,6 +98,23 @@ class TestRoundTrip:
         assert measurement.domain_index == 7
         assert measurement.ns_names == ("alice.ns.cloudflare.com",)
         assert measurement.apex_addresses == ()
+
+    def test_concurrent_first_materialisation(self, tmp_path):
+        """Query threads sharing a cached record may all index it at once."""
+        path = str(tmp_path / "day.shard")
+        write_shard(path, record())
+        positions = [0, 1, 2] * 8
+        expected = [record().measurement_at(p) for p in positions]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(100):
+                    loaded = read_shard(path)
+                    results = pool.map(loaded.measurement_at, positions)
+                    assert list(results) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_measurement_columns(self, tmp_path):
         path = str(tmp_path / "day.shard")
@@ -197,6 +219,89 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArchiveError, match="cannot read shard"):
             read_shard(str(tmp_path / "absent.shard"))
+
+
+def int32_column(values):
+    return np.asarray(values, dtype="<i4").tobytes()
+
+
+def materialise(payload):
+    """Decode a three-record payload and materialise its first record.
+
+    Damage anywhere in the payload must surface here already, not only
+    when the damaged position itself is asked for.
+    """
+    return _decode_payload(dt.date(2022, 3, 4), 3, payload).measurement_at(0)
+
+
+class TestDecodedPayloadIntegrity:
+    """Damaged payloads fail at decode or at first materialisation.
+
+    The payload CRC rules these out for files on disk; the checks guard
+    the decoder itself, so a bug on either side of the format cannot
+    silently yield wrong records.
+    """
+
+    def test_intact_payload_materialises(self):
+        payload = bytes(_encode_payload(record()))
+        assert materialise(payload) == record().measurement_at(0)
+
+    def test_trailing_byte_refused(self):
+        payload = bytes(_encode_payload(record())) + b"\x00"
+        with pytest.raises(ArchiveError, match="trailing bytes"):
+            materialise(payload)
+
+    def test_truncated_domain_string_refused(self):
+        # Three empty apex runs encode to one byte each: cutting four
+        # bytes also clips the last domain string.
+        payload = bytes(_encode_payload(record(apex=[()] * 3)))[:-4]
+        with pytest.raises(ArchiveError, match="truncated string"):
+            materialise(payload)
+
+    def test_truncated_apex_varint_refused(self):
+        wide = record(apex=[(11,), (12, 13), (3232235777,)])
+        payload = bytes(_encode_payload(wide))[:-1]
+        with pytest.raises(ArchiveError, match="truncated varint"):
+            materialise(payload)
+
+    def test_dns_id_missing_from_plan_table_refused(self):
+        payload = bytes(_encode_payload(record()))
+        damaged = payload.replace(
+            int32_column([2, 2, 5]), int32_column([2, 2, 9]), 1
+        )
+        assert damaged != payload
+        with pytest.raises(ArchiveError, match="dns plans missing"):
+            materialise(damaged)
+
+    def test_invalid_utf8_domain_refused(self):
+        payload = bytes(_encode_payload(record()))
+        damaged = payload.replace(b"b.ru", b"b.\xd0u", 1)
+        assert damaged != payload
+        with pytest.raises(ArchiveError, match="invalid UTF-8"):
+            materialise(damaged)
+
+    def test_invalid_utf8_before_long_domain_refused(self):
+        # A 133-byte name has a two-byte length prefix (0x85 0x01); its
+        # first byte would complete the dangling 0xd0 into a valid
+        # character if the column were decoded as one unmasked region.
+        long_name = "c" * 130 + ".ru"
+        payload = bytes(
+            _encode_payload(record(domains=["a.ru", "b.ru", long_name]))
+        )
+        damaged = payload.replace(b"b.ru", b"b.r\xd0", 1)
+        assert damaged != payload
+        with pytest.raises(ArchiveError, match="invalid UTF-8"):
+            materialise(damaged)
+
+    @pytest.mark.parametrize("measured", [[4, 1, 7], [1, 4, 4]])
+    def test_non_ascending_measured_refused(self, measured):
+        payload = bytes(_encode_payload(record()))
+        damaged = payload.replace(
+            int32_column([1, 4, 7]), int32_column(measured), 1
+        )
+        assert damaged != payload
+        with pytest.raises(ArchiveError, match="strictly ascending"):
+            materialise(damaged)
 
 
 class TestFromSnapshot:

@@ -62,6 +62,12 @@ class TestDynamics:
     def test_only_study_tlds(self, population):
         assert {rec.name.tld for rec in population} == {TLD_RU, TLD_RF}
 
+    def test_tld_column_matches_records(self, population):
+        assert population.tld.tolist() == [
+            rec.name.tld.encode("ascii") for rec in population
+        ]
+        assert (population.is_rf == (population.tld == b"xn--p1ai")).all()
+
     def test_active_indices_match_mask(self, population):
         date = STUDY_START
         indices = population.active_indices(date)
