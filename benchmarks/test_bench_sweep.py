@@ -1,6 +1,6 @@
 """Bench: the sweep engine — chunked vs monolithic five-year pass.
 
-Times the FullSweepReducer pass through the engine at bench scale,
+Times the SummaryReducer five-year pass through the engine at bench scale,
 verifies chunked output matches the monolithic pass, and saves the last
 round's profile rendering (executor, chunk count, snapshots/sec)
 alongside the artefact outputs.
@@ -8,7 +8,7 @@ alongside the artefact outputs.
 
 from _util import ROUNDS_LIGHT
 
-from repro.core.reducers import FullSweepReducer
+from repro.archive.kernel import SummaryReducer
 from repro.measurement.fast import FastCollector
 from repro.measurement.metrics import SweepMetrics
 from repro.measurement.sweep import SweepEngine
@@ -19,7 +19,7 @@ CADENCE = 7
 
 def test_bench_sweep_engine_chunked(benchmark, bench_world, save):
     collector = FastCollector(bench_world)
-    reducer = FullSweepReducer()
+    reducer = SummaryReducer()
     baseline = SweepEngine(collector).run(
         reducer, STUDY_START, STUDY_END, CADENCE
     )

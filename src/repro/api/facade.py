@@ -1,9 +1,7 @@
 """The analysis facade: one entry point for every consumer.
 
-:class:`AnalysisFacade` owns the cached longitudinal sweeps that used to
-live directly on :class:`~repro.experiments.context.ExperimentContext`
-(whose ``full_sweep()``/``_run_recent()`` are now thin deprecated shims
-over this class) and executes :class:`~repro.api.spec.QuerySpec` queries
+:class:`AnalysisFacade` owns the cached longitudinal sweeps of one
+:class:`~repro.experiments.context.ExperimentContext` and executes :class:`~repro.api.spec.QuerySpec` queries
 against them.  ``repro query``, ``repro serve``, and the figure
 experiments all route through here, so the offline CLI path and the
 HTTP service are one code path producing byte-identical JSON.
@@ -18,12 +16,13 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..archive.kernel import ArchiveQueryKernel, SummaryReducer
+from ..archive.summary import DaySummary
 from ..core.reducers import (
-    FullSweepReducer,
-    RecentWindowReducer,
     RecentWindowSeries,
     SweepSeries,
-    merge_recent_records,
+    merge_full_sweep,
+    merge_recent_window,
 )
 from ..core.summary import compute_headline_stats
 from ..errors import QueryError
@@ -132,97 +131,69 @@ class AnalysisFacade:
             ) from None
 
     # ------------------------------------------------------------------
-    # The shared sweeps (formerly ExperimentContext.full_sweep/_run_recent)
+    # The shared sweeps
     # ------------------------------------------------------------------
 
-    def _kernel(self):
-        """The archive query kernel when the collector is archive-backed.
+    def _day_summaries(
+        self, phase: str, read_stored, start, end, step: int
+    ) -> List[DaySummary]:
+        """One :class:`DaySummary` per ``step``-th day in [start, end].
 
-        Coarse sweeps then run on per-shard summaries — no snapshot
-        scatter, no world build — with the record path kept as the
-        oracle (see ``tests/archive/test_kernel.py``).
+        An archive-backed collector serves the stored summaries through
+        ``read_stored``, an :class:`ArchiveQueryKernel` method (no
+        snapshot scatter, no world build); any other collector runs
+        :class:`SummaryReducer` through the sweep engine.  Either way the
+        days were reduced by the same
+        :func:`~repro.archive.kernel.summarize_snapshot`.
         """
-        collector = self._context.collector
-        kernel = getattr(collector, "kernel", None)
-        if kernel is None:
-            return None
-        return kernel
+        context = self._context
+        kernel = getattr(context.collector, "kernel", None)
+        with context.metrics.phase(phase) as stat:
+            if kernel is None:
+                return context.engine.run(
+                    SummaryReducer(), start, end, step, phase=phase
+                )
+            summaries = read_stored(kernel, start, end, step)
+            stat.snapshots += len(summaries)
+            return summaries
 
     def full_sweep(self) -> SweepSeries:
         """All full-period series, computed in one pass and cached."""
         if self._full is not None:
             return self._full
-        context = self._context
         with self._lock:
-            if self._full is not None:
-                return self._full
-            check_deadline("full_sweep")
-            kernel = self._kernel()
-            if kernel is not None:
-                with context.metrics.phase("full_sweep") as stat:
-                    records = kernel.full_sweep_records(
-                        STUDY_START, STUDY_END, context.cadence_days
+            if self._full is None:
+                check_deadline("full_sweep")
+                self._full = merge_full_sweep(
+                    self._day_summaries(
+                        "full_sweep",
+                        ArchiveQueryKernel.full_sweep_records,
+                        STUDY_START,
+                        STUDY_END,
+                        self._context.cadence_days,
                     )
-                    stat.snapshots += len(records)
-                    merged = FullSweepReducer().merge(records)
-                self._full = merged
-                return self._full
-            reducer = FullSweepReducer()
-            with context.metrics.phase("full_sweep"):
-                records = context.engine.run(
-                    reducer,
-                    STUDY_START,
-                    STUDY_END,
-                    context.cadence_days,
-                    phase="full_sweep",
                 )
-                merged = reducer.merge(records)
-            hits = sum(1 for record in records if record.label_cache_hit)
-            context.metrics.record_cache(
-                "epoch_labels", hits, len(records) - hits
-            )
-            self._full = merged
         return self._full
 
     def recent_window(self) -> RecentWindowSeries:
         """The conflict-window daily series bundle, cached."""
         if self._recent is not None:
             return self._recent
-        context = self._context
         with self._lock:
-            if self._recent is not None:
-                return self._recent
-            check_deadline("recent_sweep")
-            from ..experiments.context import RECENT_WINDOW_START
+            if self._recent is None:
+                check_deadline("recent_sweep")
+                from ..experiments.context import RECENT_WINDOW_START
 
-            kernel = self._kernel()
-            if kernel is not None:
-                asns = context.fig4_asns()
-                with context.metrics.phase("recent_sweep") as stat:
-                    records = kernel.recent_records(
-                        asns, RECENT_WINDOW_START, STUDY_END, 1
-                    )
-                    stat.snapshots += len(records)
-                    merged = merge_recent_records(asns, records)
-                self._recent = merged
-                return self._recent
-            reducer = RecentWindowReducer(
-                context.fig4_asns(), context.world.sanctioned_indices
-            )
-            with context.metrics.phase("recent_sweep"):
-                records = context.engine.run(
-                    reducer,
-                    RECENT_WINDOW_START,
-                    STUDY_END,
-                    1,
-                    phase="recent_sweep",
+                self._recent = merge_recent_window(
+                    self._context.fig4_asns(),
+                    self._day_summaries(
+                        "recent_sweep",
+                        ArchiveQueryKernel.recent_records,
+                        RECENT_WINDOW_START,
+                        STUDY_END,
+                        1,
+                    ),
                 )
-                merged = reducer.merge(records)
-            hits = sum(1 for record in records if record.label_cache_hit)
-            context.metrics.record_cache(
-                "label_matrix", hits, len(records) - hits
-            )
-            self._recent = merged
         return self._recent
 
     def headline(self) -> Dict[str, object]:

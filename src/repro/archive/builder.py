@@ -89,7 +89,7 @@ class ArchiveShardReducer:
     The apex/plan materialisation caches are per-process accelerators
     keyed by ``(domain_index, hosting_id)`` / ``(epoch, dns_id)``;
     assignments change rarely, so consecutive days hit the caches almost
-    every time.  They are dropped on pickling, like the other reducers.
+    every time.  They are dropped on pickling.
     """
 
     def __init__(

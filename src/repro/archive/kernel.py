@@ -1,42 +1,34 @@
-"""Columnar query kernel: archive sweeps without per-record objects.
+"""The one per-day reduction: a snapshot becomes a :class:`DaySummary`.
 
-The experiment layer's day reducers consume
-:class:`~repro.measurement.fast.DailySnapshot` objects, which for an
-archive-backed context means scattering shard columns over the
-population and rebuilding a world for its epoch label tables — work
-that dominates a warm query even though the shard bytes are hot in
-memory.  This module is the fast path around that:
+Every longitudinal series in the repo — Figures 1-5, the headline
+stats, every ``series`` query — is a fold over per-day
+:class:`~repro.archive.summary.DaySummary` objects, and
+:func:`summarize_snapshot` is the only code that produces them:
 
-* :func:`summarize_snapshot` aggregates one snapshot into a
-  :class:`~repro.archive.summary.DaySummary` using the *same*
-  vectorised label/bincount operations the day reducers run (the code
-  below mirrors :class:`~repro.core.reducers.FullSweepReducer` and
-  :class:`~repro.core.reducers.RecentWindowReducer` line for line), so
-  a summary replayed later is bit-identical to re-reducing the day.
-  The archive builder calls this once per day and serialises the result
-  into the shard's summary block.
-* :class:`ArchiveQueryKernel` answers the coarse longitudinal queries
-  (Figures 1-5, headline, every ``series``) straight from those stored
-  summaries: one partial file read per day, no per-domain columns, no
-  world construction.
+* the archive builder calls it once per day and serialises the result
+  into the shard's summary block;
+* a live (world-backed) context runs it through the parallel sweep
+  engine as :class:`SummaryReducer`;
+* :class:`ArchiveQueryKernel` serves an archive-backed context's sweeps
+  straight from the stored summaries: one partial file read per day,
+  no per-domain columns, no world construction.
 
-The record-object path remains the oracle: the equivalence suite in
-``tests/archive/test_kernel.py`` proves kernel results bit-identical to
-record-path results for every figure the kernel serves.
+Both paths then fold through the same merges in
+:mod:`repro.core.reducers`, so an aggregation bug has one place to be
+fixed.  ``tests/integration/test_summary_reference.py`` recomputes every
+summary field in plain Python, per domain, as the independent oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.reducers import (
-    FullSweepDayRecord,
-    RecentDayRecord,
-    _composition_counts,
-)
 from ..core.labels import (
+    LABEL_FULL,
+    LABEL_NON,
+    LABEL_PART,
     snapshot_hosting_geo_labels,
     snapshot_ns_geo_labels,
     snapshot_ns_tld_labels,
@@ -48,10 +40,17 @@ from .summary import DaySummary
 
 __all__ = [
     "summarize_snapshot",
-    "full_record_from_summary",
-    "recent_record_from_summary",
+    "SummaryReducer",
     "ArchiveQueryKernel",
 ]
+
+
+def _composition_counts(labels: np.ndarray) -> Tuple[int, int, int]:
+    return (
+        int((labels == LABEL_FULL).sum()),
+        int((labels == LABEL_PART).sum()),
+        int((labels == LABEL_NON).sum()),
+    )
 
 
 def summarize_snapshot(
@@ -59,10 +58,9 @@ def summarize_snapshot(
 ) -> DaySummary:
     """Aggregate one day into its :class:`DaySummary`.
 
-    Every count is produced by the exact operation the corresponding
-    reducer runs — same label gathers, same ``bincount``/matmul over
-    the same columns — which is what makes summary replay bit-identical
-    to record-path reduction.
+    The counts are vectorised gathers over the epoch's label tables:
+    full/part/non label counts for the composition triples, and plan
+    ``bincount`` histograms projected onto TLD and ASN membership.
 
     With ``chunk_domains`` set, the measured set is processed in
     position chunks of at most that many domains and the per-chunk
@@ -104,18 +102,18 @@ def summarize_snapshot(
         tld_triple += _composition_counts(
             snapshot_ns_tld_labels(snapshot, chunk)
         )
-        # FullSweepReducer.reduce_day: per-TLD NS dependency counts
-        # (the matmul against the membership matrix happens once, on
-        # the merged plan histogram below).
+        # Per-TLD NS dependency counts: the matmul against the
+        # membership matrix happens once, on the merged plan histogram
+        # below.
         plan_counts += np.bincount(
             snapshot.dns_ids[chunk], minlength=len(plan_counts)
         )
         host_plan_counts += np.bincount(
             snapshot.hosting_ids[chunk], minlength=len(host_plan_counts)
         )
-        # RecentWindowReducer's sanctioned subset: np.isin over a
-        # chunk partition concatenates to np.isin over the whole
-        # measured set, order preserved.
+        # The sanctioned subset: np.isin over a chunk partition
+        # concatenates to np.isin over the whole measured set, order
+        # preserved.
         subset = chunk[np.isin(chunk, sanctioned)]
         sanctioned_triple += _composition_counts(
             snapshot_ns_geo_labels(snapshot, subset)
@@ -128,11 +126,10 @@ def summarize_snapshot(
         if per_tld[col] > 0
     }
 
-    # RecentWindowReducer.reduce_day generalised: instead of counting
-    # only a caller-supplied tracked-ASN list, count every ASN any
-    # hosting plan touches.  For a plan-membership matrix M this is the
-    # same ``plan_counts @ M`` with one column per known ASN, so any
-    # tracked subset projects out of it exactly.
+    # Count every ASN any hosting plan touches, not a caller-supplied
+    # tracked list: for a plan-membership matrix M this is
+    # ``plan_counts @ M`` with one column per known ASN, so any tracked
+    # subset projects out of it exactly.
     asn_counts: Dict[int, int] = {}
     for plan_id, plan_asns in enumerate(hosting_labels.asn_sets):
         plan_count = int(host_plan_counts[plan_id])
@@ -156,74 +153,36 @@ def summarize_snapshot(
     )
 
 
-def full_record_from_summary(summary: DaySummary) -> FullSweepDayRecord:
-    """The :class:`FullSweepDayRecord` a summary replays to.
+class SummaryReducer:
+    """:func:`summarize_snapshot` as a sweep-engine day reducer.
 
-    ``label_cache_hit`` is set (the summary *is* the cache) and is
-    excluded from record equality, exactly like parallel-sweep workers.
+    Stateless, so it pickles to worker processes as-is; the live sweeps
+    run it through :class:`~repro.measurement.sweep.SweepEngine`.
     """
-    return FullSweepDayRecord(
-        summary.date,
-        summary.ns,
-        summary.hosting,
-        summary.tld,
-        summary.measured_count,
-        dict(summary.tld_counts),
-        label_cache_hit=True,
-    )
 
-
-def recent_record_from_summary(
-    summary: DaySummary, asns: Sequence[int]
-) -> RecentDayRecord:
-    """The :class:`RecentDayRecord` a summary replays to for ``asns``.
-
-    The summary's ASN histogram covers every ASN any hosting plan
-    touches, so projecting the tracked list out of it (absent means
-    zero) matches the reducer's membership-matrix product exactly.
-    """
-    return RecentDayRecord(
-        summary.date,
-        summary.measured_count,
-        {int(asn): summary.asn_counts.get(int(asn), 0) for asn in asns},
-        summary.sanctioned,
-        summary.listed_count,
-        label_cache_hit=True,
-    )
+    def reduce_day(self, snapshot: DailySnapshot) -> DaySummary:
+        return summarize_snapshot(snapshot)
 
 
 class ArchiveQueryKernel:
-    """Serves day aggregates for one archive-backed collector.
+    """Serves stored day summaries for one archive-backed collector.
 
-    Stored summaries are read directly (partial file reads through the
-    archive's summary cache).
+    Summaries are read directly (partial file reads through the
+    archive's summary cache).  The two sweeps read the same summaries;
+    each keeps its own method so per-layer traces can time them.
     """
 
     def __init__(self, collector) -> None:
         self._collector = collector
 
-    def sweep_summaries(
-        self, start: DateLike, end: DateLike, step: int = 1
-    ) -> List[DaySummary]:
-        """Summaries for every ``step`` days in ``[start, end]``."""
-        if step < 1:
-            raise ArchiveError(f"sweep step must be >= 1 day: {step}")
-        return self._collector.archive.load_summaries(start, end, step)
-
     def full_sweep_records(
         self, start: DateLike, end: DateLike, step: int = 1
-    ) -> List[FullSweepDayRecord]:
-        """The five-year sweep's day records (Figures 1-3, headline)."""
-        return [
-            full_record_from_summary(summary)
-            for summary in self.sweep_summaries(start, end, step)
-        ]
+    ) -> List[DaySummary]:
+        """The five-year sweep's summaries (Figures 1-3, headline)."""
+        return self._collector.archive.load_summaries(start, end, step)
 
     def recent_records(
-        self, asns: Sequence[int], start: DateLike, end: DateLike, step: int = 1
-    ) -> List[RecentDayRecord]:
-        """The conflict-window day records (Figures 4 and 5)."""
-        return [
-            recent_record_from_summary(summary, asns)
-            for summary in self.sweep_summaries(start, end, step)
-        ]
+        self, start: DateLike, end: DateLike, step: int = 1
+    ) -> List[DaySummary]:
+        """The conflict-window sweep's summaries (Figures 4 and 5)."""
+        return self._collector.archive.load_summaries(start, end, step)

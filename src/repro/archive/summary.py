@@ -20,10 +20,10 @@ data.  The encoding is canonical (sorted keys, fixed field order): the
 same day always serialises to the same bytes, preserving the archive's
 shard-byte determinism.
 
-The numbers themselves are produced by the same vectorised label
-operations the day reducers run (see
-:func:`repro.archive.kernel.summarize_snapshot`), so replaying a
-summary is bit-identical to re-reducing the day's records.
+The numbers themselves come from
+:func:`repro.archive.kernel.summarize_snapshot`, the one per-day
+reduction: live sweeps compute the same summaries on the fly, and both
+paths fold them through the merges in :mod:`repro.core.reducers`.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class DaySummary:
 
     ``ns``/``hosting``/``tld``/``sanctioned`` are ``(full, part, non)``
     composition triples; ``tld_counts`` and ``asn_counts`` store only
-    non-zero entries (absent means zero, exactly as the reducers'
-    ``> 0`` filters produce).
+    non-zero entries (absent means zero).
     """
 
     __slots__ = (

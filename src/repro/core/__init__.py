@@ -31,14 +31,7 @@ from .labels import (
     snapshot_ns_tld_labels,
 )
 from .movement import MovementReport, analyze_movement, transition_matrix
-from .reducers import (
-    FullSweepDayRecord,
-    FullSweepReducer,
-    RecentDayRecord,
-    RecentWindowReducer,
-    RecentWindowSeries,
-    SweepSeries,
-)
+from .reducers import RecentWindowSeries, SweepSeries
 from .revocation import IssuerRevocation, RevocationTable, analyze_revocations
 from .summary import HeadlineStats, compute_headline_stats
 from .tlddep import (
@@ -82,10 +75,6 @@ __all__ = [
     "MovementReport",
     "analyze_movement",
     "transition_matrix",
-    "FullSweepDayRecord",
-    "FullSweepReducer",
-    "RecentDayRecord",
-    "RecentWindowReducer",
     "RecentWindowSeries",
     "SweepSeries",
     "IssuerRevocation",

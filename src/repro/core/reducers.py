@@ -1,52 +1,32 @@
-"""Picklable per-day reducers behind the longitudinal sweeps.
+"""The longitudinal series bundles and their merges over day summaries.
 
-The five-year and conflict-window sweeps used to live as loop bodies
-inside ``ExperimentContext``; the parallel sweep engine needs the same
-per-day aggregation to run inside worker processes.  Each reducer maps
-one :class:`~repro.measurement.fast.DailySnapshot` to a small, picklable
-day record (``reduce_day``) and folds an ordered record list back into
-the series the experiments consume (``merge``).  Running the identical
-``reduce_day`` code serially or across processes is what keeps parallel
-output bit-identical to serial output.
+Every measurement day, live or archived, is reduced to one
+:class:`~repro.archive.summary.DaySummary` by
+:func:`~repro.archive.kernel.summarize_snapshot` — the only code that
+turns a snapshot into series counts.  This module folds an ordered
+summary list into the series the experiments consume:
+:func:`merge_full_sweep` for the five-year sweep (Figures 1-3, headline
+stats) and :func:`merge_recent_window` for the conflict window
+(Figures 4 and 5).
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
-import numpy as np
-
-from ..measurement.fast import DailySnapshot
 from .composition import CompositionSeries
-from .labels import (
-    LABEL_FULL,
-    LABEL_NON,
-    LABEL_PART,
-    snapshot_hosting_geo_labels,
-    snapshot_ns_geo_labels,
-    snapshot_ns_tld_labels,
-)
 from .tlddep import TldSharePoint, TldShareSeries
 from .topasn import AsnSharePoint, AsnShareSeries
 
+if TYPE_CHECKING:
+    from ..archive.summary import DaySummary
+
 __all__ = [
     "SweepSeries",
-    "FullSweepDayRecord",
-    "FullSweepReducer",
-    "RecentDayRecord",
-    "RecentWindowReducer",
     "RecentWindowSeries",
-    "merge_recent_records",
+    "merge_full_sweep",
+    "merge_recent_window",
 ]
-
-
-def _composition_counts(labels: np.ndarray) -> Tuple[int, int, int]:
-    return (
-        int((labels == LABEL_FULL).sum()),
-        int((labels == LABEL_PART).sum()),
-        int((labels == LABEL_NON).sum()),
-    )
 
 
 class SweepSeries:
@@ -57,155 +37,6 @@ class SweepSeries:
         self.hosting_composition = CompositionSeries("Hosting country composition")
         self.tld_composition = CompositionSeries("NS TLD dependency")
         self.tld_shares = TldShareSeries()
-
-
-class FullSweepDayRecord:
-    """One day of the five-year sweep, as plain picklable counts.
-
-    ``label_cache_hit`` is instrumentation (did this day reuse an
-    already-seen epoch label table?) and is excluded from ``__eq__``:
-    workers start with cold caches, so hit flags legitimately differ
-    between serial and parallel runs while the counts do not.
-    """
-
-    __slots__ = (
-        "date",
-        "ns",
-        "hosting",
-        "tld",
-        "measured_count",
-        "tld_counts",
-        "label_cache_hit",
-    )
-
-    def __init__(
-        self,
-        date: _dt.date,
-        ns: Tuple[int, int, int],
-        hosting: Tuple[int, int, int],
-        tld: Tuple[int, int, int],
-        measured_count: int,
-        tld_counts: Dict[str, int],
-        label_cache_hit: bool = False,
-    ) -> None:
-        self.date = date
-        self.ns = ns
-        self.hosting = hosting
-        self.tld = tld
-        self.measured_count = measured_count
-        self.tld_counts = tld_counts
-        self.label_cache_hit = label_cache_hit
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FullSweepDayRecord):
-            return NotImplemented
-        return (
-            self.date,
-            self.ns,
-            self.hosting,
-            self.tld,
-            self.measured_count,
-            self.tld_counts,
-        ) == (
-            other.date,
-            other.ns,
-            other.hosting,
-            other.tld,
-            other.measured_count,
-            other.tld_counts,
-        )
-
-    def __repr__(self) -> str:
-        return f"FullSweepDayRecord({self.date}, {self.measured_count} measured)"
-
-
-class FullSweepReducer:
-    """Per-day aggregation for Figures 1-3 and the headline stats.
-
-    Tracks per-process reuse of the per-epoch label tables (a day whose
-    epoch was already reduced is a label-cache hit); the seen-set is
-    keyed by object identity, so it is dropped on pickling.
-    """
-
-    def __init__(self) -> None:
-        self._seen_labels: set = set()
-
-    def __getstate__(self):
-        return {}
-
-    def __setstate__(self, state) -> None:
-        self._seen_labels = set()
-
-    def reduce_day(self, snapshot: DailySnapshot) -> FullSweepDayRecord:
-        """All full-period per-day counts for one snapshot."""
-        ns_labels = snapshot_ns_geo_labels(snapshot)
-        host_labels = snapshot_hosting_geo_labels(snapshot)
-        tld_labels = snapshot_ns_tld_labels(snapshot)
-        labels = snapshot.epoch.dns_labels
-        cache_hit = id(labels) in self._seen_labels
-        self._seen_labels.add(id(labels))
-        plan_counts = np.bincount(
-            snapshot.dns_ids[snapshot.measured],
-            minlength=labels.tld_membership.shape[0],
-        )
-        per_tld = plan_counts @ labels.tld_membership
-        return FullSweepDayRecord(
-            snapshot.date,
-            _composition_counts(ns_labels),
-            _composition_counts(host_labels),
-            _composition_counts(tld_labels),
-            int(len(snapshot.measured)),
-            {
-                tld: int(per_tld[col])
-                for col, tld in enumerate(labels.tld_names)
-                if per_tld[col] > 0
-            },
-            cache_hit,
-        )
-
-    def merge(self, records: Sequence[FullSweepDayRecord]) -> SweepSeries:
-        """Fold chronological day records into the cached series bundle."""
-        series = SweepSeries()
-        for record in records:
-            series.ns_composition.add_counts(record.date, *record.ns)
-            series.hosting_composition.add_counts(record.date, *record.hosting)
-            series.tld_composition.add_counts(record.date, *record.tld)
-            series.tld_shares.add(
-                TldSharePoint(record.date, record.measured_count, record.tld_counts)
-            )
-        return series
-
-
-class RecentDayRecord:
-    """One day of the conflict-window sweep (Figures 4 and 5)."""
-
-    __slots__ = (
-        "date",
-        "measured_count",
-        "asn_counts",
-        "sanctioned",
-        "listed_count",
-        "label_cache_hit",
-    )
-
-    def __init__(
-        self,
-        date: _dt.date,
-        measured_count: int,
-        asn_counts: Dict[int, int],
-        sanctioned: Tuple[int, int, int],
-        listed_count: int,
-        label_cache_hit: bool,
-    ) -> None:
-        self.date = date
-        self.measured_count = measured_count
-        self.asn_counts = asn_counts
-        self.sanctioned = sanctioned
-        self.listed_count = listed_count
-        self.label_cache_hit = label_cache_hit
-
-    def __repr__(self) -> str:
-        return f"RecentDayRecord({self.date}, {self.measured_count} measured)"
 
 
 class RecentWindowSeries:
@@ -222,85 +53,45 @@ class RecentWindowSeries:
         self.listed_counts = listed_counts
 
 
-class RecentWindowReducer:
-    """Per-day aggregation for the tracked-ASN and sanctioned series.
+def merge_full_sweep(summaries: Sequence["DaySummary"]) -> SweepSeries:
+    """Fold chronological day summaries into the five-year series bundle.
 
-    Holds the Figure 4 ASN list and the sanctioned domain indices; the
-    per-epoch plan/ASN membership matrix is a per-process cache and is
-    deliberately dropped on pickling (it is keyed by object identity).
+    ``tld_counts`` is copied: archive summaries are shared objects in
+    the archive's summary cache and must not alias the series.
     """
-
-    def __init__(self, asns: Sequence[int], sanctioned_indices) -> None:
-        self.asns = [int(asn) for asn in asns]
-        self.sanctioned_indices = np.asarray(sanctioned_indices, dtype=np.int64)
-        self._matrix_cache: Dict[int, np.ndarray] = {}
-
-    def __getstate__(self):
-        return {"asns": self.asns, "sanctioned_indices": self.sanctioned_indices}
-
-    def __setstate__(self, state) -> None:
-        self.asns = state["asns"]
-        self.sanctioned_indices = state["sanctioned_indices"]
-        self._matrix_cache = {}
-
-    def _membership_matrix(self, labels) -> Tuple[np.ndarray, bool]:
-        key = id(labels)
-        matrix = self._matrix_cache.get(key)
-        if matrix is not None:
-            return matrix, True
-        matrix = np.zeros((len(labels.asn_sets), len(self.asns)), dtype=bool)
-        for plan_id, plan_asns in enumerate(labels.asn_sets):
-            for col, asn in enumerate(self.asns):
-                matrix[plan_id, col] = asn in plan_asns
-        self._matrix_cache[key] = matrix
-        return matrix, False
-
-    def reduce_day(self, snapshot: DailySnapshot) -> RecentDayRecord:
-        """Tracked-ASN counts, sanctioned composition, and list size."""
-        labels = snapshot.epoch.hosting_labels
-        matrix, cache_hit = self._membership_matrix(labels)
-        plan_counts = np.bincount(
-            snapshot.hosting_ids[snapshot.measured], minlength=matrix.shape[0]
+    series = SweepSeries()
+    for summary in summaries:
+        series.ns_composition.add_counts(summary.date, *summary.ns)
+        series.hosting_composition.add_counts(summary.date, *summary.hosting)
+        series.tld_composition.add_counts(summary.date, *summary.tld)
+        series.tld_shares.add(
+            TldSharePoint(
+                summary.date, summary.measured_count, dict(summary.tld_counts)
+            )
         )
-        per_asn = plan_counts @ matrix
-
-        subset = snapshot.subset(self.sanctioned_indices)
-        ns_labels = snapshot_ns_geo_labels(snapshot, subset)
-        listed = len(
-            snapshot.world.sanctions.domains_listed_as_of(snapshot.date)
-        )
-        return RecentDayRecord(
-            snapshot.date,
-            int(len(snapshot.measured)),
-            {asn: int(per_asn[col]) for col, asn in enumerate(self.asns)},
-            _composition_counts(ns_labels),
-            listed,
-            cache_hit,
-        )
-
-    def merge(self, records: Sequence[RecentDayRecord]) -> RecentWindowSeries:
-        """Fold chronological day records into the Figure 4/5 series."""
-        return merge_recent_records(self.asns, records)
+    return series
 
 
-def merge_recent_records(
-    asns: Sequence[int], records: Sequence[RecentDayRecord]
+def merge_recent_window(
+    asns: Sequence[int], summaries: Sequence["DaySummary"]
 ) -> RecentWindowSeries:
-    """Fold chronological conflict-window records into the series bundle.
+    """Fold chronological day summaries into the Figure 4/5 series.
 
-    Module-level so record producers that never construct a reducer
-    (the archive's summary kernel has no sanctioned-index array) merge
-    through the identical code path.
+    A summary counts every ASN any hosting plan touches, so the tracked
+    ``asns`` project out of ``asn_counts`` exactly (absent means zero).
     """
+    asns = [int(asn) for asn in asns]
     asn_series = AsnShareSeries(asns)
     sanctioned_series = CompositionSeries("Sanctioned NS composition")
     listed_counts: List[int] = []
-    for record in records:
+    for summary in summaries:
         asn_series.add(
             AsnSharePoint(
-                record.date, record.measured_count, record.asn_counts
+                summary.date,
+                summary.measured_count,
+                {asn: summary.asn_counts.get(asn, 0) for asn in asns},
             )
         )
-        sanctioned_series.add_counts(record.date, *record.sanctioned)
-        listed_counts.append(record.listed_count)
+        sanctioned_series.add_counts(summary.date, *summary.sanctioned)
+        listed_counts.append(summary.listed_count)
     return RecentWindowSeries(asn_series, sanctioned_series, listed_counts)

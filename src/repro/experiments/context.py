@@ -8,8 +8,8 @@ Every expensive phase is instrumented in :attr:`ExperimentContext.metrics`.
 
 A context can also be **archive-backed**: given a persistent measurement
 archive (see :mod:`repro.archive`) whose scenario fingerprint matches the
-config, sweeps replay stored day shards through the identical reducers
-instead of re-deriving world days, so experiments become disk reads.
+config, sweeps read the day summaries stored in its shards instead of
+re-deriving world days, so experiments become disk reads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import threading
 import warnings
 from typing import List, Optional, Union
 
-from ..core.reducers import RecentWindowSeries, SweepSeries
+from ..core.reducers import SweepSeries
 from ..core.composition import CompositionSeries
 from ..core.topasn import AsnShareSeries
 from ..ctlog.monitor import CtMonitor
@@ -82,8 +82,8 @@ class ExperimentContext:
             config = spec.compile()
         elif config is not None and not getattr(config, "from_spec", False):
             # Ad-hoc configs bypass the canonical scenario identity the
-            # archive fingerprint and the v2 query API key on.  Mirrors
-            # the full_sweep() deprecation: old path still works, warns.
+            # archive fingerprint and the v2 query API key on.  The old
+            # path still works, but warns.
             warnings.warn(
                 "constructing ExperimentContext from an ad-hoc "
                 "ConflictScenarioConfig is deprecated; resolve a scenario "
@@ -217,20 +217,6 @@ class ExperimentContext:
         return self._api
 
     # ------------------------------------------------------------------
-    # The five-year sweep (Figures 1-3, headline stats)
-    # ------------------------------------------------------------------
-
-    def full_sweep(self) -> SweepSeries:
-        """Deprecated shim: use :meth:`api` (``context.api.full_sweep()``)."""
-        warnings.warn(
-            "ExperimentContext.full_sweep() is deprecated; route through "
-            "the unified facade: context.api.full_sweep() / repro.api",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.api.full_sweep()
-
-    # ------------------------------------------------------------------
     # The recent daily window (Figures 4 and 5)
     # ------------------------------------------------------------------
 
@@ -239,16 +225,6 @@ class ExperimentContext:
         return [
             self.catalog.get(key).primary_asn for key in FIG4_PROVIDERS
         ]
-
-    def _run_recent(self) -> RecentWindowSeries:
-        """Deprecated shim: use ``context.api.recent_window()``."""
-        warnings.warn(
-            "ExperimentContext._run_recent() is deprecated; route through "
-            "the unified facade: context.api.recent_window() / repro.api",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.api.recent_window()
 
     def recent_asn_shares(self) -> AsnShareSeries:
         """Figure 4's daily per-ASN shares."""

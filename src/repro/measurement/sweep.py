@@ -1,10 +1,11 @@
 """The parallel sweep engine.
 
 Longitudinal sweeps partition their date range into chunks of
-measurement days; each chunk is evaluated by a day reducer (see
-:mod:`repro.core.reducers`) either in-process or across worker
-processes, and the per-chunk record lists are concatenated in date
-order.  Two properties make chunking safe here:
+measurement days; each chunk is evaluated by a day reducer — any
+picklable object with ``reduce_day(snapshot)``, for the analysis sweeps
+:class:`~repro.archive.kernel.SummaryReducer` — either in-process or
+across worker processes, and the per-chunk record lists are
+concatenated in date order.  Two properties make chunking safe here:
 
 * :meth:`repro.sim.world.World.sweep` derives each day's state from the
   event log deterministically, so a sweep starting mid-range yields the

@@ -44,22 +44,6 @@ class TestCaching:
         assert len(lengths) == 1
 
 
-class TestDeprecatedShims:
-    """full_sweep()/_run_recent() survive as warning shims over the facade."""
-
-    def test_full_sweep_warns_and_delegates(self, tiny_world):
-        context = ExperimentContext(world=tiny_world, cadence_days=60)
-        with pytest.warns(DeprecationWarning, match="full_sweep"):
-            sweep = context.full_sweep()
-        assert sweep is context.api.full_sweep()
-
-    def test_run_recent_warns_and_delegates(self, tiny_world):
-        context = ExperimentContext(world=tiny_world, cadence_days=60)
-        with pytest.warns(DeprecationWarning, match="_run_recent"):
-            recent = context._run_recent()
-        assert recent is context.api.recent_window()
-
-
 class TestFig4Asns:
     def test_legend_matches_paper_providers(self, tiny_world):
         context = ExperimentContext(world=tiny_world, cadence_days=60)

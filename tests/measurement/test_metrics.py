@@ -123,17 +123,6 @@ class TestContextIntegration:
         assert stat.snapshots == len(context.api.full_sweep().ns_composition)
         assert stat.notes["executor"] == "serial"
 
-    def test_recent_sweep_records_label_cache(self, tiny_world):
-        from repro.experiments import ExperimentContext
-
-        context = ExperimentContext(world=tiny_world, cadence_days=60)
-        days = len(context.recent_asn_shares())
-        summary = context.metrics.summary()
-        counters = summary["caches"]["label_matrix"]
-        assert counters["hits"] + counters["misses"] == days
-        # Epochs are rare relative to days: the cache must mostly hit.
-        assert counters["hits"] > counters["misses"]
-
 
 class TestResolvingCollectorMetrics:
     def test_resolver_cache_stats_flow_into_metrics(self, tiny_world):

@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.core.reducers import FullSweepReducer, RecentWindowReducer
+from repro.archive.kernel import SummaryReducer
 from repro.errors import MeasurementError
 from repro.experiments import ExperimentContext
 from repro.measurement.fast import FastCollector
@@ -98,17 +98,17 @@ class TestRunValidation:
     def test_inverted_range_rejected(self, tiny_world):
         engine = SweepEngine(FastCollector(tiny_world))
         with pytest.raises(MeasurementError, match="after its end"):
-            engine.run(FullSweepReducer(), "2022-01-02", "2022-01-01", 1)
+            engine.run(SummaryReducer(), "2022-01-02", "2022-01-01", 1)
 
     def test_non_positive_step_rejected(self, tiny_world):
         engine = SweepEngine(FastCollector(tiny_world))
         for step in (0, -3):
             with pytest.raises(MeasurementError, match="step must be >= 1"):
-                engine.run(FullSweepReducer(), START, END, step)
+                engine.run(SummaryReducer(), START, END, step)
 
     def test_step_larger_than_range_measures_start_only(self, tiny_world):
         engine = SweepEngine(FastCollector(tiny_world))
-        records = engine.run(FullSweepReducer(), START, START + dt.timedelta(days=3), 365)
+        records = engine.run(SummaryReducer(), START, START + dt.timedelta(days=3), 365)
         assert [record.date for record in records] == [START]
 
     def test_partition_step_larger_than_range(self):
@@ -123,7 +123,7 @@ class TestSerialChunking:
 
     def test_chunked_equals_unchunked(self, tiny_world):
         collector = FastCollector(tiny_world)
-        reducer = FullSweepReducer()
+        reducer = SummaryReducer()
         baseline = SweepEngine(collector).run(reducer, START, END, 1)
         for chunk_days in (1, 2, 7, 1000):
             engine = SweepEngine(collector, chunk_days=chunk_days)
@@ -133,7 +133,7 @@ class TestSerialChunking:
     def test_outage_day_inside_chunk(self, tiny_world):
         """Chunk boundaries around the outage day don't change its sample."""
         collector = FastCollector(tiny_world)
-        reducer = FullSweepReducer()
+        reducer = SummaryReducer()
         baseline = {
             r.date: r for r in SweepEngine(collector).run(reducer, START, END, 1)
         }
@@ -146,7 +146,7 @@ class TestSerialChunking:
 
     def test_records_in_date_order(self, tiny_world):
         engine = SweepEngine(FastCollector(tiny_world), chunk_days=2)
-        records = engine.run(FullSweepReducer(), START, END, 3)
+        records = engine.run(SummaryReducer(), START, END, 3)
         dates = [record.date for record in records]
         assert dates == sorted(dates)
 
@@ -154,9 +154,9 @@ class TestSerialChunking:
         """No scenario config -> workers cannot rebuild -> serial fallback."""
         engine = SweepEngine(FastCollector(tiny_world), workers=4, chunk_days=5)
         assert not engine.parallel_capable
-        records = engine.run(FullSweepReducer(), START, END, 1)
+        records = engine.run(SummaryReducer(), START, END, 1)
         baseline = SweepEngine(FastCollector(tiny_world)).run(
-            FullSweepReducer(), START, END, 1
+            SummaryReducer(), START, END, 1
         )
         assert records == baseline
 
@@ -207,28 +207,7 @@ class TestParallelEquivalence:
             )
         )
         context = ExperimentContext(config=engine_config, workers=2)
-        reducer = FullSweepReducer()
+        reducer = SummaryReducer()
         baseline = serial_engine.run(reducer, START, END, 1)
         parallel = context.engine.run(reducer, START, END, 1)
         assert parallel == baseline
-
-
-class TestReducerPickling:
-    def test_recent_reducer_drops_matrix_cache(self, tiny_world):
-        import pickle
-
-        context = ExperimentContext(world=tiny_world, cadence_days=60)
-        reducer = RecentWindowReducer(
-            context.fig4_asns(), tiny_world.sanctioned_indices
-        )
-        snapshot = context.collector.collect("2022-03-04")
-        reducer.reduce_day(snapshot)
-        assert reducer._matrix_cache
-        clone = pickle.loads(pickle.dumps(reducer))
-        assert clone._matrix_cache == {}
-        assert clone.asns == reducer.asns
-        first = reducer.reduce_day(snapshot)
-        second = clone.reduce_day(snapshot)
-        assert (first.asn_counts, first.sanctioned, first.listed_count) == (
-            second.asn_counts, second.sanctioned, second.listed_count,
-        )
