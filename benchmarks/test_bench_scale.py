@@ -4,8 +4,8 @@ The source paper measures ~11.7M domains under .ru/.su/.рф (§2); the
 repo's default bench scale is 1:250 of that.  This bench climbs the
 ladder — 1:250 → 1:50 → 1:10, and 1:1 when ``REPRO_SCALE_FULL=1`` —
 building a short daily archive window at each rung through the
-streaming (``chunk_domains``) path inside a fresh subprocess, so every
-rung reports an honest, isolated peak RSS.
+streaming shard writer inside a fresh subprocess, so every rung reports
+an honest, isolated peak RSS.
 
 Per rung, ``benchmarks/output/BENCH_scale.json`` records population,
 build seconds (world construction included), archive bytes, peak RSS,
@@ -13,7 +13,8 @@ and cold summary-query latency.  Two regression gates run over the ladder:
 
 * **sublinear memory** — peak RSS must grow strictly slower than the
   population between adjacent rungs (the bounded-memory invariant:
-  per-day encode transients scale with ``chunk_domains``, not scale);
+  per-day encode transients scale with the writer's ``CHUNK_DOMAINS``,
+  not scale);
 * **absolute ceiling** — no rung may exceed ``REPRO_SCALE_MAX_RSS_MB``
   (default 6144), which CI tightens for the rungs it runs.
 
@@ -31,6 +32,8 @@ import subprocess
 import sys
 import textwrap
 
+from repro.archive.stream import CHUNK_DOMAINS
+
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 
@@ -38,10 +41,6 @@ SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 WINDOW_START = "2022-02-24"
 WINDOW_END = "2022-02-26"
 WINDOW_DAYS = 3
-
-#: Streaming chunk used at every rung: the per-day encode transients
-#: stay bounded by this many domains no matter the scale.
-CHUNK_DOMAINS = 50_000
 
 #: Ladder rungs as scale divisors (1:N of the paper's 11.7M domains).
 DEFAULT_RUNGS = "250,50,10"
@@ -78,17 +77,15 @@ _RUNG_SCRIPT = textwrap.dedent(
     from repro.measurement.metrics import SweepMetrics, current_rss_bytes
     from repro.scenario import ScenarioSpec
 
-    divisor, directory, window_start, window_end, chunk = (
-        int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4], int(sys.argv[5])
+    divisor, directory, window_start, window_end = (
+        int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4]
     )
     metrics = SweepMetrics()
     config = ScenarioSpec.resolve("baseline").with_config(
         scale=float(divisor), with_pki=False
     ).compile()
     started = time.perf_counter()
-    builder = ArchiveBuilder(
-        directory, config, metrics=metrics, chunk_domains=chunk
-    )
+    builder = ArchiveBuilder(directory, config, metrics=metrics)
     report = builder.build(window_start, window_end)
     build_seconds = time.perf_counter() - started
     metrics.sample_rss()
@@ -122,7 +119,6 @@ def run_rung(divisor: int, directory: str) -> dict:
         [
             sys.executable, "-c", _RUNG_SCRIPT,
             str(divisor), directory, WINDOW_START, WINDOW_END,
-            str(CHUNK_DOMAINS),
         ],
         capture_output=True,
         text=True,

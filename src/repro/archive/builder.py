@@ -15,6 +15,10 @@ every contiguous segment.  Three properties follow:
   to an uninterrupted build;
 * **parallel** — workers write shards independently (atomic temp-file
   renames), nothing but per-day metadata crosses the process boundary.
+
+Every day goes through the one streaming writer
+(:func:`~repro.archive.stream.write_shard_stream`), so a build's memory
+stays bounded by the writer's chunk at any scale.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from ..measurement.sweep import SweepEngine
 from ..timeline import STUDY_END, STUDY_START, DateLike, as_date
 from .kernel import summarize_snapshot
 from .manifest import DayEntry, Manifest, scenario_fingerprint
-from .shard import DayShardRecord, probe_shard, write_shard
+from .shard import probe_shard
 from .store import MeasurementArchive
 from .stream import DayStream, write_shard_stream
 
@@ -96,15 +100,10 @@ class ArchiveShardReducer:
         self,
         directory: str,
         faults=None,
-        chunk_domains: Optional[int] = None,
         metrics: Optional[SweepMetrics] = None,
     ) -> None:
         self.directory = str(directory)
         self.faults = faults
-        #: When set, days are encoded through the streaming writer in
-        #: bounded chunks of this many domains instead of materialising
-        #: the whole day; the bytes on disk are identical either way.
-        self.chunk_domains = chunk_domains
         #: Parent-process metrics for RSS sampling at chunk boundaries;
         #: dropped on pickling (worker processes sample nothing).
         self.metrics = metrics
@@ -112,16 +111,11 @@ class ArchiveShardReducer:
         self._plan_cache: Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
 
     def __getstate__(self):
-        return {
-            "directory": self.directory,
-            "faults": self.faults,
-            "chunk_domains": self.chunk_domains,
-        }
+        return {"directory": self.directory, "faults": self.faults}
 
     def __setstate__(self, state) -> None:
         self.directory = state["directory"]
         self.faults = state.get("faults")
-        self.chunk_domains = state.get("chunk_domains")
         self.metrics = None
         self._apex_cache = {}
         self._plan_cache = {}
@@ -131,40 +125,21 @@ class ArchiveShardReducer:
         started = time.perf_counter()
         name = shard_filename(snapshot.date)
         path = os.path.join(self.directory, name)
-        if self.chunk_domains:
-            # Streaming path: the day is summarised, encoded, and
-            # compressed in bounded domain chunks — no whole-day string
-            # or payload buffer ever exists.  Byte-identical to the
-            # whole-day branch below by construction (shared prefix
-            # encoder, chunk-invariant zlib stream).
-            stream = DayStream.from_snapshot(
-                snapshot,
-                self._apex_cache,
-                self._plan_cache,
-                chunk_domains=self.chunk_domains,
-            )
-            file_bytes, crc = write_shard_stream(
-                path, stream, self.chunk_domains, faults=self.faults
-            )
-            records = len(stream)
-        else:
-            record = DayShardRecord.from_snapshot(
-                snapshot, self._apex_cache, self._plan_cache
-            )
-            # Pre-aggregate the day once at build time (shard format
-            # v3): readers answer the coarse longitudinal queries from
-            # this block without decoding the columns or building a
-            # world.
-            record.summary = summarize_snapshot(snapshot)
-            file_bytes, crc = write_shard(path, record, faults=self.faults)
-            records = len(record.measured)
+        # Pre-aggregate the day once at build time (shard format v3):
+        # readers answer the coarse longitudinal queries from this block
+        # without decoding the columns or building a world.
+        summary = summarize_snapshot(snapshot)
+        stream = DayStream.from_snapshot(
+            snapshot, summary, self._apex_cache, self._plan_cache
+        )
+        file_bytes, crc = write_shard_stream(path, stream, faults=self.faults)
         if self.metrics is not None:
             self.metrics.sample_rss()
         return ShardInfo(
             snapshot.date,
             name,
             file_bytes,
-            records,
+            len(stream),
             crc,
             time.perf_counter() - started,
         )
@@ -259,16 +234,11 @@ class ArchiveBuilder:
         outage_coverage: float = _OUTAGE_COVERAGE,
         collector_seed: int = 7,
         faults=None,
-        chunk_domains: Optional[int] = None,
     ) -> None:
         self.directory = str(directory)
         self.config = config
         self.workers = int(workers)
         self.chunk_days = chunk_days
-        #: Bounded-memory streaming encode: domains per encoded chunk
-        #: (``None`` keeps the whole-day path).  Output bytes are
-        #: identical either way.
-        self.chunk_domains = chunk_domains
         self.metrics = metrics
         self.faults = faults
         self._outage_dates = tuple(sorted(as_date(d) for d in outage_dates))
@@ -395,10 +365,7 @@ class ArchiveBuilder:
             return BuildReport([], skipped, 0, 0, adopted)
         engine = self._ensure_engine()
         reducer = ArchiveShardReducer(
-            self.directory,
-            faults=self.faults,
-            chunk_domains=self.chunk_domains,
-            metrics=self.metrics,
+            self.directory, faults=self.faults, metrics=self.metrics
         )
         os.makedirs(self.directory, exist_ok=True)
         written: List[_dt.date] = []

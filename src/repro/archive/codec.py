@@ -13,9 +13,9 @@ Strings (domain names, NS host names) are length-prefixed UTF-8; NS
 names additionally go through a per-shard pool because the same fleet
 hostnames repeat for thousands of domains.
 
-All functions operate on ``bytearray``/``memoryview`` so the shard
-writer can assemble one payload buffer and compress it in a single
-pass.
+All functions operate on ``bytearray``/``memoryview``; the shard
+writer encodes a day in bounded chunks and streams them through one
+compressor.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "read_delta_run",
     "write_string",
     "read_string",
+    "int32_bytes",
     "write_int32_array",
     "read_int32_array",
     "read_int32_ndarray",
@@ -119,13 +120,8 @@ def read_delta_run(view: memoryview, offset: int) -> Tuple[List[int], int]:
     return values, offset
 
 
-def write_int32_array(buffer: bytearray, values: Sequence[int]) -> None:
-    """Append ``len`` plus a little-endian int32 array.
-
-    Fixed-width columns decode through one vectorised ``np.frombuffer``
-    instead of a per-value Python loop; zlib recovers most of the size
-    difference against varints.  Values must fit in int32.
-    """
+def int32_bytes(values: Sequence[int]) -> bytes:
+    """``values`` as little-endian int32 bytes; each must fit in int32."""
     array = np.asarray(values)
     if array.dtype != np.int32:
         array = np.asarray(array, dtype=np.int64)
@@ -134,8 +130,19 @@ def write_int32_array(buffer: bytearray, values: Sequence[int]) -> None:
             or array.min(initial=0) < np.iinfo(np.int32).min
         ):
             raise ArchiveError("int32 column value out of range")
-    write_uvarint(buffer, array.size)
-    buffer.extend(array.astype("<i4", copy=False).tobytes())
+    return array.astype("<i4", copy=False).tobytes()
+
+
+def write_int32_array(buffer: bytearray, values: Sequence[int]) -> None:
+    """Append ``len`` plus a little-endian int32 array.
+
+    Fixed-width columns decode through one vectorised ``np.frombuffer``
+    instead of a per-value Python loop; zlib recovers most of the size
+    difference against varints.  Values must fit in int32.
+    """
+    data = int32_bytes(values)
+    write_uvarint(buffer, len(data) // 4)
+    buffer.extend(data)
 
 
 def read_int32_array(view: memoryview, offset: int) -> Tuple[List[int], int]:

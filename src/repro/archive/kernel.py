@@ -21,7 +21,7 @@ summary field in plain Python, per domain, as the independent oracle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from ..core.labels import (
     snapshot_ns_geo_labels,
     snapshot_ns_tld_labels,
 )
-from ..errors import ArchiveError
 from ..measurement.fast import DailySnapshot
 from ..timeline import DateLike
+from .stream import CHUNK_DOMAINS
 from .summary import DaySummary
 
 __all__ = [
@@ -53,23 +53,20 @@ def _composition_counts(labels: np.ndarray) -> Tuple[int, int, int]:
     )
 
 
-def summarize_snapshot(
-    snapshot: DailySnapshot, chunk_domains: Optional[int] = None
-) -> DaySummary:
+def summarize_snapshot(snapshot: DailySnapshot) -> DaySummary:
     """Aggregate one day into its :class:`DaySummary`.
 
     The counts are vectorised gathers over the epoch's label tables:
     full/part/non label counts for the composition triples, and plan
     ``bincount`` histograms projected onto TLD and ASN membership.
 
-    With ``chunk_domains`` set, the measured set is processed in
-    position chunks of at most that many domains and the per-chunk
-    integer counts are merged additively — every aggregate here
-    (composition triples, plan bincounts, subset label counts) is a sum
-    over a partition of ``measured``, so the chunked result is equal by
-    construction, not by rounding.  This is the bounded-memory path
-    the streaming shard builder rides: the temporaries scale with the
-    chunk, not the day.
+    The measured set is processed in position chunks of
+    :data:`~repro.archive.stream.CHUNK_DOMAINS`, the shard writer's
+    chunk, and the per-chunk integer counts are merged additively —
+    every aggregate here (composition triples, plan bincounts, subset
+    label counts) is a sum over a partition of ``measured``, so the
+    result does not depend on the chunk size.  The temporaries scale
+    with the chunk, not the day.
     """
     measured = snapshot.measured
     count = len(measured)
@@ -78,12 +75,6 @@ def summarize_snapshot(
     world = snapshot.world
     sanctioned = np.asarray(world.sanctioned_indices, dtype=np.int64)
 
-    if chunk_domains is not None and chunk_domains < 1:
-        raise ArchiveError(f"chunk_domains must be >= 1: {chunk_domains}")
-    step = max(
-        1, count if not chunk_domains else min(int(chunk_domains), count)
-    )
-
     ns_triple = np.zeros(3, dtype=np.int64)
     host_triple = np.zeros(3, dtype=np.int64)
     tld_triple = np.zeros(3, dtype=np.int64)
@@ -91,8 +82,8 @@ def summarize_snapshot(
     plan_counts = np.zeros(dns_labels.tld_membership.shape[0], dtype=np.int64)
     host_plan_counts = np.zeros(len(hosting_labels.asn_sets), dtype=np.int64)
 
-    for lo in range(0, max(count, 1), step):
-        chunk = measured[lo:lo + step]
+    for lo in range(0, max(count, 1), CHUNK_DOMAINS):
+        chunk = measured[lo:lo + CHUNK_DOMAINS]
         ns_triple += _composition_counts(
             snapshot_ns_geo_labels(snapshot, chunk)
         )

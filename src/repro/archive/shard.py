@@ -29,16 +29,22 @@ file — including the date ordinal or record count in the header — is
 caught before any value is trusted.  Version 3 is the only format
 read or written; any other version is refused with an
 :class:`~repro.errors.ArchiveError` naming it, which the archive's
-self-healing and ``repro archive repair`` turn into a rebuild.  Writes
-are build-order independent and
-byte-deterministic: the same day record always serialises to the same
-bytes, which is what makes interrupted-then-resumed archive builds
-byte-identical to uninterrupted ones.
+self-healing and ``repro archive repair`` turn into a rebuild.
+
+This module owns the format definition, :class:`DayShardRecord` and
+the readers.  The one writer is the streaming encoder in
+:mod:`repro.archive.stream`; :func:`encode_shard` and
+:func:`write_shard` are its record-facing forms.  Writes are
+build-order independent and byte-deterministic: the same day always
+serialises to the same bytes, which is what makes
+interrupted-then-resumed archive builds byte-identical to
+uninterrupted ones.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import io
 import os
 import struct
 import zlib
@@ -48,6 +54,8 @@ import numpy as np
 
 from ..dns.name import DomainName
 from ..errors import ArchiveCorruptError, ArchiveError, ArchiveStaleError
+# Not called here.  Kept bound because perfbench's build trace looks
+# the name up on this module when it wraps the write path.
 from ..ioutil import atomic_write_bytes
 from ..measurement.records import DomainMeasurement
 from .codec import (
@@ -56,13 +64,8 @@ from .codec import (
     read_string,
     read_svarint,
     read_uvarint,
-    write_delta_run,
-    write_int32_array,
-    write_string,
-    write_svarint,
-    write_uvarint,
 )
-from .summary import DaySummary, decode_summary, encode_summary
+from .summary import DaySummary, decode_summary
 
 __all__ = [
     "SHARD_MAGIC",
@@ -280,58 +283,26 @@ class DayShardRecord:
         apex_cache: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None,
         plan_cache: Optional[Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]]] = None,
     ) -> "DayShardRecord":
-        """Columnarise one :class:`DailySnapshot`.
+        """Columnarise one :class:`DailySnapshot`; ``summary`` stays unset.
 
-        The caches are keyed by ``(domain_index, hosting_id)`` and
-        ``(epoch_start_day, dns_id)``; assignments change rarely, so a
-        builder that threads the same dicts through consecutive days
-        materialises each plan/apex tuple once instead of once per day.
+        Materialises :meth:`DayStream.from_snapshot
+        <repro.archive.stream.DayStream.from_snapshot>`, whose apex/plan
+        caches (see there) this forwards.
         """
-        world = snapshot.world
-        epoch = snapshot.epoch
-        apex_cache = {} if apex_cache is None else apex_cache
-        plan_cache = {} if plan_cache is None else plan_cache
+        from .stream import DayStream
 
-        measured = [int(index) for index in snapshot.measured]
-        dns_ids = [int(v) for v in snapshot.dns_ids[snapshot.measured]]
-        hosting_ids = [int(v) for v in snapshot.hosting_ids[snapshot.measured]]
-
-        dns_plan_ns: Dict[int, Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
-        for plan_id in sorted(set(dns_ids)):
-            key = (epoch.start_day, plan_id)
-            entry = plan_cache.get(key)
-            if entry is None:
-                names = tuple(
-                    str(hostname)
-                    for hostname in world.dns_plans.plan(plan_id).ns_hostnames
-                )
-                entry = (names, tuple(epoch.ns_addresses[name] for name in names))
-                plan_cache[key] = entry
-            dns_plan_ns[plan_id] = entry
-
-        domains: List[str] = []
-        apex: List[Tuple[int, ...]] = []
-        for position, domain_index in enumerate(measured):
-            domains.append(str(world.population.record(domain_index).name))
-            key = (domain_index, hosting_ids[position])
-            addresses = apex_cache.get(key)
-            if addresses is None:
-                addresses = tuple(
-                    sorted(world.apex_addresses_for_plan(domain_index, key[1]))
-                )
-                apex_cache[key] = addresses
-            apex.append(addresses)
-
+        stream = DayStream.from_snapshot(snapshot, None, apex_cache, plan_cache)
+        positions = range(len(stream))
         return cls(
-            snapshot.date,
-            epoch.start_day,
-            len(snapshot.dns_ids),
-            measured,
-            dns_ids,
-            hosting_ids,
-            dns_plan_ns,
-            domains,
-            apex,
+            stream.date,
+            stream.epoch_start_day,
+            stream.population_size,
+            stream.measured,
+            stream.dns_ids,
+            stream.hosting_ids,
+            stream.dns_plan_ns,
+            [stream.domain_at(p) for p in positions],
+            [stream.apex_at(p) for p in positions],
         )
 
     # ------------------------------------------------------------------
@@ -476,54 +447,6 @@ def _index_runs(
 # Serialisation
 # ----------------------------------------------------------------------
 
-def _encode_prefix(record) -> bytearray:
-    """The payload bytes ahead of the domain/apex columns.
-
-    ``record`` is duck-typed: anything exposing ``epoch_start_day``,
-    ``population_size``, the three numeric columns, and ``dns_plan_ns``
-    works — both :class:`DayShardRecord` and the streaming writer's
-    :class:`~repro.archive.stream.DayStream` encode their prefix here,
-    which is what guarantees the two paths agree byte for byte.
-    """
-    buffer = bytearray()
-    write_svarint(buffer, record.epoch_start_day)
-    write_uvarint(buffer, record.population_size)
-    # Structural columns are fixed-width so readers can decode them
-    # vectorised; the string/apex columns stay varint-packed.
-    write_int32_array(buffer, record.measured)
-    write_int32_array(buffer, record.dns_ids)
-    write_int32_array(buffer, record.hosting_ids)
-
-    # NS name pool, first-seen over plans in id order (deterministic).
-    pool: Dict[str, int] = {}
-    plan_ids = sorted(record.dns_plan_ns)
-    for plan_id in plan_ids:
-        for name in record.dns_plan_ns[plan_id][0]:
-            pool.setdefault(name, len(pool))
-    write_uvarint(buffer, len(pool))
-    for name in pool:
-        write_string(buffer, name)
-
-    write_uvarint(buffer, len(plan_ids))
-    for plan_id in plan_ids:
-        names, addresses = record.dns_plan_ns[plan_id]
-        write_uvarint(buffer, plan_id)
-        write_uvarint(buffer, len(names))
-        for name in names:
-            write_uvarint(buffer, pool[name])
-        write_delta_run(buffer, addresses)
-    return buffer
-
-
-def _encode_payload(record: DayShardRecord) -> bytearray:
-    buffer = _encode_prefix(record)
-    for domain in record.domains:
-        write_string(buffer, domain)
-    for addresses in record.apex:
-        write_delta_run(buffer, addresses)
-    return buffer
-
-
 def _decode_payload(date: _dt.date, count: int, payload: bytes) -> DayShardRecord:
     """Decode the structural columns; string/apex columns stay lazy.
 
@@ -613,27 +536,13 @@ def encode_shard(record: DayShardRecord) -> Tuple[bytes, int]:
 
     Returns ``(blob, crc32)``; the CRC covers the header (with its CRC
     field zeroed) plus every uncompressed block.  ``record.summary``
-    must be populated.
+    must be populated.  Runs the streaming writer into memory.
     """
-    payload = bytes(_encode_payload(record))
-    ordinal = record.date.toordinal()
-    count = len(record.measured)
-    if record.summary is None:
-        raise ArchiveError(
-            f"format v3 shard for {record.date} requires a DaySummary"
-        )
-    summary = encode_summary(record.summary)
-    summary_blob = zlib.compress(summary, _ZLIB_LEVEL)
-    summary_crc = zlib.crc32(summary)
-    crc = _shard_crc_v3(
-        0, ordinal, count, len(payload),
-        len(summary_blob), summary_crc, summary, payload,
-    )
-    header = _HEADER_V3.pack(
-        SHARD_MAGIC, 3, 0, ordinal, count, crc,
-        len(payload), len(summary_blob), summary_crc,
-    )
-    return header + summary_blob + zlib.compress(payload, _ZLIB_LEVEL), crc
+    from .stream import DayStream, _encode_into
+
+    buffer = io.BytesIO()
+    _, crc = _encode_into(buffer, DayStream.from_record(record))
+    return buffer.getvalue(), crc
 
 
 def write_shard(
@@ -642,17 +551,16 @@ def write_shard(
     faults=None,
     retries: int = 6,
 ) -> Tuple[int, int]:
-    """Serialise ``record`` to ``path`` atomically.
+    """Serialise ``record`` to ``path`` atomically; ``(file_bytes, crc32)``.
 
-    Returns ``(file_bytes, crc32)``.  The write goes through
-    :func:`repro.ioutil.atomic_write_bytes` (same-directory temp file +
-    ``os.replace`` with transient-error retry), so concurrent builder
-    workers, injected faults, and interrupted builds never leave a torn
-    shard behind the final name.
+    The record-facing form of
+    :func:`~repro.archive.stream.write_shard_stream`.
     """
-    blob, crc = encode_shard(record)
-    atomic_write_bytes(path, blob, faults=faults, site="shard.write", retries=retries)
-    return len(blob), crc
+    from .stream import DayStream, write_shard_stream
+
+    return write_shard_stream(
+        path, DayStream.from_record(record), faults=faults, retries=retries
+    )
 
 
 def _check_header(path: str, head: bytes) -> None:

@@ -1,33 +1,31 @@
-"""Bounded-memory streaming shard builds.
+"""The shard writer: every day is streamed to disk in bounded memory.
 
-The whole-day path (:func:`repro.archive.shard.encode_shard`)
-materialises every per-domain Python object of a day — the full domain
-string list, every apex tuple, and one contiguous payload buffer —
-before a byte reaches disk.  At 1:250 that is noise; at paper scale
-(11.7M domains, §2 of the source paper) it is gigabytes of transient
-Python objects per day.  This module is the streaming alternative:
+The paper sweeps the whole .ru/.рф zone — about 11.7M domains (§2 of
+the source paper) — every day, so the archive writer never holds a
+day's per-domain Python objects, its whole payload or its whole
+compressed blob at once.  This module is the one encoder behind every
+shard file:
 
 * :class:`DayStream` presents one day's shard content *lazily* — the
   numeric columns and NS plan table up front (they are small and the
   payload prefix needs them), the domain and apex columns as
-  position-addressed chunk encoders that materialise nothing outside
-  the requested ``[lo, hi)`` window;
-* :func:`write_shard_stream` drives a ``zlib.compressobj`` over the
-  prefix plus bounded domain/apex chunks, tracks the payload CRC as it
-  goes, and — because the v3 header CRC folds the header in *first*,
-  and the header stores the payload length that is only known at the
-  end — finishes with :func:`~repro.archive.codec.crc32_combine` and
-  patches the real header into the temp file before the atomic rename.
+  position-addressed lookups that a writer pulls in ``[lo, hi)``
+  chunks of :data:`CHUNK_DOMAINS`;
+* :func:`write_shard_stream` feeds the prefix slices, then the domain
+  chunks, then the apex chunks to one ``zlib.compressobj``, tracks the
+  payload CRC as it goes, and — because the v3 header CRC folds the
+  header in *first*, and the header stores the payload length that is
+  only known at the end — finishes with
+  :func:`~repro.archive.codec.crc32_combine` and patches the real
+  header over its placeholder before the atomic rename.
 
-Byte-identity with the whole-day path is structural, not luck: the
-prefix bytes come from the very same :func:`_encode_prefix` the one-shot
-encoder uses, chunk boundaries fall between codec fields (a
-length-prefixed string or delta run is never split), and a
-``compressobj`` fed any partition of the payload emits the same bytes
-as one-shot ``zlib.compress`` at the same level.  The equivalence is
-proven per-file in tier-1 (``tests/archive/test_streaming_equivalence``,
-property-based over chunk sizes and ``.рф``/punycode populations) and
-end-to-end over manifests in ``tests/archive/test_builder``.
+:func:`repro.archive.shard.encode_shard` runs the same pipeline into an
+in-memory buffer, so there is one encoding of the format.  The bytes do
+not depend on the chunk size: chunk boundaries fall between codec
+fields (a length-prefixed string or delta run is never split), and a
+``compressobj`` fed any partition of the payload emits the same stream.
+``tests/archive/test_streaming_equivalence.py`` checks that property,
+and ``tests/archive/test_shard_golden.py`` pins the bytes themselves.
 """
 
 from __future__ import annotations
@@ -35,38 +33,40 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from typing import Callable, Dict, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ArchiveError, RecoveryError
 from ..ioutil import backoff_seconds
-from .codec import crc32_combine, write_delta_run, write_string
-from .shard import (
-    _HEADER_V3,
-    _ZLIB_LEVEL,
-    SHARD_MAGIC,
-    _encode_prefix,
-    read_shard,
+from .codec import (
+    crc32_combine,
+    int32_bytes,
+    write_delta_run,
+    write_string,
+    write_svarint,
+    write_uvarint,
 )
+from .shard import _HEADER_V3, _ZLIB_LEVEL, SHARD_MAGIC, read_shard
 from .summary import DaySummary, encode_summary
 
-__all__ = ["DEFAULT_CHUNK_DOMAINS", "DayStream", "write_shard_stream"]
+__all__ = ["CHUNK_DOMAINS", "DayStream", "write_shard_stream"]
 
-#: Default positions per streamed chunk when a caller enables chunking
-#: without picking a size: small enough that a chunk's Python strings
-#: and encode buffer stay in the tens of megabytes at any scale.
-DEFAULT_CHUNK_DOMAINS = 50_000
+#: Positions per streamed chunk: small enough that a chunk's Python
+#: strings and encode buffer stay in the tens of megabytes at any scale.
+#: :func:`~repro.archive.kernel.summarize_snapshot` aggregates in chunks
+#: of the same size.
+CHUNK_DOMAINS = 50_000
 
 
 class DayStream:
     """One day's shard content, domain columns addressable by position.
 
-    Carries the same small state a :class:`DayShardRecord` holds up
-    front (date, epoch, numeric columns, NS plan table, summary) but
-    replaces the materialised ``domains``/``apex`` lists with
-    per-position callables, so a writer can pull any ``[lo, hi)`` chunk
-    without the rest of the day existing as Python objects.
+    Carries the small per-day state up front (date, epoch, numeric
+    columns, NS plan table, summary) and the ``domains``/``apex``
+    columns as per-position callables, so a writer can pull any
+    ``[lo, hi)`` chunk without the rest of the day existing as Python
+    objects.  ``summary`` must be set before the day is written.
     """
 
     __slots__ = (
@@ -78,8 +78,8 @@ class DayStream:
         "hosting_ids",
         "dns_plan_ns",
         "summary",
-        "_domain_at",
-        "_apex_at",
+        "domain_at",
+        "apex_at",
     )
 
     def __init__(
@@ -91,7 +91,7 @@ class DayStream:
         dns_ids,
         hosting_ids,
         dns_plan_ns: Dict[int, Tuple[Tuple[str, ...], Tuple[int, ...]]],
-        summary: DaySummary,
+        summary: Optional[DaySummary],
         domain_at: Callable[[int], str],
         apex_at: Callable[[int], Tuple[int, ...]],
     ) -> None:
@@ -106,8 +106,8 @@ class DayStream:
             for plan_id, (names, addresses) in dns_plan_ns.items()
         }
         self.summary = summary
-        self._domain_at = domain_at
-        self._apex_at = apex_at
+        self.domain_at = domain_at
+        self.apex_at = apex_at
 
     def __len__(self) -> int:
         return len(self.measured)
@@ -120,22 +120,24 @@ class DayStream:
     def from_snapshot(
         cls,
         snapshot,
+        summary: Optional[DaySummary],
         apex_cache: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None,
-        plan_cache=None,
-        chunk_domains: Optional[int] = None,
+        plan_cache: Optional[Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]]] = None,
     ) -> "DayStream":
         """Stream view of one live :class:`DailySnapshot`.
 
-        Mirrors :meth:`DayShardRecord.from_snapshot` for everything
-        small (numeric columns, plan table, caches) but defers domain
-        names and apex tuples to per-position lookups against the
-        world, so nothing per-domain outlives the chunk being encoded.
-        The summary is aggregated through the chunked
-        :func:`~repro.archive.kernel.summarize_snapshot` path with the
-        same ``chunk_domains`` bound.
-        """
-        from .kernel import summarize_snapshot
+        Numeric columns and the NS plan table are built up front;
+        domain names and apex tuples are per-position lookups against
+        the world, so nothing per-domain outlives the chunk being
+        encoded.  ``summary`` is the day's
+        :func:`~repro.archive.kernel.summarize_snapshot`, computed by
+        the caller.
 
+        The caches are keyed by ``(domain_index, hosting_id)`` and
+        ``(epoch_start_day, dns_id)``; assignments change rarely, so a
+        builder that threads the same dicts through consecutive days
+        materialises each plan/apex tuple once instead of once per day.
+        """
         world = snapshot.world
         epoch = snapshot.epoch
         apex_cache = {} if apex_cache is None else apex_cache
@@ -183,7 +185,7 @@ class DayStream:
             dns_ids,
             hosting_ids,
             dns_plan_ns,
-            summarize_snapshot(snapshot, chunk_domains=chunk_domains),
+            summary,
             domain_at,
             apex_at,
         )
@@ -192,16 +194,12 @@ class DayStream:
     def from_record(cls, record) -> "DayStream":
         """Stream view of a materialised :class:`DayShardRecord`.
 
-        Used by the equivalence tests to stream synthetic populations
-        (punycode domains, hand-built apex runs) that never came from a
-        world.  The record must carry a summary (shard format v3).
+        The record must carry a summary (shard format v3).
         """
         if record.summary is None:
             raise ArchiveError(
-                f"streaming a record for {record.date} requires a DaySummary"
+                f"format v3 shard for {record.date} requires a DaySummary"
             )
-        domains = record.domains
-        apex = record.apex
         return cls(
             record.date,
             record.epoch_start_day,
@@ -211,8 +209,8 @@ class DayStream:
             record.hosting_ids,
             record.dns_plan_ns,
             record.summary,
-            domains.__getitem__,
-            apex.__getitem__,
+            record.domains.__getitem__,
+            record.apex.__getitem__,
         )
 
     # ------------------------------------------------------------------
@@ -222,7 +220,7 @@ class DayStream:
     def domains_chunk(self, lo: int, hi: int) -> bytes:
         """Encoded domain-name column for positions ``[lo, hi)``."""
         buffer = bytearray()
-        domain_at = self._domain_at
+        domain_at = self.domain_at
         for position in range(lo, hi):
             write_string(buffer, domain_at(position))
         return bytes(buffer)
@@ -230,7 +228,7 @@ class DayStream:
     def apex_chunk(self, lo: int, hi: int) -> bytes:
         """Encoded apex delta-run column for positions ``[lo, hi)``."""
         buffer = bytearray()
-        apex_at = self._apex_at
+        apex_at = self.apex_at
         for position in range(lo, hi):
             write_delta_run(buffer, apex_at(position))
         return bytes(buffer)
@@ -239,130 +237,161 @@ class DayStream:
         return f"DayStream({self.date}, {len(self.measured)} measured)"
 
 
-#: Prefix slice bound: the numeric-column prefix is O(day) (12 bytes a
-#: domain), so it is fed to the compressor in windows rather than as
-#: one whole-prefix copy on top of its build buffer.
-_PREFIX_SLICE = 1 << 18
+# ----------------------------------------------------------------------
+# Encoding
+# ----------------------------------------------------------------------
+
+def _plan_table(stream: DayStream) -> bytes:
+    """The NS name pool and the per-plan table, as payload bytes."""
+    buffer = bytearray()
+    # NS name pool, first-seen over plans in id order (deterministic).
+    pool: Dict[str, int] = {}
+    plan_ids = sorted(stream.dns_plan_ns)
+    for plan_id in plan_ids:
+        for name in stream.dns_plan_ns[plan_id][0]:
+            pool.setdefault(name, len(pool))
+    write_uvarint(buffer, len(pool))
+    for name in pool:
+        write_string(buffer, name)
+
+    write_uvarint(buffer, len(plan_ids))
+    for plan_id in plan_ids:
+        names, addresses = stream.dns_plan_ns[plan_id]
+        write_uvarint(buffer, plan_id)
+        write_uvarint(buffer, len(names))
+        for name in names:
+            write_uvarint(buffer, pool[name])
+        write_delta_run(buffer, addresses)
+    return bytes(buffer)
 
 
-def _stream_pieces(stream: DayStream, chunk_domains: int):
-    """Yield the uncompressed payload pieces, prefix first.
+def _stream_pieces(stream: DayStream) -> Iterator[bytes]:
+    """Yield the uncompressed payload pieces in format order.
 
-    Column order matches :func:`~repro.archive.shard._encode_payload`
-    exactly: prefix, then every domain string, then every apex run —
-    two position passes, each in bounded chunks.  Piece boundaries are
-    invisible to the compressor and the running CRC, so slicing the
-    prefix changes nothing but the transient footprint.
+    Epoch and population varints; the three int32 columns
+    (``write_int32_array``'s layout: the length, then the values); the
+    NS plan table; every domain string; every apex run.  Each
+    per-position column goes out in chunks of :data:`CHUNK_DOMAINS`
+    positions.  Piece boundaries are invisible to the compressor and
+    the running CRC, so the chunk changes nothing but the transient
+    footprint.
     """
-    prefix = _encode_prefix(stream)
-    view = memoryview(prefix)
-    for lo in range(0, len(prefix), _PREFIX_SLICE):
-        yield bytes(view[lo:lo + _PREFIX_SLICE])
-    del view, prefix
     count = len(stream)
-    for lo in range(0, count, chunk_domains):
-        yield stream.domains_chunk(lo, min(lo + chunk_domains, count))
-    for lo in range(0, count, chunk_domains):
-        yield stream.apex_chunk(lo, min(lo + chunk_domains, count))
+    chunks = [
+        (lo, min(lo + CHUNK_DOMAINS, count))
+        for lo in range(0, count, CHUNK_DOMAINS)
+    ]
+    head = bytearray()
+    write_svarint(head, stream.epoch_start_day)
+    write_uvarint(head, stream.population_size)
+    yield bytes(head)
+    # Structural columns are fixed-width so readers can decode them
+    # vectorised; the string/apex columns stay varint-packed.
+    for column in (stream.measured, stream.dns_ids, stream.hosting_ids):
+        length = bytearray()
+        write_uvarint(length, count)
+        yield bytes(length)
+        for lo, hi in chunks:
+            yield int32_bytes(column[lo:hi])
+    yield _plan_table(stream)
+    for lo, hi in chunks:
+        yield stream.domains_chunk(lo, hi)
+    for lo, hi in chunks:
+        yield stream.apex_chunk(lo, hi)
 
 
-def write_shard_stream(
-    path: str,
-    stream: DayStream,
-    chunk_domains: Optional[int] = None,
-    faults=None,
-    retries: int = 6,
-    backoff: float = 0.01,
+def _encode_into(
+    handle: BinaryIO, stream: DayStream, faults=None, key: str = ""
 ) -> Tuple[int, int]:
-    """Stream one day to ``path``; returns ``(file_bytes, crc32)``.
+    """Write ``stream``'s shard to the seekable ``handle``.
 
-    Produces a file byte-identical to ``write_shard`` of the equivalent
-    materialised record, without ever holding the whole payload (or the
-    whole compressed blob) in memory: chunks are compressed as they are
-    produced, the payload CRC accumulates alongside, and the header —
-    whose CRC field covers a message *starting with* the header itself
-    — is computed at the end via CRC combination and patched over the
-    placeholder before the atomic ``os.replace``.
+    Returns ``(file_bytes, crc32)``.
 
-    Fault discipline mirrors :func:`repro.ioutil.atomic_write_bytes`:
-    per-attempt keys re-roll decisions, ``shard.write`` fires mid-file
-    (a torn temp file, never a torn final), ``shard.write.bytes`` can
-    corrupt any streamed piece, and when a plan is active the temp file
-    is re-verified (a full CRC-checked read) before the rename.  The
-    read-back verify is the one step that is not bounded-memory; it
-    only runs under fault injection.
+    The header goes down as a placeholder, then the compressed summary
+    block, then the payload pieces through one compressor.  The header
+    CRC covers zeroed-header || summary || payload; the first two are
+    known only once the payload length is final, so their CRC is
+    combined with the independently streamed payload CRC and the real
+    header is written over the placeholder.
+
+    With a fault plan, ``shard.write.bytes`` is rolled once under
+    ``key`` (it may flip a bit of the summary block, which the caller's
+    read-back verify catches) before the mid-write ``shard.write``
+    check, the same order :func:`repro.ioutil.atomic_write_bytes` uses.
     """
-    if chunk_domains is None:
-        chunk_domains = DEFAULT_CHUNK_DOMAINS
-    if chunk_domains < 1:
-        raise ArchiveError(f"chunk_domains must be >= 1: {chunk_domains}")
     summary = encode_summary(stream.summary)
     summary_blob = zlib.compress(summary, _ZLIB_LEVEL)
     summary_crc = zlib.crc32(summary)
     ordinal = stream.date.toordinal()
     count = len(stream)
-    placeholder = _HEADER_V3.pack(
-        SHARD_MAGIC, 3, 0, ordinal, count, 0, 0, len(summary_blob), summary_crc
-    )
 
+    def header(crc: int, payload_length: int) -> bytes:
+        return _HEADER_V3.pack(
+            SHARD_MAGIC, 3, 0, ordinal, count, crc,
+            payload_length, len(summary_blob), summary_crc,
+        )
+
+    handle.write(header(0, 0))
+    if faults is not None:
+        handle.write(faults.corrupt_bytes("shard.write.bytes", key, summary_blob))
+        # Mid-write fault point: header and summary are down, no column
+        # bytes yet — a torn temp file.
+        faults.check("shard.write", key)
+    else:
+        handle.write(summary_blob)
+    payload_length = 0
+    payload_crc = 0
+    compressor = zlib.compressobj(_ZLIB_LEVEL)
+    for piece in _stream_pieces(stream):
+        payload_length += len(piece)
+        payload_crc = zlib.crc32(piece, payload_crc)
+        handle.write(compressor.compress(piece))
+    handle.write(compressor.flush())
+    file_bytes = handle.tell()
+    crc = crc32_combine(
+        zlib.crc32(summary, zlib.crc32(header(0, payload_length))),
+        payload_crc,
+        payload_length,
+    )
+    handle.seek(0)
+    handle.write(header(crc, payload_length))
+    return file_bytes, crc
+
+
+def write_shard_stream(
+    path: str,
+    stream: DayStream,
+    faults=None,
+    retries: int = 6,
+    backoff: float = 0.01,
+) -> Tuple[int, int]:
+    """Stream one day to ``path`` atomically; returns ``(file_bytes, crc32)``.
+
+    Chunks are compressed as they are produced and written to a
+    same-directory temp file, which ``os.replace`` renames over the
+    final name, so an interrupted or faulted write never leaves a torn
+    shard behind a name that passes existence checks.
+
+    Fault discipline mirrors :func:`repro.ioutil.atomic_write_bytes`:
+    the per-attempt key ``"<basename>#<attempt>"`` re-rolls every
+    decision, ``shard.write.bytes`` is rolled once per attempt,
+    ``shard.write`` fires mid-file, and when a plan is active the temp
+    file is re-verified (a full CRC-checked read) before the rename.
+    The read-back verify is the one step that is not bounded-memory; it
+    only runs under fault injection.
+    """
     name = os.path.basename(path)
     temp_path = f"{path}.tmp.{os.getpid()}"
     for attempt in range(retries + 1):
         key = f"{name}#{attempt}"
         try:
             try:
-                file_bytes = _HEADER_V3.size
-                payload_length = 0
-                payload_crc = 0
-                compressor = zlib.compressobj(_ZLIB_LEVEL)
                 with open(temp_path, "wb") as handle:
-                    handle.write(placeholder)
-                    handle.write(summary_blob)
-                    file_bytes += len(summary_blob)
-                    if faults is not None:
-                        # Mid-write fault point: header and summary are
-                        # down, no column bytes yet — a torn temp file.
-                        faults.check("shard.write", key)
-                    for piece_index, piece in enumerate(
-                        _stream_pieces(stream, chunk_domains)
-                    ):
-                        payload_length += len(piece)
-                        payload_crc = zlib.crc32(piece, payload_crc)
-                        if faults is not None:
-                            piece = faults.corrupt_bytes(
-                                "shard.write.bytes", f"{key}/{piece_index}", piece
-                            )
-                        compressed = compressor.compress(piece)
-                        if compressed:
-                            handle.write(compressed)
-                            file_bytes += len(compressed)
-                    tail = compressor.flush()
-                    handle.write(tail)
-                    file_bytes += len(tail)
-                    # The header CRC covers zeroed-header || summary ||
-                    # payload; the first two are known only now that
-                    # payload_length is final, so combine their CRC with
-                    # the independently-streamed payload CRC.
-                    zeroed = _HEADER_V3.pack(
-                        SHARD_MAGIC, 3, 0, ordinal, count, 0,
-                        payload_length, len(summary_blob), summary_crc,
-                    )
-                    crc = crc32_combine(
-                        zlib.crc32(summary, zlib.crc32(zeroed)),
-                        payload_crc,
-                        payload_length,
-                    )
-                    handle.seek(0)
-                    handle.write(
-                        _HEADER_V3.pack(
-                            SHARD_MAGIC, 3, 0, ordinal, count, crc,
-                            payload_length, len(summary_blob), summary_crc,
-                        )
-                    )
+                    file_bytes, crc = _encode_into(handle, stream, faults, key)
                 if faults is not None:
-                    # Read-back verify: a corrupted piece compressed
-                    # into the temp file fails its CRC here, while the
-                    # final name still holds the previous good version.
+                    # Read-back verify: a corrupted block in the temp
+                    # file fails its CRC here, while the final name
+                    # still holds the previous good version.
                     verified = read_shard(temp_path, expected_crc=crc)
                     if verified.date != stream.date:
                         raise ArchiveError(

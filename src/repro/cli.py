@@ -471,16 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--step", type=int, default=1, help="day step of a custom range"
     )
     archive_build.add_argument(
-        "--chunk-domains", type=int, default=None, metavar="N",
-        help="stream each day's shard in bounded chunks of N domains "
-        "(byte-identical output; keeps peak memory flat at large scales)",
-    )
-    archive_build.add_argument(
-        "--max-rss-mb", type=float, default=None, metavar="MB",
-        help="advisory memory ceiling: warn on stderr when the build's "
-        "peak RSS exceeds this many MiB (the exit code is unchanged)",
-    )
-    archive_build.add_argument(
         "--profile", action="store_true",
         help="print build/write timing metrics",
     )
@@ -1145,13 +1135,10 @@ def _cmd_archive(args: argparse.Namespace) -> int:
     faults = _fault_plan(args)
     if args.archive_command == "build":
         config = _scenario_spec(args).with_config(with_pki=False).compile()
-        if args.chunk_domains is not None and args.chunk_domains < 1:
-            print("--chunk-domains must be >= 1", file=sys.stderr)
-            return 2
         metrics = SweepMetrics()
         builder = ArchiveBuilder(
             args.path, config, workers=args.workers, metrics=metrics,
-            faults=faults, chunk_domains=args.chunk_domains,
+            faults=faults,
         )
         try:
             if args.start is not None or args.end is not None:
@@ -1180,18 +1167,6 @@ def _cmd_archive(args: argparse.Namespace) -> int:
             f"{len(report.skipped)} already covered{adopted}"
         )
         metrics.sample_rss()
-        if args.max_rss_mb is not None:
-            peak_mb = metrics.peak_rss_bytes / (1024 * 1024)
-            if peak_mb > args.max_rss_mb:
-                # Advisory only: the archive on disk is complete and
-                # correct; the ceiling flags builds that should move to
-                # (or shrink) --chunk-domains.
-                print(
-                    f"warning: peak RSS {peak_mb:,.1f} MiB exceeded the "
-                    f"--max-rss-mb ceiling of {args.max_rss_mb:,.1f} MiB; "
-                    "consider a smaller --chunk-domains",
-                    file=sys.stderr,
-                )
         if args.profile:
             print(metrics.render())
         _write_profile_json(getattr(args, "profile_json", None), metrics)

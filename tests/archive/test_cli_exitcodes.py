@@ -137,63 +137,3 @@ class TestBuildExitCodes:
         assert set(payload) == {
             "phases", "caches", "recovery", "endpoints", "counters", "memory",
         }
-
-
-class TestStreamingBuildFlags:
-    """--chunk-domains / --max-rss-mb: identical bytes, advisory only."""
-
-    def directory_bytes(self, directory):
-        return {
-            name: (directory / name).read_bytes()
-            for name in sorted(os.listdir(directory))
-        }
-
-    def test_chunked_build_bytes_identical(self, base_archive, tmp_path):
-        streamed = tmp_path / "streamed"
-        code = main(
-            ARGS
-            + ["archive", "build", str(streamed), "--chunk-domains", "500"]
-            + RANGE
-        )
-        assert code == 0
-        assert self.directory_bytes(streamed) == self.directory_bytes(
-            base_archive
-        )
-
-    def test_rss_ceiling_is_advisory(self, tmp_path, capsys):
-        directory = tmp_path / "arch"
-        code = main(
-            ARGS
-            + [
-                "archive", "build", str(directory),
-                "--chunk-domains", "500", "--max-rss-mb", "1",
-            ]
-            + RANGE
-        )
-        # The ceiling warns on stderr but never changes the exit code.
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "--max-rss-mb ceiling" in captured.err
-        assert "archived 3 days" in captured.out
-
-    def test_generous_ceiling_stays_quiet(self, tmp_path, capsys):
-        directory = tmp_path / "arch"
-        code = main(
-            ARGS
-            + [
-                "archive", "build", str(directory),
-                "--chunk-domains", "500", "--max-rss-mb", "100000",
-            ]
-            + RANGE
-        )
-        assert code == 0
-        assert "--max-rss-mb" not in capsys.readouterr().err
-
-    def test_bad_chunk_domains_rejected(self, tmp_path, capsys):
-        code = main(
-            ARGS
-            + ["archive", "build", str(tmp_path / "arch"), "--chunk-domains", "0"]
-            + RANGE
-        )
-        assert code == 2
-        assert "--chunk-domains" in capsys.readouterr().err

@@ -1,17 +1,16 @@
-"""Bounded-memory regression tests for the streaming build path.
+"""Bounded-memory regression tests for the shard writer.
 
 Two independent measurements, because they catch different regressions:
 
-* **tracemalloc** (always runs): encoding a large synthetic day through
-  the streaming writer must allocate a small fraction of what the
-  whole-day encoder allocates — the chunked path's transients scale
-  with ``chunk_domains``, the one-shot path's with the day.  A change
-  that quietly materialises the whole day inside the streaming writer
-  fails this immediately, at any machine's RSS.
+* **tracemalloc** (always runs): streaming a large synthetic day in the
+  writer's small chunks must allocate a small fraction of what one
+  whole-day chunk allocates — the transients scale with the chunk, not
+  the day.  A change that quietly materialises the whole day inside the
+  writer fails this immediately, at any machine's RSS.
 * **ru_maxrss** (skipped without the ``resource`` module): a real
-  subprocess archive build with ``chunk_domains`` set must stay under a
-  generous absolute ceiling, pinning the end-to-end peak including
-  numpy, the world, and the interpreter itself.
+  subprocess archive build must stay under a generous absolute ceiling,
+  pinning the end-to-end peak including numpy, the world, and the
+  interpreter itself.
 
 The RSS sampling helpers themselves are covered here too, since every
 memory number the bench ladder reports flows through them.
@@ -26,7 +25,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.archive.shard import DayShardRecord, encode_shard
+from repro.archive import stream as stream_module
 from repro.archive.stream import DayStream, write_shard_stream
 from repro.archive.summary import DaySummary
 from repro.measurement.metrics import SweepMetrics, current_rss_bytes
@@ -60,61 +59,38 @@ def synthetic_stream(count: int = DAY_DOMAINS) -> DayStream:
     )
 
 
-def materialised_record(count: int = DAY_DOMAINS) -> DayShardRecord:
-    """The same synthetic day as a whole-day record (everything in RAM)."""
-    stream = synthetic_stream(count)
-    record = DayShardRecord(
-        date=stream.date,
-        epoch_start_day=stream.epoch_start_day,
-        population_size=stream.population_size,
-        measured=stream.measured,
-        dns_ids=stream.dns_ids,
-        hosting_ids=stream.hosting_ids,
-        dns_plan_ns=stream.dns_plan_ns,
-        domains=[f"domain-{i:07d}.example.ru" for i in range(count)],
-        apex=[(i, i + 7) for i in range(count)],
-    )
-    record.summary = stream.summary
-    return record
+def traced_write(monkeypatch, path, chunk: int):
+    """``(peak traced bytes, file bytes)`` of one write at ``chunk``."""
+    monkeypatch.setattr(stream_module, "CHUNK_DOMAINS", chunk)
+    stream = synthetic_stream()
+    tracemalloc.start()
+    write_shard_stream(str(path), stream)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak, path.read_bytes()
 
 
 class TestStreamingAllocations:
-    def test_streaming_encode_allocates_a_fraction(self, tmp_path):
-        record = materialised_record()
-        tracemalloc.start()
-        encode_shard(record)
-        _, whole_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
-        stream = synthetic_stream()
-        tracemalloc.start()
-        write_shard_stream(
-            str(tmp_path / "streamed.shard"), stream, chunk_domains=CHUNK
+    def test_streaming_encode_allocates_a_fraction(self, tmp_path, monkeypatch):
+        whole_peak, _ = traced_write(
+            monkeypatch, tmp_path / "whole.shard", DAY_DOMAINS
         )
-        _, streamed_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
-        # The one-shot encoder holds the whole uncompressed payload (and
-        # its compressed copy); the streaming writer's transients are
-        # bounded by the chunk.  A 3x margin keeps the assertion far
-        # from allocator noise while still failing on any regression
-        # that rematerialises the day.
+        streamed_peak, _ = traced_write(
+            monkeypatch, tmp_path / "streamed.shard", CHUNK
+        )
+        # One whole-day chunk holds the day's encoded domain column (and
+        # its copy); the small chunks' transients are bounded by the
+        # chunk.  A 3x margin keeps the assertion far from allocator
+        # noise while still failing on any regression that
+        # rematerialises the day.
         assert streamed_peak * 3 < whole_peak, (
             f"streaming peak {streamed_peak:,}B vs whole-day {whole_peak:,}B"
         )
 
-    def test_streamed_bytes_still_identical_at_scale(self, tmp_path):
-        from repro.archive.shard import write_shard
-
-        write_shard(str(tmp_path / "whole.shard"), materialised_record())
-        write_shard_stream(
-            str(tmp_path / "streamed.shard"),
-            synthetic_stream(),
-            chunk_domains=CHUNK,
-        )
-        assert (tmp_path / "streamed.shard").read_bytes() == (
-            tmp_path / "whole.shard"
-        ).read_bytes()
+    def test_streamed_bytes_still_identical_at_scale(self, tmp_path, monkeypatch):
+        _, whole = traced_write(monkeypatch, tmp_path / "whole.shard", DAY_DOMAINS)
+        _, streamed = traced_write(monkeypatch, tmp_path / "streamed.shard", CHUNK)
+        assert streamed == whole
 
 
 class TestRssSampling:
@@ -136,7 +112,7 @@ class TestRssSampling:
 
 
 class TestSubprocessCeiling:
-    """End-to-end: a chunked build stays under an absolute RSS budget."""
+    """End-to-end: a build stays under an absolute RSS budget."""
 
     #: Generous ceiling for a 3-day 1:2500-scale build (~75 MiB observed
     #: at 1:250; tiny scale sits far below).  Catches only order-of-
@@ -153,9 +129,7 @@ class TestSubprocessCeiling:
             from repro.sim import ConflictScenarioConfig
 
             config = ConflictScenarioConfig(scale=2500.0, with_pki=False)
-            builder = ArchiveBuilder(
-                {str(tmp_path / "arch")!r}, config, chunk_domains=2000
-            )
+            builder = ArchiveBuilder({str(tmp_path / "arch")!r}, config)
             report = builder.build("2022-02-24", "2022-02-26")
             assert len(report.written) == 3
             peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

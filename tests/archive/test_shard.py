@@ -14,11 +14,11 @@ from repro.archive.shard import (
     SHARD_VERSION,
     DayShardRecord,
     _decode_payload,
-    _encode_payload,
     read_shard,
     read_summary,
     write_shard,
 )
+from repro.archive.stream import DayStream, _stream_pieces
 from repro.archive.summary import DaySummary
 from repro.dns.name import DomainName
 from repro.errors import ArchiveError
@@ -225,6 +225,11 @@ def int32_column(values):
     return np.asarray(values, dtype="<i4").tobytes()
 
 
+def encode_payload(built):
+    """The uncompressed column payload the writer stores for ``built``."""
+    return b"".join(_stream_pieces(DayStream.from_record(built)))
+
+
 def materialise(payload):
     """Decode a three-record payload and materialise its first record.
 
@@ -243,29 +248,29 @@ class TestDecodedPayloadIntegrity:
     """
 
     def test_intact_payload_materialises(self):
-        payload = bytes(_encode_payload(record()))
+        payload = encode_payload(record())
         assert materialise(payload) == record().measurement_at(0)
 
     def test_trailing_byte_refused(self):
-        payload = bytes(_encode_payload(record())) + b"\x00"
+        payload = encode_payload(record()) + b"\x00"
         with pytest.raises(ArchiveError, match="trailing bytes"):
             materialise(payload)
 
     def test_truncated_domain_string_refused(self):
         # Three empty apex runs encode to one byte each: cutting four
         # bytes also clips the last domain string.
-        payload = bytes(_encode_payload(record(apex=[()] * 3)))[:-4]
+        payload = encode_payload(record(apex=[()] * 3))[:-4]
         with pytest.raises(ArchiveError, match="truncated string"):
             materialise(payload)
 
     def test_truncated_apex_varint_refused(self):
         wide = record(apex=[(11,), (12, 13), (3232235777,)])
-        payload = bytes(_encode_payload(wide))[:-1]
+        payload = encode_payload(wide)[:-1]
         with pytest.raises(ArchiveError, match="truncated varint"):
             materialise(payload)
 
     def test_dns_id_missing_from_plan_table_refused(self):
-        payload = bytes(_encode_payload(record()))
+        payload = encode_payload(record())
         damaged = payload.replace(
             int32_column([2, 2, 5]), int32_column([2, 2, 9]), 1
         )
@@ -274,7 +279,7 @@ class TestDecodedPayloadIntegrity:
             materialise(damaged)
 
     def test_invalid_utf8_domain_refused(self):
-        payload = bytes(_encode_payload(record()))
+        payload = encode_payload(record())
         damaged = payload.replace(b"b.ru", b"b.\xd0u", 1)
         assert damaged != payload
         with pytest.raises(ArchiveError, match="invalid UTF-8"):
@@ -285,9 +290,7 @@ class TestDecodedPayloadIntegrity:
         # first byte would complete the dangling 0xd0 into a valid
         # character if the column were decoded as one unmasked region.
         long_name = "c" * 130 + ".ru"
-        payload = bytes(
-            _encode_payload(record(domains=["a.ru", "b.ru", long_name]))
-        )
+        payload = encode_payload(record(domains=["a.ru", "b.ru", long_name]))
         damaged = payload.replace(b"b.ru", b"b.r\xd0", 1)
         assert damaged != payload
         with pytest.raises(ArchiveError, match="invalid UTF-8"):
@@ -295,7 +298,7 @@ class TestDecodedPayloadIntegrity:
 
     @pytest.mark.parametrize("measured", [[4, 1, 7], [1, 4, 4]])
     def test_non_ascending_measured_refused(self, measured):
-        payload = bytes(_encode_payload(record()))
+        payload = encode_payload(record())
         damaged = payload.replace(
             int32_column([1, 4, 7]), int32_column(measured), 1
         )

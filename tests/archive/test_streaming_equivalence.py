@@ -1,20 +1,23 @@
-"""Streaming shard builds must be byte-identical to whole-day builds.
+"""Shard bytes and day summaries must not depend on the writer's chunk.
 
-The claim under test is the tentpole invariant of the bounded-memory
-build path: for any day and any chunk size, ``write_shard_stream`` over
-a :class:`DayStream` produces the same file — every byte, both CRCs —
-as ``write_shard`` over the materialised :class:`DayShardRecord`, and
-the chunked :func:`summarize_snapshot` produces the same
-:class:`DaySummary` as the one-shot aggregation.  Three layers:
+The archive writer streams every day in chunks of
+``repro.archive.stream.CHUNK_DOMAINS`` positions, and
+``summarize_snapshot`` aggregates in chunks of the same size.  The
+chunk only bounds memory: the claim under test is that the file bytes,
+both CRCs and the :class:`DaySummary` are the same at any chunk.  Each
+test runs the one writer at a monkeypatched small chunk against a
+chunk of at least the day's size.  Three layers:
 
 * property-based (hypothesis, derandomised): random synthetic
-  populations — ``.рф``/punycode domains included — streamed at random
-  chunk sizes against the one-shot writer;
+  populations — ``.рф``/punycode domains included — at random chunk
+  sizes;
 * real snapshots: live collector days (an outage day included) through
   ``DayStream.from_snapshot`` at several chunk sizes;
-* end-to-end: a full ``ArchiveBuilder`` run with ``chunk_domains`` set
-  against a plain build — identical manifests and shard CRCs, proven
-  over the whole directory digest.
+* end-to-end: two ``ArchiveBuilder`` runs, one at a small chunk —
+  identical manifests and shard CRCs, proven over the whole directory
+  digest.
+
+``tests/archive/test_shard_golden.py`` pins the bytes themselves.
 """
 
 import datetime as dt
@@ -26,10 +29,10 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.archive import ArchiveBuilder
+from repro.archive import ArchiveBuilder, kernel, stream as stream_module
 from repro.archive.kernel import summarize_snapshot
 from repro.archive.manifest import Manifest
-from repro.archive.shard import DayShardRecord, read_shard, write_shard
+from repro.archive.shard import DayShardRecord, read_shard
 from repro.archive.stream import DayStream, write_shard_stream
 from repro.archive.summary import DaySummary
 from repro.errors import ArchiveError
@@ -45,6 +48,23 @@ FUZZ = settings(
 #: Chunk sizes that cross every interesting boundary: single-domain,
 #: prime mid-size, larger-than-any-test-day.
 CHUNK_SIZES = (1, 7, 500, 10**9)
+
+#: A chunk at least as large as any test day: one chunk per column.
+WHOLE_DAY = 10**9
+
+
+def chunked(monkeypatch, chunk: int) -> None:
+    """Run the writer and ``summarize_snapshot`` at ``chunk`` positions."""
+    monkeypatch.setattr(stream_module, "CHUNK_DOMAINS", chunk)
+    monkeypatch.setattr(kernel, "CHUNK_DOMAINS", chunk)
+
+
+def written(path, stream, chunk: int):
+    """``(result, file bytes)`` of one write of ``stream`` at ``chunk``."""
+    with pytest.MonkeyPatch.context() as patch:
+        chunked(patch, chunk)
+        result = write_shard_stream(str(path), stream)
+    return result, pathlib.Path(path).read_bytes()
 
 
 def archive_digest(directory) -> str:
@@ -155,32 +175,25 @@ def fixed_record() -> DayShardRecord:
 
 
 class TestSyntheticStreams:
-    """Property: streamed bytes == one-shot bytes, any chunk size."""
+    """Property: the bytes are the same at any chunk size."""
 
     @FUZZ
     @given(record=day_records(), chunk=st.integers(min_value=1, max_value=64))
     def test_streamed_bytes_identical(self, record, chunk):
         with tempfile.TemporaryDirectory() as scratch:
-            whole = os.path.join(scratch, "whole.shard")
-            streamed = os.path.join(scratch, "streamed.shard")
-            whole_result = write_shard(whole, record)
-            stream_result = write_shard_stream(
-                streamed, DayStream.from_record(record), chunk_domains=chunk
+            stream = DayStream.from_record(record)
+            small = written(os.path.join(scratch, "small.shard"), stream, chunk)
+            whole = written(
+                os.path.join(scratch, "whole.shard"), stream, WHOLE_DAY
             )
-            assert stream_result == whole_result
-            assert (
-                pathlib.Path(streamed).read_bytes()
-                == pathlib.Path(whole).read_bytes()
-            )
+            assert small == whole
 
     @FUZZ
     @given(record=day_records(), chunk=st.integers(min_value=1, max_value=64))
     def test_streamed_file_round_trips(self, record, chunk):
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "day.shard")
-            _, crc = write_shard_stream(
-                path, DayStream.from_record(record), chunk_domains=chunk
-            )
+            (_, crc), _ = written(path, DayStream.from_record(record), chunk)
             loaded = read_shard(path, expected_crc=crc)
             assert loaded == record
             assert loaded.summary == record.summary
@@ -191,28 +204,15 @@ class TestSyntheticStreams:
         with pytest.raises(ArchiveError, match="requires a DaySummary"):
             DayStream.from_record(record)
 
-    def test_bad_chunk_size_rejected(self, tmp_path):
-        record = fixed_record()
-        stream = DayStream.from_record(record)
-        with pytest.raises(ArchiveError, match="chunk_domains"):
-            write_shard_stream(
-                str(tmp_path / "day.shard"), stream, chunk_domains=0
-            )
-
     def test_default_chunk_size_identical(self, tmp_path):
-        record = fixed_record()
-        write_shard(str(tmp_path / "whole.shard"), record)
-        write_shard_stream(
-            str(tmp_path / "streamed.shard"), DayStream.from_record(record)
-        )
-        assert (tmp_path / "streamed.shard").read_bytes() == (
-            tmp_path / "whole.shard"
-        ).read_bytes()
+        stream = DayStream.from_record(fixed_record())
+        default = write_shard_stream(str(tmp_path / "default.shard"), stream)
+        single = written(tmp_path / "single.shard", stream, 1)
+        assert single == (default, (tmp_path / "default.shard").read_bytes())
 
     def test_no_temp_files_left(self, tmp_path):
-        record = fixed_record()
         write_shard_stream(
-            str(tmp_path / "day.shard"), DayStream.from_record(record)
+            str(tmp_path / "day.shard"), DayStream.from_record(fixed_record())
         )
         assert [p.name for p in tmp_path.iterdir()] == ["day.shard"]
 
@@ -226,52 +226,41 @@ SNAPSHOT_DATES = ("2022-03-04", "2021-03-22")
 
 
 class TestChunkedSummaries:
-    """Chunked aggregation == one-shot aggregation, exactly."""
+    """Chunked aggregation == whole-day aggregation, exactly."""
 
     @pytest.mark.parametrize("date", SNAPSHOT_DATES)
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    def test_summary_identical(self, tiny_world, date, chunk):
+    def test_summary_identical(self, tiny_world, monkeypatch, date, chunk):
         snapshot = FastCollector(tiny_world).collect(date)
-        assert summarize_snapshot(snapshot, chunk_domains=chunk) == (
-            summarize_snapshot(snapshot)
-        )
-
-    def test_bad_chunk_rejected(self, tiny_world):
-        snapshot = FastCollector(tiny_world).collect("2022-03-04")
-        with pytest.raises(ArchiveError, match="chunk_domains"):
-            summarize_snapshot(snapshot, chunk_domains=0)
+        chunked(monkeypatch, WHOLE_DAY)
+        whole = summarize_snapshot(snapshot)
+        chunked(monkeypatch, chunk)
+        assert summarize_snapshot(snapshot) == whole
 
 
 class TestSnapshotStreams:
-    """DayStream.from_snapshot streams real days byte-identically."""
+    """DayStream.from_snapshot writes real days chunk-independently."""
 
     @pytest.mark.parametrize("date", SNAPSHOT_DATES)
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_streamed_snapshot_identical(self, tiny_world, tmp_path, date, chunk):
         snapshot = FastCollector(tiny_world).collect(date)
-        record = DayShardRecord.from_snapshot(snapshot)
-        record.summary = summarize_snapshot(snapshot)
-        whole = tmp_path / "whole.shard"
-        streamed = tmp_path / "streamed.shard"
-        whole_result = write_shard(str(whole), record)
-        stream = DayStream.from_snapshot(snapshot, chunk_domains=chunk)
-        stream_result = write_shard_stream(
-            str(streamed), stream, chunk_domains=chunk
+        stream = DayStream.from_snapshot(snapshot, summarize_snapshot(snapshot))
+        assert written(tmp_path / "small.shard", stream, chunk) == written(
+            tmp_path / "whole.shard", stream, WHOLE_DAY
         )
-        assert stream_result == whole_result
-        assert streamed.read_bytes() == whole.read_bytes()
 
     def test_stream_caches_are_shared(self, tiny_world):
         """from_snapshot reuses the reducer's apex/plan caches."""
         apex_cache, plan_cache = {}, {}
         snapshot = FastCollector(tiny_world).collect("2022-03-04")
-        stream = DayStream.from_snapshot(snapshot, apex_cache, plan_cache)
+        stream = DayStream.from_snapshot(snapshot, None, apex_cache, plan_cache)
         stream.apex_chunk(0, len(stream))
         assert apex_cache and plan_cache
 
 
 # ----------------------------------------------------------------------
-# End-to-end builder equivalence
+# End-to-end builds
 # ----------------------------------------------------------------------
 
 START = dt.date(2022, 2, 20)
@@ -279,18 +268,19 @@ END = dt.date(2022, 3, 3)
 
 
 class TestBuilderEquivalence:
-    """Archives built with chunk_domains match plain builds exactly."""
+    """An archive built at a small chunk matches a one-chunk build."""
 
     @pytest.fixture(scope="class")
     def equivalent_archives(self, tmp_path_factory, archive_config):
         base = tmp_path_factory.mktemp("stream-equiv")
-        whole = str(base / "whole")
-        streamed = str(base / "streamed")
-        ArchiveBuilder(whole, archive_config).build(START, END)
-        ArchiveBuilder(
-            streamed, archive_config, chunk_domains=500
-        ).build(START, END)
-        return whole, streamed
+        archives = []
+        for chunk in (WHOLE_DAY, 500):
+            directory = str(base / f"chunk-{chunk}")
+            with pytest.MonkeyPatch.context() as patch:
+                chunked(patch, chunk)
+                ArchiveBuilder(directory, archive_config).build(START, END)
+            archives.append(directory)
+        return tuple(archives)
 
     def test_directory_digest_identical(self, equivalent_archives):
         whole, streamed = equivalent_archives

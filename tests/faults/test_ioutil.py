@@ -1,7 +1,8 @@
-"""Tests for repro.ioutil: atomic writes under injected mid-write faults.
+"""Atomic writes under injected mid-write faults.
 
-Tier-1 (no worlds, no processes): proves a faulted write can never leave
-a torn file behind the final name, and that the read-back verify turns
+Tier-1 (no worlds, no processes): proves a faulted write — through
+:mod:`repro.ioutil` or the streaming shard writer — can never leave a
+torn file behind the final name, and that the read-back verify turns
 injected byte corruption into a retry.
 """
 
@@ -9,9 +10,13 @@ import os
 
 import pytest
 
+from repro.archive.shard import encode_shard
+from repro.archive.stream import DayStream, write_shard_stream
 from repro.errors import RecoveryError
 from repro.faults import CORRUPT, IO_ERROR, FaultPlan, FaultSpec
 from repro.ioutil import atomic_write_bytes, backoff_seconds
+
+from ..archive.test_codec_fuzz import canonical_record
 
 
 def no_temp_files(directory):
@@ -65,6 +70,36 @@ class TestAtomicWrite:
         assert retries == 1
         assert path.read_bytes() == data  # corrupted attempt never lands
         assert plan.injected("shard.write.bytes") == 1
+        assert no_temp_files(tmp_path)
+
+
+class TestStreamedShardWrite:
+    def test_corruption_rolled_once_per_attempt(self, tmp_path):
+        path = tmp_path / "2022-03-04.shard"
+        plan = FaultPlan(
+            2, {"shard.write.bytes": FaultSpec(CORRUPT, 1.0, match="#0")}
+        )
+        record = canonical_record()
+        write_shard_stream(str(path), DayStream.from_record(record), faults=plan)
+        # One roll for attempt 0 (corrupted, caught by the read-back
+        # verify), none left over for attempt 1, which lands.
+        assert plan.events == [
+            ("shard.write.bytes", "2022-03-04.shard#0", CORRUPT)
+        ]
+        assert plan.injected("shard.write.bytes") == 1
+        assert path.read_bytes() == encode_shard(record)[0]
+        assert no_temp_files(tmp_path)
+
+    def test_mid_write_fault_retries_then_succeeds(self, tmp_path):
+        path = tmp_path / "2022-03-04.shard"
+        path.write_bytes(b"previous good version")
+        plan = FaultPlan(
+            1, {"shard.write": FaultSpec(IO_ERROR, 1.0, match="#0")}
+        )
+        record = canonical_record()
+        write_shard_stream(str(path), DayStream.from_record(record), faults=plan)
+        assert plan.injected("shard.write") == 1
+        assert path.read_bytes() == encode_shard(record)[0]
         assert no_temp_files(tmp_path)
 
 
