@@ -1,4 +1,4 @@
-"""Bench: query service throughput, cold vs warm, single vs pool.
+"""Bench: query service throughput, cold vs warm.
 
 Starts a real ``QueryService`` over an archive-backed context, runs one
 query mix twice — first against an empty result cache (every query
@@ -7,27 +7,13 @@ records queries/sec plus p50/p95/p99 request latencies for both in
 ``benchmarks/output/service_speedup.json``.  The warm path must be at
 least 5x the cold path: that margin is the point of serving from a
 result cache instead of recomputing per request.
-
-A second bench races the pre-fork pool (``repro serve --processes 4``)
-against a single-process server under concurrent clients and records
-the warm-throughput scaling in ``benchmarks/output/service_scaling.json``.
-Byte-identity across the pool (punycode included) is asserted
-unconditionally; the scaling floor (``REPRO_SERVICE_MIN_SCALING``,
-default 3) is only enforced when the host actually has the cores to
-scale on.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import json
-import os
 import pathlib
-import re
-import signal
-import subprocess
-import sys
 import threading
 import time
 import urllib.request
@@ -42,11 +28,6 @@ from repro.sim import ConflictScenarioConfig
 #: is what's under measurement.
 SERVICE_SCALE = 2500.0
 CADENCE = 60
-
-#: Warm-throughput scaling the 4-worker pool must reach over a single
-#: process — enforced only on hosts with >= 4 cores (CI runners vary;
-#: a 1-core container cannot parallelise anything).
-MIN_SCALING = float(os.environ.get("REPRO_SERVICE_MIN_SCALING", "3"))
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -173,118 +154,3 @@ def test_bench_service_cold_vs_warm(benchmark, tmp_path):
     assert speedup >= 5.0, (
         f"warm cache served only {speedup:.1f}x cold throughput"
     )
-
-
-# ----------------------------------------------------------------------
-# Pool scaling: repro serve --processes 4 vs a single process
-# ----------------------------------------------------------------------
-
-class _ServeProcess:
-    """A real ``repro serve`` subprocess (single or pre-fork pool)."""
-
-    def __init__(self, archive: str, processes: int) -> None:
-        self._argv = [
-            sys.executable, "-m", "repro",
-            "--scale", str(int(SERVICE_SCALE)), "--no-pki",
-            "--cadence", str(CADENCE),
-            "serve", "--port", "0", "--archive", archive,
-            "--processes", str(processes),
-        ]
-        self._processes = processes
-        self.port = None
-
-    def __enter__(self) -> "_ServeProcess":
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            part
-            for part in (os.path.join(root, "src"), env.get("PYTHONPATH"))
-            if part
-        )
-        self._process = subprocess.Popen(
-            self._argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=env,
-        )
-        line = self._process.stdout.readline()
-        match = re.search(r"http://[\d.]+:(\d+)", line)
-        assert match, f"no serving announcement: {line!r}"
-        self.port = int(match.group(1))
-        if self._processes >= 2:
-            assert "supervisor" in self._process.stdout.readline()
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            try:
-                _fetch(self.port, "/healthz")
-                return self
-            except OSError:
-                time.sleep(0.1)
-        raise AssertionError("serve subprocess never became ready")
-
-    def __exit__(self, *exc_info) -> None:
-        self._process.send_signal(signal.SIGTERM)
-        try:
-            self._process.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            self._process.kill()
-            self._process.wait(timeout=10)
-
-
-def _measure_warm_qps(port: int, threads: int, passes: int) -> float:
-    """Wall-clock qps of ``threads`` clients each replaying the mix."""
-
-    def one_client(_):
-        for _ in range(passes):
-            for path in QUERY_MIX:
-                _fetch(port, path)
-
-    started = time.perf_counter()
-    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-        list(pool.map(one_client, range(threads)))
-    elapsed = time.perf_counter() - started
-    return threads * passes * len(QUERY_MIX) / elapsed
-
-
-def test_bench_service_pool_scaling(tmp_path):
-    _, directory = _build_archive(tmp_path)
-    threads, passes = 8, 4
-
-    with _ServeProcess(directory, processes=1) as single:
-        single_bodies = [_fetch(single.port, path) for path in QUERY_MIX]
-        single_qps = _measure_warm_qps(single.port, threads, passes)
-
-    with _ServeProcess(directory, processes=4) as pool:
-        # Byte-identity across the pool, punycode included: every
-        # worker must serve exactly what the single process served.
-        for _ in range(3):
-            pool_bodies = [_fetch(pool.port, path) for path in QUERY_MIX]
-            assert pool_bodies == single_bodies
-        pool_qps = _measure_warm_qps(pool.port, threads, passes)
-
-    cores = os.cpu_count() or 1
-    scaling = pool_qps / max(single_qps, 1e-9)
-    record = {
-        "scale": SERVICE_SCALE,
-        "cadence_days": CADENCE,
-        "cores": cores,
-        "client_threads": threads,
-        "requests_per_run": threads * passes * len(QUERY_MIX),
-        "single_process_qps": round(single_qps, 1),
-        "pool_processes": 4,
-        "pool_qps": round(pool_qps, 1),
-        "pool_over_single_scaling": round(scaling, 2),
-        "scaling_floor": MIN_SCALING,
-        "floor_enforced": cores >= 4,
-    }
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "service_scaling.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print()
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if cores >= 4:
-        assert scaling >= MIN_SCALING, (
-            f"4-worker pool served only {scaling:.2f}x single-process "
-            f"warm throughput (floor {MIN_SCALING})"
-        )
-    else:
-        print(f"only {cores} core(s): scaling floor not enforced")

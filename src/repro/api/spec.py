@@ -142,8 +142,8 @@ class QuerySpec:
 
         ``baseline`` (and absence) normalise to ``None`` so a v2 spec
         naming the baseline explicitly shares its :meth:`cache_key` —
-        and therefore its cached results, coalesced requests, and
-        SharedResultCache entries — with every legacy v1 payload.
+        and therefore its cached results and coalesced requests — with
+        every legacy v1 payload.
         """
         if value is None:
             return None

@@ -20,9 +20,8 @@ Commands:
   ``bundle.json`` manifest,
 * ``query`` — answer one :class:`repro.api.QuerySpec` offline and print
   the canonical JSON envelope (byte-identical to the HTTP service),
-* ``serve`` — start the archive-backed HTTP query service; with
-  ``--processes N`` a pre-fork supervisor runs N workers over the same
-  archive (see :mod:`repro.service` and docs/service.md); with
+* ``serve`` — start the archive-backed HTTP query service (see
+  :mod:`repro.service` and docs/service.md); with
   ``--follow`` a live follow engine ingests new study days and
   publishes change events at ``/v1/events`` and as an SSE stream
   (see :mod:`repro.live` and docs/live.md),
@@ -285,27 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.add_argument(
-        "--processes", type=int, default=1, metavar="N",
-        help=(
-            "serving processes (default 1 = in-process server; N >= 2 "
-            "starts a pre-fork supervisor with SO_REUSEPORT workers, "
-            "falling back to an inherited socket, then single-process, "
-            "where the platform lacks support)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--admin-port", type=int, default=0, metavar="PORT",
-        help=(
-            "supervisor admin port for aggregated /metrics and /healthz "
-            "(multi-process only; default 0 picks a free port)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--shared-cache", default=None, metavar="DIR",
-        help=(
-            "directory for the cross-worker shared result cache "
-            "(multi-process only; default: a private temp dir)"
-        ),
+        "--processes", type=int, default=1, choices=(1,),
+        help="serving processes; only 1 is accepted (one asyncio server)",
     )
     serve_parser.add_argument(
         "--max-concurrency", type=int, default=4, metavar="N",
@@ -353,22 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="length of injected service.compute stalls (default 50)",
     )
     serve_parser.add_argument(
-        "--fault-crash-match", default=None, metavar="SUBSTRING",
-        help=(
-            "arm the service.worker_crash KILL site against the one "
-            "query whose decision key contains this substring (with "
-            "--fault-seed; meant for --processes >= 2, where the "
-            "supervisor restarts the killed worker)"
-        ),
-    )
-    serve_parser.add_argument(
         "--follow", action="store_true",
         help=(
             "run the live follow engine alongside serving: ingest each "
             "new study day into --archive, detect day-over-day changes, "
             "and publish them at /v1/events and /v1/events/stream "
-            "(requires --archive; with --processes, one leader worker "
-            "follows while every worker serves)"
+            "(requires --archive)"
         ),
     )
     serve_parser.add_argument(
@@ -564,7 +534,6 @@ def _fault_plan(args: argparse.Namespace, service: bool = False):
             rate=args.fault_rate,
             stall_seconds=args.fault_stall_ms / 1000.0,
             match=args.fault_match,
-            crash_match=getattr(args, "fault_crash_match", None),
         )
     from .faults import default_plan
 
@@ -955,7 +924,7 @@ def _remote_query(args: argparse.Namespace, spec) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import MODE_SINGLE, run_service, select_socket_mode
+    from .service import run_service
 
     try:
         context = _context(args, service=True)
@@ -997,13 +966,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             retries=args.follow_retries,
         )
 
-    mode, reason = select_socket_mode(args.processes)
-    if mode != MODE_SINGLE:
-        return _serve_multiprocess(args, context, mode, service_options)
-    if args.processes > 1:
-        print(f"warning: --processes {args.processes}: {reason}",
-              file=sys.stderr)
-
     def announce(service) -> None:
         print(f"serving on http://{args.host}:{service.port}", flush=True)
 
@@ -1032,9 +994,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _register_scenario_archives(args: argparse.Namespace, context) -> None:
     """Attach each ``--scenario-archive ID=PATH`` world to the facade.
 
-    Registration happens before the service (and, with ``--processes``,
-    before the pre-fork supervisor forks its workers), so every worker
-    serves the same scenario set with per-scenario caches.
+    Registration happens before the service starts, so every scenario
+    is served from the first request on, with per-scenario caches.
     """
     for item in getattr(args, "scenario_archive", None) or []:
         scenario_id, separator, path = item.partition("=")
@@ -1047,44 +1008,6 @@ def _register_scenario_archives(args: argparse.Namespace, context) -> None:
             scenario=_canonical_scenario_id(scenario_id), archive=path,
         )
         context.api.register_scenario(extra)
-
-
-def _serve_multiprocess(
-    args: argparse.Namespace, context, mode: str, service_options: dict
-) -> int:
-    """``repro serve --processes N``: supervisor + pre-fork worker pool."""
-    import asyncio
-
-    from .service import run_supervised
-
-    def announce(supervisor) -> None:
-        print(f"serving on http://{args.host}:{supervisor.port}", flush=True)
-        print(
-            f"supervisor ({supervisor.mode}, {supervisor.processes} workers) "
-            f"admin on http://127.0.0.1:{supervisor.admin_port}",
-            flush=True,
-        )
-
-    try:
-        return asyncio.run(
-            run_supervised(
-                context,
-                host=args.host,
-                port=args.port,
-                processes=args.processes,
-                ready=announce,
-                admin_port=args.admin_port,
-                shared_dir=args.shared_cache,
-                mode=mode,
-                profile_json=getattr(args, "profile_json", None),
-                **service_options,
-            )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler fallback
-        return 0
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:

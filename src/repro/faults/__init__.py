@@ -11,7 +11,6 @@ from .plan import (
     CORRUPT,
     CRASH,
     IO_ERROR,
-    KILL,
     KINDS,
     SERVICE_SITES,
     SITES,
@@ -21,7 +20,6 @@ from .plan import (
     TransientIOError,
     WorkerCrashed,
     default_plan,
-    mark_worker_process,
     service_plan,
     sync_fault_metrics,
 )
@@ -29,7 +27,6 @@ from .plan import (
 __all__ = [
     "IO_ERROR",
     "CRASH",
-    "KILL",
     "CORRUPT",
     "STALL",
     "KINDS",
@@ -41,6 +38,5 @@ __all__ = [
     "WorkerCrashed",
     "default_plan",
     "service_plan",
-    "mark_worker_process",
     "sync_fault_metrics",
 ]

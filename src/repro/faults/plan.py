@@ -1,8 +1,8 @@
 """Seed-driven deterministic fault injection.
 
 A :class:`FaultPlan` decides, per **injection site**, whether a hot-path
-operation should experience a transient IO error, a worker crash, a
-hard worker kill, corrupted bytes, or a stall.  Decisions are *pure
+operation should experience a transient IO error, a worker crash,
+corrupted bytes, or a stall.  Decisions are *pure
 functions* of ``(seed, site, key)`` — the key carries the work item's
 identity plus its attempt number (``"2022-03-04.shard#1"``), so the
 same fault seed reproduces the identical injected-fault sequence no
@@ -18,7 +18,6 @@ process accumulates its own injection log.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +27,6 @@ from ..rng import derive_rng
 __all__ = [
     "IO_ERROR",
     "CRASH",
-    "KILL",
     "CORRUPT",
     "STALL",
     "KINDS",
@@ -51,15 +49,12 @@ __all__ = [
 IO_ERROR = "io-error"
 #: Raise :class:`WorkerCrashed` at the site (a survivable crash).
 CRASH = "crash"
-#: ``os._exit`` inside a worker process (downgraded to :data:`CRASH`
-#: in the driving process, which must survive to recover).
-KILL = "kill"
 #: Flip one deterministic bit of the bytes passing the site.
 CORRUPT = "corrupt"
 #: Sleep ``stall_seconds`` at the site, then continue.
 STALL = "stall"
 
-KINDS = (IO_ERROR, CRASH, KILL, CORRUPT, STALL)
+KINDS = (IO_ERROR, CRASH, CORRUPT, STALL)
 
 #: Known injection sites and what faulting there simulates.
 SITES = {
@@ -71,10 +66,6 @@ SITES = {
     "manifest.write.bytes": "manifest bytes on their way to disk (corruption)",
     "shard.read": "shard read from an opened archive (transient IO)",
     "service.compute": "query computation entering the serving worker pool",
-    "service.worker_crash": (
-        "serving worker process dies mid-query (hard KILL; the "
-        "multi-process supervisor must restart it)"
-    ),
     "service.archive_read": (
         "service-level archive day read (fails the query; unlike "
         "shard.read it is not retried in-path, so the breaker sees it)"
@@ -89,18 +80,8 @@ SITES = {
 
 #: The injection sites the serving path owns (``repro serve``).
 SERVICE_SITES = (
-    "service.compute", "service.worker_crash",
-    "service.archive_read", "service.response_write",
+    "service.compute", "service.archive_read", "service.response_write",
 )
-
-#: Set in worker processes so :data:`KILL` knows it may really die.
-_IN_WORKER = False
-
-
-def mark_worker_process() -> None:
-    """Flag this process as a pool worker (enables hard :data:`KILL`)."""
-    global _IN_WORKER
-    _IN_WORKER = True
 
 
 class TransientIOError(OSError):
@@ -240,9 +221,7 @@ class FaultPlan:
     def check(self, site: str, key: str = "") -> None:
         """Fire the site's fault, if the plan schedules one here.
 
-        Raising kinds raise; :data:`STALL` sleeps; :data:`KILL` exits
-        the process when it is a pool worker and degrades to
-        :data:`CRASH` in the driving process.  :data:`CORRUPT` is only
+        Raising kinds raise; :data:`STALL` sleeps.  :data:`CORRUPT` is only
         meaningful for byte streams — route those through
         :meth:`corrupt_bytes` instead.
         """
@@ -255,9 +234,7 @@ class FaultPlan:
             return
         if kind == IO_ERROR:
             raise TransientIOError(f"injected transient IO error at {site} [{key}]")
-        if kind == KILL and _IN_WORKER:
-            os._exit(73)
-        if kind in (CRASH, KILL):
+        if kind == CRASH:
             raise WorkerCrashed(f"injected worker crash at {site} [{key}]")
         raise FaultError(
             f"site {site} schedules {kind!r}, which needs corrupt_bytes()"
@@ -331,7 +308,6 @@ def service_plan(
     rate: float = 0.05,
     stall_seconds: float = 0.05,
     match: Optional[str] = None,
-    crash_match: Optional[str] = None,
 ) -> FaultPlan:
     """The fault mix ``repro serve --fault-seed`` enables.
 
@@ -343,28 +319,19 @@ def service_plan(
     abort mid-flight.  ``match`` restricts every site to keys containing
     the substring (a date, a spec fragment, a path), which is how the
     chaos suite targets one query deterministically.
-
-    ``crash_match`` additionally arms ``service.worker_crash`` — a hard
-    :data:`KILL` of the serving worker process — against exactly one
-    matching query.  It is opt-in and never part of the default mix:
-    every other site self-heals inside the worker, but a kill needs the
-    multi-process supervisor to restart the process, so arming it under
-    a single-process ``repro serve`` would take the whole server down.
     """
-    sites = {
-        "service.compute": FaultSpec(
-            STALL, rate, stall_seconds=stall_seconds, match=match
-        ),
-        "service.archive_read": FaultSpec(IO_ERROR, rate, match=match),
-        "service.response_write": FaultSpec(
-            IO_ERROR, rate, max_injections=2, match=match
-        ),
-    }
-    if crash_match is not None:
-        sites["service.worker_crash"] = FaultSpec(
-            KILL, 1.0, max_injections=1, match=crash_match
-        )
-    return FaultPlan(seed, sites)
+    return FaultPlan(
+        seed,
+        {
+            "service.compute": FaultSpec(
+                STALL, rate, stall_seconds=stall_seconds, match=match
+            ),
+            "service.archive_read": FaultSpec(IO_ERROR, rate, match=match),
+            "service.response_write": FaultSpec(
+                IO_ERROR, rate, max_injections=2, match=match
+            ),
+        },
+    )
 
 
 def sync_fault_metrics(plan: Optional[FaultPlan], metrics) -> None:

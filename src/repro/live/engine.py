@@ -224,8 +224,8 @@ class FollowEngine:
 
         Returns the new checkpoint on success (resetting the ladder) or
         ``None`` on failure (climbing it).  This is the method the
-        serving pool's follow loop calls — a bad day degrades service
-        to stale mode, it never takes the pool down.
+        server's follow loop calls — a bad day degrades service to
+        stale mode, it never takes the server down.
         """
         if self.done:
             self._write_status()

@@ -43,7 +43,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MeasurementError, RecoveryError
-from ..faults import TransientIOError, WorkerCrashed, mark_worker_process, sync_fault_metrics
+from ..faults import WorkerCrashed, sync_fault_metrics
 from ..ioutil import backoff_seconds
 from ..timeline import DateLike, as_date
 from .fast import FastCollector
@@ -228,7 +228,6 @@ def _worker_collector(config, collector_args) -> FastCollector:
 
 
 def _reduce_chunk_in_worker(config, collector_args, reducer, chunk, faults, attempt):
-    mark_worker_process()
     collector = _worker_collector(config, collector_args)
     return chunk.index, _reduce_chunk(collector, reducer, chunk, faults, attempt)
 

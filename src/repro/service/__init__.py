@@ -5,25 +5,13 @@ The asyncio serving layer over :mod:`repro.api`: ``repro serve`` binds a
 queries as offline ``repro query`` with byte-identical canonical JSON.
 Resilience (per-request deadlines, the circuit breaker, serve-stale
 degraded mode) lives in :mod:`repro.service.resilience` and the server
-module.  ``repro serve --processes N`` scales the same server across a
-pre-fork worker pool (:mod:`repro.service.multiproc`) with a
-cross-worker shared result cache (:mod:`repro.service.shared_cache`).
-``repro serve --follow`` additionally runs the live follow engine
-(:mod:`repro.live`) on one leader worker, publishing change events at
-``/v1/events`` and as an SSE stream.  See docs/service.md and
+module.  ``repro serve --follow`` additionally runs the live follow
+engine (:mod:`repro.live`) on a background thread, publishing change
+events at ``/v1/events`` and as an SSE stream.  See docs/service.md and
 docs/live.md for the endpoint and schema reference.
 """
 
 from .http import HttpError, HttpRequest, HttpResponse, read_request
-from .multiproc import (
-    MODE_INHERITED,
-    MODE_REUSEPORT,
-    MODE_SINGLE,
-    ServeSupervisor,
-    aggregate_worker_metrics,
-    run_supervised,
-    select_socket_mode,
-)
 from .resilience import (
     ADMIT_DENY,
     ADMIT_FRESH,
@@ -39,7 +27,6 @@ from .server import (
     QueryService,
     run_service,
 )
-from .shared_cache import Lease, SharedResultCache
 
 __all__ = [
     "DEFAULT_SSE_BUFFER",
@@ -50,15 +37,6 @@ __all__ = [
     "QueryService",
     "read_request",
     "run_service",
-    "run_supervised",
-    "ServeSupervisor",
-    "SharedResultCache",
-    "Lease",
-    "select_socket_mode",
-    "aggregate_worker_metrics",
-    "MODE_REUSEPORT",
-    "MODE_INHERITED",
-    "MODE_SINGLE",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",

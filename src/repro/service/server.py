@@ -33,7 +33,7 @@ Serving mechanics:
   drain in-flight work, then close (``repro serve`` wires this to
   SIGINT/SIGTERM).
 
-* **live follow mode** — with ``--follow`` a leader thread runs the
+* **live follow mode** — with ``--follow`` a follow thread runs the
   :class:`~repro.live.FollowEngine`, extending the archive day by day
   and publishing change events; ``/v1/events?since=`` pages the
   durable event log and ``/v1/events/stream`` pushes it as SSE with
@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket as socket_module
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future as ConcurrentFuture
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..api.deadline import MAX_DEADLINE_MS, Deadline, deadline_scope
 from ..api.spec import SCHEMA_VERSION, QuerySpec, jsonify
@@ -74,7 +73,6 @@ from ..live import (
     read_follow_status,
 )
 from .http import HttpError, HttpRequest, HttpResponse, read_request, split_path
-from .shared_cache import Lease, SharedResultCache
 from .resilience import (
     ADMIT_DENY,
     ADMIT_PROBE,
@@ -152,10 +150,7 @@ class QueryService:
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_window: float = DEFAULT_BREAKER_WINDOW,
         breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
-        shared_cache: Optional[SharedResultCache] = None,
-        worker_id: Optional[int] = None,
         follow: Optional[FollowOptions] = None,
-        follow_leader: bool = True,
         follow_detectors=None,
         sse_buffer: int = DEFAULT_SSE_BUFFER,
         sse_poll: float = DEFAULT_SSE_POLL,
@@ -192,13 +187,7 @@ class QueryService:
         self._executor = ThreadPoolExecutor(
             max_workers=int(max_concurrency), thread_name_prefix="repro-query"
         )
-        #: Cross-worker result store when this service is one worker of
-        #: a ``--processes N`` pool (see :mod:`repro.service.multiproc`).
-        self._shared = shared_cache
-        #: Pool slot id, tagged into /healthz and /metrics.
-        self.worker_id = worker_id
         self._server: Optional[asyncio.AbstractServer] = None
-        self._extra_servers: List[asyncio.AbstractServer] = []
         self._connections: Set[asyncio.Task] = set()
         self._closing = False
         # ---- live follow mode -------------------------------------
@@ -209,11 +198,6 @@ class QueryService:
             archive.directory if archive is not None else None
         )
         self._follow_options = follow
-        #: Whether *this* instance runs the follow engine.  In a
-        #: ``--processes N`` pool only slot 0 leads; every worker still
-        #: serves events, health, and stale-mode queries from the
-        #: durable state the leader writes.
-        self._follow_leader = bool(follow_leader)
         self._follow_detectors = follow_detectors
         self._follow_engine: Optional[FollowEngine] = None
         self._follow_thread: Optional[threading.Thread] = None
@@ -223,8 +207,8 @@ class QueryService:
         )
         self._sse_buffer = max(1, int(sse_buffer))
         self._sse_poll = float(sse_poll)
-        #: (monotonic stamp, payload) cache for the cross-worker
-        #: status-file read, so stale-mode checks stay off the hot path.
+        #: (monotonic stamp, payload) cache for the status-file read,
+        #: so stale-mode checks stay off the hot path.
         self._follow_status_cache: Tuple[float, Optional[Dict]] = (-1.0, None)
         if follow is not None and self._archive_dir is None:
             raise QueryError(
@@ -236,39 +220,13 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        sock: Optional[socket_module.socket] = None,
-    ) -> None:
-        """Bind and start accepting connections.
-
-        ``sock`` (an already-bound listening socket) takes precedence
-        over ``host``/``port`` — the pre-fork worker pool passes each
-        worker its SO_REUSEPORT or inherited listen socket this way.
-        """
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, host, port
-            )
-        if self._follow_options is not None and self._follow_leader:
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        """Bind and start accepting connections."""
+        self._server = await asyncio.start_server(
+            self._on_connection, host, port
+        )
+        if self._follow_options is not None:
             self._start_follow()
-
-    async def add_listener(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Bind one extra listening endpoint (same routing); returns its port.
-
-        Pool workers use this for a loopback *control* listener the
-        supervisor scrapes for per-worker ``/metrics`` independently of
-        the kernel's load balancing on the shared serving port.
-        """
-        server = await asyncio.start_server(self._on_connection, host, port)
-        self._extra_servers.append(server)
-        return server.sockets[0].getsockname()[1]
 
     @property
     def port(self) -> int:
@@ -293,10 +251,9 @@ class QueryService:
         self._follow_stop.set()
         if self._follow_thread is not None:
             self._follow_thread.join(timeout=timeout)
-        for server in [self._server, *self._extra_servers]:
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
         for pending in list(self._pending.values()):
             pending.cancel()  # only succeeds before a worker starts it
         deadline = time.monotonic() + timeout
@@ -374,7 +331,7 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _start_follow(self) -> None:
-        """Spin up the follow engine on its own thread (the leader)."""
+        """Spin up the follow engine on its own thread."""
         engine = FollowEngine(
             self._archive_dir,
             self._context.config,
@@ -391,11 +348,11 @@ class QueryService:
         self._follow_thread.start()
 
     def _follow_loop(self) -> None:
-        """The leader's ingest loop.  Never lets a failure escape.
+        """The follow thread's ingest loop.  Never lets a failure escape.
 
         :meth:`FollowEngine.advance` already absorbs per-day ingest
         problems into the degradation ladder; the catch-all here is the
-        last line of the "never crash the serving pool" contract — an
+        last line of the "never crash the server" contract — an
         unforeseen error degrades the feed, not the service.
         """
         engine = self._follow_engine
@@ -421,10 +378,10 @@ class QueryService:
     def _follow_status_doc(self) -> Optional[Dict]:
         """This instance's view of the follow state.
 
-        The leader answers from its in-process engine; every other
-        worker (and a server merely pointed at a previously-followed
-        archive) reads the advisory status file the leader mirrors,
-        briefly cached to keep the stale-mode check off the hot path.
+        A following server answers from its in-process engine; a server
+        merely pointed at a previously-followed archive reads the
+        advisory status file the engine mirrors, briefly cached to keep
+        the stale-mode check off the hot path.
         """
         engine = self._follow_engine
         if engine is not None:
@@ -754,7 +711,7 @@ class QueryService:
         instance serves; ``/v2/diff`` is sugar for a diff-kind query.
         Cache isolation needs no extra plumbing: the scenario is folded
         into :meth:`QuerySpec.cache_key`, which every caching layer
-        (result LRU, coalescing, shared cross-worker store) keys on.
+        (result LRU, coalescing) keys on.
         """
         params = request.params
         if tail == ("query",):
@@ -858,13 +815,6 @@ class QueryService:
             return HttpResponse.json(200, cached, {"X-Cache": "hit"})
 
         if admission == ADMIT_DENY:
-            # A sibling worker may hold the answer even though this
-            # worker's LRU does not: degraded mode serves it stale.
-            shared_text = self._shared_get(key)
-            if shared_text is not None:
-                if self._cache_results:
-                    self._cache_put(key, shared_text)
-                return self._stale_response(key, shared_text)
             self._metrics.record_counter("breaker_rejected")
             return HttpResponse.error(
                 503,
@@ -892,16 +842,6 @@ class QueryService:
                 status, text, {"X-Cache": header} if header else None
             )
 
-        shared_text = self._shared_get(key)
-        if shared_text is not None:
-            # Another worker already computed this key: adopt its bytes
-            # without touching the backend (no probe slot consumed).
-            if admission == ADMIT_PROBE:
-                self._breaker.release_probe()
-            if self._cache_results:
-                self._cache_put(key, shared_text)
-            return HttpResponse.json(200, shared_text, {"X-Cache": "shared"})
-
         if len(self._inflight) >= self._queue_limit:
             if admission == ADMIT_PROBE:
                 self._breaker.release_probe()
@@ -919,24 +859,9 @@ class QueryService:
         future = loop.create_future()
         self._inflight[key] = future
         outcome = (503, self._error_text(503, "service shutting down"))
-        lease: Optional[Lease] = None
         try:
             try:
-                lease = self._acquire_lease(key)
-                if self._shared is not None and lease is None:
-                    # A sibling worker is computing this key right now:
-                    # wait for its published result instead of doing the
-                    # identical archive work a second time.
-                    waited = await self._await_shared(key, deadline)
-                    if waited is not None:
-                        outcome = waited
-                    else:
-                        # The lease holder died or gave up without
-                        # publishing; take over.
-                        lease = self._acquire_lease(key)
-                        outcome = await self._run_compute(spec, key, deadline)
-                else:
-                    outcome = await self._run_compute(spec, key, deadline)
+                outcome = await self._run_compute(spec, key, deadline)
             except asyncio.TimeoutError:
                 # The worker thread exits at its next phase-boundary
                 # deadline check; nobody is left waiting on it.
@@ -958,13 +883,6 @@ class QueryService:
         finally:
             # Resolve waiters and clear the slot even if we were cancelled
             # mid-shutdown, so coalesced requests never hang.
-            if lease is not None:
-                if outcome[0] == 200 and self._shared is not None:
-                    # Publish before releasing: waiters polling the
-                    # shared store must find the result, not a vanished
-                    # lease that sends them back to computing.
-                    self._shared.put(key, outcome[1])
-                lease.release()
             self._pending.pop(key, None)
             self._inflight.pop(key, None)
             if not future.done():
@@ -975,8 +893,6 @@ class QueryService:
             self._metrics.record_counter("deadline_exceeded")
         if status in (500, 504):
             stale = self._cache_get(key)
-            if stale is None:
-                stale = self._shared_get(key)
             if stale is not None:
                 return self._stale_response(key, stale)
         if status == 200 and self._cache_results:
@@ -1003,51 +919,6 @@ class QueryService:
             timeout=deadline.remaining(),
         )
 
-    # ------------------------------------------------------------------
-    # Cross-worker shared cache (the --processes pool)
-    # ------------------------------------------------------------------
-
-    def _shared_get(self, key: str) -> Optional[str]:
-        """A sibling worker's published result for ``key``, if any."""
-        if self._shared is None:
-            return None
-        text = self._shared.get(key)
-        if text is not None:
-            self._metrics.record_cache("shared_results", 1, 0)
-        else:
-            self._metrics.record_cache("shared_results", 0, 1)
-        return text
-
-    def _acquire_lease(self, key: str) -> Optional[Lease]:
-        if self._shared is None:
-            return None
-        return self._shared.acquire(key)
-
-    async def _await_shared(
-        self, key: str, deadline: Deadline
-    ) -> Optional[Tuple[int, str]]:
-        """Poll for a result another worker is computing.
-
-        Returns the adopted ``(200, text)`` outcome, ``None`` when the
-        lease holder vanished without publishing (the caller computes),
-        and raises :class:`asyncio.TimeoutError` on a blown deadline
-        exactly like a local computation would.
-        """
-        self._metrics.record_counter("requests_coalesced_shared")
-        poll = 0.005
-        while True:
-            text = self._shared.get(key)
-            if text is not None:
-                self._metrics.record_cache("shared_results", 1, 0)
-                return (200, text)
-            if not self._shared.lease_pending(key):
-                return None
-            remaining = deadline.remaining()
-            if remaining <= 0.0:
-                raise asyncio.TimeoutError
-            await asyncio.sleep(min(poll, remaining))
-            poll = min(poll * 2.0, 0.05)
-
     def _account_outcome(self, status: int, probe: bool) -> None:
         """Feed one computation outcome to the breaker.
 
@@ -1070,11 +941,6 @@ class QueryService:
             with deadline_scope(deadline):
                 deadline.check("compute_start")
                 if self._faults is not None:
-                    # In a pre-fork pool worker a scheduled KILL here
-                    # really exits the process (the supervisor restarts
-                    # it); in a single-process server it degrades to a
-                    # survivable crash classified as a backend failure.
-                    self._faults.check("service.worker_crash", fault_key)
                     self._faults.check("service.compute", fault_key)
                 return 200, self._facade.query_json(spec)
         except DeadlineExceeded as exc:
@@ -1202,8 +1068,6 @@ class QueryService:
             "schema_version": SCHEMA_VERSION,
             "inflight": len(self._inflight),
         }
-        if self.worker_id is not None:
-            payload["worker"] = self.worker_id
         follow = self._follow_status_doc()
         if follow is not None:
             payload["follow"] = follow.get("state")
@@ -1234,13 +1098,6 @@ class QueryService:
                 "breaker": self._breaker.snapshot(),
             },
         }
-        if self.worker_id is not None:
-            payload["service"]["worker"] = self.worker_id
-        if self._shared is not None:
-            payload["service"]["shared_cache"] = {
-                "root": self._shared.root,
-                "entries": len(self._shared),
-            }
         follow = self._follow_status_doc()
         if follow is not None:
             payload["service"]["follow"] = follow

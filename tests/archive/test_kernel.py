@@ -1,9 +1,10 @@
-"""The columnar kernel must be bit-identical to the record path.
+"""The columnar kernel must be bit-identical to the live path.
 
-The record-object path (scatter shard columns, rebuild the world, run
-the day reducers) is the oracle; the kernel path (per-shard summaries,
-no world) must produce byte-for-byte identical query output for every
-figure and series it serves — across scales and TLD filters.
+The live path (sweep the simulated world and summarise each snapshot
+as it is measured) is the oracle; the kernel path (the per-shard
+summaries stored in the archive, no world) must produce byte-for-byte
+identical query output for every figure and series it serves — across
+scales and TLD filters.
 """
 
 import datetime as dt

@@ -17,7 +17,9 @@ import pytest
 from repro.archive import ArchiveBuilder, MeasurementArchive
 from repro.archive.manifest import MANIFEST_NAME
 from repro.errors import RecoveryError
-from repro.faults import CRASH, KILL, FaultPlan, FaultSpec
+from repro.faults import CRASH, FaultPlan, FaultSpec
+
+from .conftest import HardExitPlan
 
 pytestmark = pytest.mark.faults
 
@@ -96,8 +98,8 @@ class TestKillAndResume:
         # to serial, and the doomed chunk still exhausts its retries —
         # the worst recoverable-to-unrecoverable cascade ends in a clean
         # RecoveryError, and resume converges all the same.
-        plan = FaultPlan(
-            1, {"sweep.chunk": FaultSpec(KILL, 1.0, match=DOOMED_CHUNK)}
+        plan = HardExitPlan(
+            1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match=DOOMED_CHUNK)}
         )
         directory = tmp_path / "pool"
         interrupt_then_resume(str(directory), fault_config, plan, workers=2)

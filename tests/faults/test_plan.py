@@ -13,7 +13,6 @@ from repro.faults import (
     CORRUPT,
     CRASH,
     IO_ERROR,
-    KILL,
     SERVICE_SITES,
     SITES,
     STALL,
@@ -131,15 +130,8 @@ class TestFiring:
         with pytest.raises(TransientIOError, match="shard.read"):
             plan.check("shard.read", "x#0")
 
-    def test_crash_raises_worker_crashed(self):
+    def test_crash_raises_injected_crash(self):
         plan = FaultPlan(1, {"sweep.chunk": FaultSpec(CRASH, 1.0)})
-        with pytest.raises(WorkerCrashed):
-            plan.check("sweep.chunk", "x#0")
-
-    def test_kill_downgrades_to_crash_in_driving_process(self):
-        # os._exit would take the test process down; outside a marked
-        # worker the KILL kind must degrade to a survivable crash.
-        plan = FaultPlan(1, {"sweep.chunk": FaultSpec(KILL, 1.0)})
         with pytest.raises(WorkerCrashed):
             plan.check("sweep.chunk", "x#0")
 
@@ -204,21 +196,10 @@ class TestDefaultPlanAndMetrics:
         assert set(plan.sites) == set(SITES) - set(SERVICE_SITES)
 
     def test_service_plan_covers_every_service_site(self):
-        # worker_crash is opt-in: armed via crash_match only, because a
-        # rate-armed KILL would take down single-process serves.
         plan = service_plan(5, rate=0.25, match="headline")
-        assert set(plan.sites) == set(SERVICE_SITES) - {"service.worker_crash"}
+        assert set(plan.sites) == set(SERVICE_SITES)
         for site in plan.sites:
             assert plan.sites[site].match == "headline"
-
-        armed = service_plan(
-            5, rate=0.25, match="headline", crash_match="2022-03-18"
-        )
-        assert set(armed.sites) == set(SERVICE_SITES)
-        crash = armed.sites["service.worker_crash"]
-        assert crash.match == "2022-03-18"
-        assert crash.rate == 1.0
-        assert crash.max_injections == 1
 
     def test_sync_fault_metrics_reports_deltas_once(self):
         plan = FaultPlan(1, {"shard.write": FaultSpec(IO_ERROR, 1.0)})

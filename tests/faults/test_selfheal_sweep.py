@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from repro.errors import RecoveryError
-from repro.faults import CRASH, KILL, FaultPlan, FaultSpec
+from repro.faults import CRASH, FaultPlan, FaultSpec
 from repro.measurement.fast import FastCollector
 from repro.measurement.metrics import SweepMetrics
 from repro.measurement.sweep import SweepEngine
 from repro.sim.conflict import build_world
+
+from .conftest import HardExitPlan
 
 pytestmark = pytest.mark.faults
 
@@ -94,7 +96,7 @@ class TestSerialSelfHealing:
 
 
 class TestProcessSelfHealing:
-    def test_worker_crash_resubmits_chunk(self, world, fault_config, baseline):
+    def test_crashed_chunk_is_resubmitted(self, world, fault_config, baseline):
         plan = FaultPlan(1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match="#0")})
         engine, metrics = make_engine(world, fault_config, plan, workers=2)
         records = engine.run(DigestReducer(), START, END, 1)
@@ -106,9 +108,11 @@ class TestProcessSelfHealing:
         # A hard kill takes the whole pool down (BrokenProcessPool), and
         # resubmission never bumps the attempt counter, so every pool
         # round dies the same way until the engine gives up on pools and
-        # finishes serially — where KILL degrades to a survivable crash
-        # and the retry succeeds.
-        plan = FaultPlan(1, {"sweep.chunk": FaultSpec(KILL, 1.0, match="#0")})
+        # finishes serially — where the crash is survivable and the
+        # retry succeeds.
+        plan = HardExitPlan(
+            1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match="#0")}
+        )
         engine, metrics = make_engine(
             world, fault_config, plan, workers=2, retry_backoff=0.0
         )

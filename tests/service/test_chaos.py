@@ -53,21 +53,14 @@ SCENARIO_FLAGS = [
 
 
 @contextmanager
-def serve(service_archive, *, faults=None, extra=(), processes=1,
-          fault_rate="1.0"):
-    """A real ``repro serve`` subprocess bound to a free port.
-
-    ``processes >= 2`` starts the pre-fork supervisor; its admin-port
-    announcement rides on a *second* stdout line, so the first-line
-    parsing below works for both shapes (multi-process callers get the
-    admin port from :func:`admin_port_of`).
-    """
+def serve(service_archive, *, faults=None, extra=()):
+    """A real ``repro serve`` subprocess bound to a free port."""
     argv = [sys.executable, "-m", "repro", *SCENARIO_FLAGS]
     if faults is not None:
-        argv += ["--fault-seed", str(CHAOS_SEED), "--fault-rate", fault_rate]
+        argv += ["--fault-seed", str(CHAOS_SEED), "--fault-rate", "1.0"]
     argv += [
         "serve", "--port", "0", "--archive", service_archive,
-        "--processes", str(processes),
+        "--processes", "1",
         *(faults or ()), *extra,
     ]
     env = dict(os.environ)
@@ -86,13 +79,7 @@ def serve(service_archive, *, faults=None, extra=(), processes=1,
             f"no serving announcement (exit={process.poll()}): {line!r} "
             f"{process.stderr.read() if process.poll() is not None else ''}"
         )
-        if processes >= 2:
-            admin_line = process.stdout.readline()
-            admin_match = re.search(r"http://[\d.]+:(\d+)", admin_line)
-            assert admin_match, f"no admin announcement: {admin_line!r}"
-            yield int(match.group(1)), int(admin_match.group(1))
-        else:
-            yield int(match.group(1))
+        yield int(match.group(1))
     finally:
         process.send_signal(signal.SIGTERM)
         try:
@@ -327,172 +314,3 @@ class TestRemoteCliEquivalence:
             assert stale.returncode == 0, stale.stderr
             assert stale.stdout == fresh.stdout
             assert b"stale" in stale.stderr
-
-
-# ----------------------------------------------------------------------
-# The same resilience contract against the pre-fork worker pool
-# ----------------------------------------------------------------------
-
-def _admin_json(admin_port: int, path: str):
-    import urllib.request
-
-    with urllib.request.urlopen(
-        f"http://127.0.0.1:{admin_port}{path}", timeout=30
-    ) as response:
-        return json.loads(response.read())
-
-
-ENVELOPE_KEYS = ("schema_version", "kind", "spec", "data")
-
-
-class TestMultiprocWorkerCrash:
-    def test_supervisor_restarts_killed_worker(self, service_archive):
-        # service.worker_crash hard-KILLs whichever worker computes the
-        # poison query (a date no other query touches); the in-flight
-        # request fails clean (dropped connection, never a malformed
-        # body), the supervisor walks ready -> degraded -> ready, and
-        # the pool keeps serving well-formed answers throughout.
-        faults = ["--fault-crash-match", "2022-03-18"]
-        with serve(
-            service_archive, faults=faults, processes=2, fault_rate="0.0"
-        ) as (port, admin):
-            client = client_for(port)
-            assert client.wait_ready()["status"] == "ready"
-            fresh = client.query({"kind": "headline"})
-            assert fresh.status == 200
-
-            poison = client_for(port, retries=0)
-            with pytest.raises(ClientError):
-                poison.query(
-                    {"kind": "records", "date": "2022-03-18", "limit": 3}
-                )
-
-            # The supervisor notices the death and restarts the slot.
-            health = None
-            for _ in range(200):
-                health = _admin_json(admin, "/healthz")
-                if health["status"] == "ready" and health["restarts_total"] >= 1:
-                    break
-                time.sleep(0.1)
-            assert health["restarts_total"] >= 1
-            assert health["status"] == "ready"
-            states = [entry["state"] for entry in health["history"]]
-            assert "degraded" in states
-            assert states[-1] == "ready"
-            assert all(entry["alive"] for entry in health["workers"])
-
-            # A short load run across the pool: zero malformed bodies.
-            for index in range(12):
-                response = client.query(
-                    {"kind": "records", "date": "2022-03-04",
-                     "limit": 1 + index % 4}
-                )
-                assert response.status == 200
-                payload = response.json()
-                assert all(key in payload for key in ENVELOPE_KEYS)
-
-
-class TestMultiprocDeadlines:
-    def test_pool_answers_504_before_stall_finishes(self, service_archive):
-        # Every worker stalls headline computations 2s; the 300 ms
-        # deadline must fail fast no matter which worker accepts.
-        faults = [
-            "--fault-match", '"kind":"headline"', "--fault-stall-ms", "2000",
-        ]
-        with serve(service_archive, faults=faults, processes=2) as (port, _):
-            client = client_for(port, retries=0, deadline_ms=300)
-            client.wait_ready()
-            started = time.monotonic()
-            response = client.query({"kind": "headline"})
-            elapsed = time.monotonic() - started
-            assert response.status == 504
-            assert elapsed < 1.5, f"request hung for {elapsed:.2f}s"
-
-            patient = client_for(port, retries=0, deadline_ms=30_000)
-            assert patient.query({"kind": "headline"}).status == 200
-
-
-class TestMultiprocCoalescing:
-    def test_concurrent_identical_queries_read_archive_once(
-        self, service_archive
-    ):
-        # The stall pins the window open: the first worker to take the
-        # cross-worker lease sits in the 600 ms stall while the other
-        # worker's requests wait on the shared store instead of doing
-        # their own archive read.  Pool-wide: exactly one shard miss.
-        import concurrent.futures
-        import urllib.request
-
-        faults = [
-            "--fault-match", '"tld":"xn--p1ai"', "--fault-stall-ms", "600",
-        ]
-        path = "/v1/records/2022-03-04?tld=xn--p1ai&limit=5"
-        with serve(service_archive, faults=faults, processes=2) as (
-            port, admin
-        ):
-            client_for(port).wait_ready()
-
-            def fetch(_):
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}{path}", timeout=30
-                ) as response:
-                    return response.status, response.read()
-
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                results = list(pool.map(fetch, range(8)))
-            assert all(status == 200 for status, _ in results)
-            assert len({body for _, body in results}) == 1
-
-            aggregated = _admin_json(admin, "/metrics")["aggregated"]
-            shards = aggregated["caches"]["archive_shards"]
-            assert shards["misses"] == 1, (
-                f"{shards['misses']} archive reads for one query "
-                "across the pool"
-            )
-
-
-class TestMultiprocBreakerStale:
-    def test_pool_serves_stale_after_breakers_open(self, service_archive):
-        # Archive reads for 2022-03-04 fail on every worker
-        # (threshold 1: the first classified failure opens that
-        # worker's breaker).  Once every per-worker breaker is open,
-        # the primed headline must still be served — stale and
-        # byte-identical — from whichever worker accepts: locally on
-        # the worker that computed it, via the shared cache elsewhere.
-        faults = ["--fault-match", "2022-03-04", "--fault-stall-ms", "10"]
-        extra = ["--breaker-threshold", "1", "--breaker-cooldown", "600"]
-        with serve(
-            service_archive, faults=faults, extra=extra, processes=2
-        ) as (port, admin):
-            client = client_for(port)
-            client.wait_ready()
-            fresh = client.query({"kind": "headline"})
-            assert fresh.status == 200 and not fresh.stale
-
-            probe = client_for(port, retries=0)
-
-            def breaker_states():
-                payload = _admin_json(admin, "/metrics")["workers"]
-                return [
-                    worker["service"]["breaker"]["state"]
-                    for worker in payload.values()
-                    if worker is not None
-                ]
-
-            # New connections spread across workers; keep offering
-            # failing queries until both breakers have tripped.
-            for attempt in range(60):
-                if breaker_states() == ["open", "open"]:
-                    break
-                response = probe.query(
-                    {"kind": "records", "date": "2022-03-04",
-                     "limit": 1 + attempt}
-                )
-                assert response.status in (500, 503)
-            assert breaker_states() == ["open", "open"]
-
-            for _ in range(4):
-                stale = probe.query({"kind": "headline"})
-                assert stale.status == 200
-                assert stale.stale
-                assert stale.body == fresh.body

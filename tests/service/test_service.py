@@ -128,10 +128,10 @@ class TestCoalescing:
 
             facade.query_json = slow_query
             try:
-                with ThreadPoolExecutor(max_workers=6) as pool:
+                with ThreadPoolExecutor(max_workers=8) as pool:
                     bodies = list(
                         pool.map(
-                            lambda _: svc.get(RECORDS_PATH)[2], range(6)
+                            lambda _: svc.get(RECORDS_PATH)[2], range(8)
                         )
                     )
             finally:
@@ -139,11 +139,12 @@ class TestCoalescing:
 
         assert len({body for body in bodies}) == 1
         caches = context.metrics.summary()["caches"]
-        # One computation => exactly one day shard left the archive.
+        # Eight concurrent identical requests, one computation =>
+        # exactly one day shard left the archive.
         assert caches["archive_shards"]["misses"] == 1
         assert caches["archive_shards"]["hits"] == 0
         assert caches["query_results"]["misses"] == 1
-        assert caches["query_results"]["hits"] == 5
+        assert caches["query_results"]["hits"] == 7
         assert context.metrics.counter("requests_coalesced") >= 1
 
     def test_repeat_request_hits_result_cache(self, service_archive):

@@ -297,23 +297,18 @@ class TestServeParser:
         assert args.queue_limit == 32
         assert args.cache_results == 128
         assert args.archive is None
-        # Multi-process pool defaults: single in-process server,
-        # auto-picked admin port, private shared-cache temp dir.
         assert args.processes == 1
-        assert args.admin_port == 0
-        assert args.shared_cache is None
-        assert args.fault_crash_match is None
 
-    def test_pool_flags(self):
-        args = build_parser().parse_args(
-            ["serve", "--processes", "4", "--admin-port", "9999",
-             "--shared-cache", "/tmp/shared",
-             "--fault-crash-match", "2022-03-18"]
-        )
-        assert args.processes == 4
-        assert args.admin_port == 9999
-        assert args.shared_cache == "/tmp/shared"
-        assert args.fault_crash_match == "2022-03-18"
+    def test_processes_accepts_only_one(self, capsys):
+        # One asyncio server per process; the flag survives only so
+        # existing ``--processes 1`` invocations keep working.
+        assert build_parser().parse_args(
+            ["serve", "--processes", "1"]
+        ).processes == 1
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--processes", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestLoadgenParser:
