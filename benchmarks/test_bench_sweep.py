@@ -2,8 +2,8 @@
 
 Times the SummaryReducer five-year pass through the engine at bench scale,
 verifies chunked output matches the monolithic pass, and saves the last
-round's profile rendering (executor, chunk count, snapshots/sec)
-alongside the artefact outputs.
+round's profile rendering (chunk count, snapshots/sec) alongside the
+artefact outputs.
 """
 
 from _util import ROUNDS_LIGHT

@@ -5,7 +5,7 @@ times; this package is that storage layer for the reproduction.  A
 measurement archive is a directory of compressed, CRC-checked binary
 day shards (:mod:`repro.archive.shard`) described by a versioned,
 scenario-fingerprinted manifest (:mod:`repro.archive.manifest`).
-:class:`ArchiveBuilder` fills it incrementally through the parallel
+:class:`ArchiveBuilder` fills it incrementally through the
 sweep engine; :class:`ArchiveCollector` serves it back through the
 standard collector interface, making every experiment an archive read
 instead of a re-simulation.

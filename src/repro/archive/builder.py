@@ -1,10 +1,10 @@
 """Incremental, resumable archive builds.
 
-:class:`ArchiveBuilder` drives the parallel :class:`SweepEngine` with a
-reducer that writes one day shard per measurement day *inside the
-worker process* and sends back only a small :class:`ShardInfo`; the
-parent folds those into the manifest and rewrites it atomically after
-every contiguous segment.  Three properties follow:
+:class:`ArchiveBuilder` drives the in-process :class:`SweepEngine` with
+a reducer that writes one day shard per measurement day and returns
+only a small :class:`ShardInfo`; the builder folds those into the
+manifest and rewrites it atomically after every contiguous segment.
+Two properties follow:
 
 * **incremental** — only days missing from the manifest are swept, so
   extending an archive (new date range, finer cadence) reuses every
@@ -12,9 +12,7 @@ every contiguous segment.  Three properties follow:
 * **resumable** — an interrupted build leaves at worst unregistered
   shard files; the next build re-derives the missing days and, because
   shard bytes are deterministic, converges on an archive byte-identical
-  to an uninterrupted build;
-* **parallel** — workers write shards independently (atomic temp-file
-  renames), nothing but per-day metadata crosses the process boundary.
+  to an uninterrupted build.
 
 Every day goes through the one streaming writer
 (:func:`~repro.archive.stream.write_shard_stream`), so a build's memory
@@ -60,7 +58,7 @@ def shard_filename(date: _dt.date) -> str:
 
 
 class ShardInfo:
-    """What a worker reports after writing one day shard."""
+    """What the reducer reports after writing one day shard."""
 
     __slots__ = ("date", "file", "bytes", "records", "crc32", "write_seconds")
 
@@ -88,12 +86,11 @@ class ShardInfo:
 
 
 class ArchiveShardReducer:
-    """Day reducer that persists each snapshot as a shard in the worker.
+    """Day reducer that persists each snapshot as one day shard.
 
-    The apex/plan materialisation caches are per-process accelerators
-    keyed by ``(domain_index, hosting_id)`` / ``(epoch, dns_id)``;
-    assignments change rarely, so consecutive days hit the caches almost
-    every time.  They are dropped on pickling.
+    The apex/plan materialisation caches are accelerators keyed by
+    ``(domain_index, hosting_id)`` / ``(epoch, dns_id)``; assignments
+    change rarely, so consecutive days hit the caches almost every time.
     """
 
     def __init__(
@@ -104,21 +101,10 @@ class ArchiveShardReducer:
     ) -> None:
         self.directory = str(directory)
         self.faults = faults
-        #: Parent-process metrics for RSS sampling at chunk boundaries;
-        #: dropped on pickling (worker processes sample nothing).
+        #: Metrics for RSS sampling after every written day.
         self.metrics = metrics
         self._apex_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._plan_cache: Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
-
-    def __getstate__(self):
-        return {"directory": self.directory, "faults": self.faults}
-
-    def __setstate__(self, state) -> None:
-        self.directory = state["directory"]
-        self.faults = state.get("faults")
-        self.metrics = None
-        self._apex_cache = {}
-        self._plan_cache = {}
 
     def reduce_day(self, snapshot) -> ShardInfo:
         """Columnarise and write one day; returns the manifest metadata."""
@@ -227,7 +213,6 @@ class ArchiveBuilder:
         self,
         directory: str,
         config,
-        workers: int = 1,
         chunk_days: Optional[int] = None,
         metrics: Optional[SweepMetrics] = None,
         outage_dates: Sequence[_dt.date] = DEFAULT_OUTAGE_DATES,
@@ -237,7 +222,6 @@ class ArchiveBuilder:
     ) -> None:
         self.directory = str(directory)
         self.config = config
-        self.workers = int(workers)
         self.chunk_days = chunk_days
         self.metrics = metrics
         self.faults = faults
@@ -270,8 +254,6 @@ class ArchiveBuilder:
             )
             self._engine = SweepEngine(
                 collector,
-                config=self.config,
-                workers=self.workers,
                 chunk_days=self.chunk_days,
                 metrics=self.metrics,
                 faults=self.faults,
@@ -314,8 +296,8 @@ class ArchiveBuilder:
         """Register verified orphan shards for missing days, no re-sweep.
 
         An interrupted build — a crash mid-segment, a kill between a
-        worker's shard write and the parent's manifest flush (the
-        ``chunk_days`` window) — leaves complete, CRC-valid shard files
+        shard write and the segment's manifest flush (the ``chunk_days``
+        window) — leaves complete, CRC-valid shard files
         that the manifest never recorded.  Because shard bytes are
         write-atomic and deterministic, such a file *is* the shard the
         resume would produce; probing it (full CRC verify plus a

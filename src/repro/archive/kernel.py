@@ -7,7 +7,7 @@ stats, every ``series`` query — is a fold over per-day
 
 * the archive builder calls it once per day and serialises the result
   into the shard's summary block;
-* a live (world-backed) context runs it through the parallel sweep
+* a live (world-backed) context runs it through the sweep
   engine as :class:`SummaryReducer`;
 * :class:`ArchiveQueryKernel` serves an archive-backed context's sweeps
   straight from the stored summaries: one partial file read per day,
@@ -147,8 +147,8 @@ def summarize_snapshot(snapshot: DailySnapshot) -> DaySummary:
 class SummaryReducer:
     """:func:`summarize_snapshot` as a sweep-engine day reducer.
 
-    Stateless, so it pickles to worker processes as-is; the live sweeps
-    run it through :class:`~repro.measurement.sweep.SweepEngine`.
+    Stateless; the live sweeps run it through
+    :class:`~repro.measurement.sweep.SweepEngine`.
     """
 
     def reduce_day(self, snapshot: DailySnapshot) -> DaySummary:

@@ -3,11 +3,10 @@
 ``manifest.json`` is the archive's single source of truth:
 
 * a schema version, so readers refuse formats they do not understand;
-* the **scenario fingerprint** — the same tuple the parallel sweep
-  engine uses to key per-worker collector caches
-  (:func:`repro.measurement.sweep._scenario_key`) plus the collector's
-  outage parameters — so an archive built from one scenario is refused
-  by a context configured for another;
+* the **scenario fingerprint** — the config's scenario key
+  (:func:`_scenario_key`) plus the collector's outage parameters — so
+  an archive built from one scenario is refused by a context configured
+  for another;
 * the covered date set, one entry per day shard, each carrying the
   shard's file name, byte size, record count, and payload CRC32.
 
@@ -25,14 +24,13 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ArchiveError, ArchiveMismatchError
 from ..ioutil import atomic_write_bytes
-from ..measurement.sweep import _scenario_key
 
 __all__ = ["SCHEMA_VERSION", "MANIFEST_NAME", "scenario_fingerprint", "DayEntry", "Manifest"]
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
-#: Field names matching the tuple order of ``sweep._scenario_key``.  The
+#: Field names matching the tuple order of :func:`_scenario_key`.  The
 #: two optional trailing fields identify a counterfactual scenario; a
 #: baseline key has exactly the first five, so baseline manifests stay
 #: byte-identical to archives built before the scenario engine existed.
@@ -45,6 +43,23 @@ _FINGERPRINT_FIELDS = (
     "scenario",
     "spec_digest",
 )
+
+
+def _scenario_key(config) -> tuple:
+    key = (
+        config.scale,
+        config.seed,
+        config.geo_lag_days,
+        config.netnod_mode,
+        config.sanctioned_domain_count,
+    )
+    # Counterfactual scenarios extend the key with their identity; the
+    # baseline key stays the historical 5-tuple so pre-scenario-engine
+    # archives keep matching (getattr: old pickled configs lack these).
+    scenario_id = getattr(config, "scenario_id", "baseline")
+    if scenario_id != "baseline":
+        key += (scenario_id, getattr(config, "spec_digest", None))
+    return key
 
 
 def scenario_fingerprint(config) -> Dict[str, object]:

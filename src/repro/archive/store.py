@@ -352,7 +352,7 @@ class MeasurementArchive:
     # Self-healing
     # ------------------------------------------------------------------
 
-    def _builder(self, config, workers: int = 1):
+    def _builder(self, config):
         """An :class:`ArchiveBuilder` matching the manifest's collector.
 
         Cached across heals so the rebuild world is constructed once.
@@ -367,7 +367,6 @@ class MeasurementArchive:
             self._rebuilder = ArchiveBuilder(
                 self.directory,
                 config,
-                workers=workers,
                 metrics=self.metrics,
                 outage_dates=[as_date(t) for t in collector["outage_dates"]],
                 outage_coverage=float(collector["outage_coverage"]),
@@ -403,7 +402,7 @@ class MeasurementArchive:
             self.metrics.record_recovery("shards_rebuilt", 1)
         return record
 
-    def repair(self, config=None, workers: int = 1) -> RepairReport:
+    def repair(self, config=None) -> RepairReport:
         """Quarantine and rebuild everything :meth:`verify_detailed` flags.
 
         ``config`` must describe the scenario the archive was built
@@ -436,7 +435,7 @@ class MeasurementArchive:
         if bad_dates:
             from .builder import _segments
 
-            builder = self._builder(config, workers=workers)
+            builder = self._builder(config)
             for seg_start, seg_end, seg_step in _segments(bad_dates):
                 builder.build(seg_start, seg_end, seg_step)
             if self.metrics is not None:

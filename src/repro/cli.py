@@ -90,10 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep cadence in days for longitudinal series (default 7)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for longitudinal sweeps (default 1 = serial)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=None,
         help="scenario seed (default: the spec's, 20220224 for the library)",
     )
@@ -584,7 +580,6 @@ def _context(
     return ExperimentContext(
         scenario=_scenario_spec(args, scenario),
         cadence_days=args.cadence,
-        workers=args.workers,
         profile=getattr(args, "profile", False),
         archive=archive,
         faults=_fault_plan(args, service=service),
@@ -803,7 +798,6 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
             "scale": config.scale,
             "seed": config.seed,
             "cadence_days": args.cadence,
-            "workers": args.workers,
             "with_pki": config.with_pki,
         },
         "include_extensions": bool(args.extensions),
@@ -1059,10 +1053,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
     if args.archive_command == "build":
         config = _scenario_spec(args).with_config(with_pki=False).compile()
         metrics = SweepMetrics()
-        builder = ArchiveBuilder(
-            args.path, config, workers=args.workers, metrics=metrics,
-            faults=faults,
-        )
+        builder = ArchiveBuilder(args.path, config, metrics=metrics, faults=faults)
         try:
             if args.start is not None or args.end is not None:
                 if args.start is None or args.end is None:
@@ -1108,7 +1099,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
         metrics = SweepMetrics()
         archive.metrics = metrics
         try:
-            report = archive.repair(config, workers=args.workers)
+            report = archive.repair(config)
         except ArchiveMismatchError as exc:
             print(str(exc), file=sys.stderr)
             return 3
@@ -1316,7 +1307,7 @@ def _sweep_archive(
     config = (
         _scenario_spec(args, scenario_id).with_config(with_pki=False).compile()
     )
-    builder = ArchiveBuilder(path, config, workers=args.workers)
+    builder = ArchiveBuilder(path, config)
     report = builder.build_standard(args.cadence)
     if report.written:
         print(

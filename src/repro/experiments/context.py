@@ -1,7 +1,7 @@
 """Shared experiment context: one world, cached sweeps and datasets.
 
 Several figures consume the same five-year sweep; the context runs that
-sweep once — through the parallel sweep engine — and accumulates every
+sweep once — through the sweep engine — and accumulates every
 longitudinal series in a single pass.  Likewise for the recent
 (conflict-window) daily sweep, the CT monitor, and the scan dataset.
 Every expensive phase is instrumented in :attr:`ExperimentContext.metrics`.
@@ -50,8 +50,6 @@ class ExperimentContext:
         world: Optional[World] = None,
         config: Optional[ConflictScenarioConfig] = None,
         cadence_days: int = 7,
-        workers: int = 1,
-        chunk_days: Optional[int] = None,
         profile: bool = False,
         archive: Optional[Union[str, "MeasurementArchive"]] = None,
         faults=None,
@@ -59,8 +57,6 @@ class ExperimentContext:
     ) -> None:
         if cadence_days < 1:
             raise AnalysisError(f"cadence must be >= 1 day: {cadence_days}")
-        if workers < 1:
-            raise AnalysisError(f"workers must be >= 1: {workers}")
         if archive is not None and world is not None:
             raise AnalysisError(
                 "pass either a prebuilt world or an archive, not both"
@@ -125,14 +121,7 @@ class ExperimentContext:
             self.archive.manifest.check_scenario(self.config)
         self._world_lock = threading.Lock()
         self._catalog = None
-        if world is not None:
-            self._world = world
-            # A caller-supplied world may not match self.config, so
-            # worker processes cannot rebuild it: sweep in-process.
-            engine_config = None
-        else:
-            self._world = None
-            engine_config = self.config
+        self._world = world
         if self.archive is not None:
             from ..archive.store import ArchiveCollector
 
@@ -143,18 +132,9 @@ class ExperimentContext:
                 self.archive,
                 self._world if self._world is not None else (lambda: self.world),
             )
-            # Shard reads are cheap; archive sweeps stay in-process.
-            engine_config = None
         else:
             self.collector = FastCollector(self.world)
-        self.engine = SweepEngine(
-            self.collector,
-            config=engine_config,
-            workers=workers,
-            chunk_days=chunk_days,
-            metrics=self.metrics,
-            faults=faults,
-        )
+        self.engine = SweepEngine(self.collector, metrics=self.metrics, faults=faults)
         self.cadence_days = cadence_days
         self._api = None
         self._monitor: Optional[CtMonitor] = None
@@ -197,11 +177,6 @@ class ExperimentContext:
     def scenario_id(self) -> str:
         """The canonical scenario this context's world reproduces."""
         return getattr(self.config, "scenario_id", "baseline")
-
-    @property
-    def workers(self) -> int:
-        """Worker processes used for longitudinal sweeps."""
-        return self.engine.workers
 
     @property
     def api(self) -> "AnalysisFacade":

@@ -6,14 +6,14 @@ corrupted bytes, or a stall.  Decisions are *pure
 functions* of ``(seed, site, key)`` — the key carries the work item's
 identity plus its attempt number (``"2022-03-04.shard#1"``), so the
 same fault seed reproduces the identical injected-fault sequence no
-matter how chunks interleave across workers, and a retry of the same
+matter how the work is chunked, and a retry of the same
 operation re-rolls under a fresh key instead of hitting the same fault
 forever.
 
 Hot paths hold an ``Optional[FaultPlan]``; when it is ``None`` the hook
 is a single ``is not None`` check, so the disabled pipeline pays
-nothing.  The plan is picklable (site specs and seed only); each
-process accumulates its own injection log.
+nothing.  The plan is picklable (site specs and seed only); each copy
+accumulates its own injection log.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ KINDS = (IO_ERROR, CRASH, CORRUPT, STALL)
 
 #: Known injection sites and what faulting there simulates.
 SITES = {
-    "sweep.chunk": "chunk evaluation, serial or inside a worker process",
-    "sweep.pool": "process-pool round startup in the driving process",
+    "sweep.chunk": "chunk evaluation in the sweep engine",
     "shard.write": "shard write, mid-way through the temp file",
     "shard.write.bytes": "shard bytes on their way to disk (corruption)",
     "manifest.write": "manifest write, mid-way through the temp file",
@@ -114,8 +113,8 @@ class FaultSpec:
         self.kind = kind
         self.rate = float(rate)
         #: Per-plan-instance safety cap, not part of the decision
-        #: function: a fresh copy of the plan (e.g. in a new worker)
-        #: starts with a fresh budget.
+        #: function: a fresh copy of the plan starts with a fresh
+        #: budget.
         self.max_injections = int(max_injections)
         self.stall_seconds = float(stall_seconds)
         #: Only keys containing this substring are eligible (lets tests
@@ -166,8 +165,7 @@ class FaultPlan:
         #: :func:`sync_fault_metrics`).
         self.reported = 0
 
-    # The plan crosses process boundaries with the executor arguments;
-    # only the decision inputs travel — each process logs its own
+    # A pickled copy carries only the decision inputs: it logs its own
     # injections and starts with a fresh budget.
     def __getstate__(self):
         return {"seed": self.seed, "sites": self.sites, "enabled": self.enabled}
@@ -193,8 +191,8 @@ class FaultPlan:
         """The fault kind to inject at ``(site, key)``, or ``None``.
 
         Pure in ``(seed, site, key)`` apart from the per-instance
-        injection budget, so any two processes holding the same plan
-        agree on every decision.
+        injection budget, so any two copies of the same plan agree on
+        every decision.
         """
         if not self.enabled:
             return None
@@ -272,15 +270,14 @@ class FaultPlan:
 def default_plan(seed: int, rate: float = 0.05) -> FaultPlan:
     """The fault mix ``--fault-seed`` enables: every recoverable site.
 
-    All sites self-heal in-path (retry, read-back verify, pool
-    degradation), so a pipeline run under the default plan converges to
+    All sites self-heal in-path (retry, read-back verify), so a
+    pipeline run under the default plan converges to
     output bit-identical to a fault-free run.
     """
     return FaultPlan(
         seed,
         {
             "sweep.chunk": FaultSpec(CRASH, rate),
-            "sweep.pool": FaultSpec(CRASH, rate / 4.0, max_injections=2),
             "shard.write": FaultSpec(IO_ERROR, rate),
             "shard.write.bytes": FaultSpec(CORRUPT, rate),
             "manifest.write": FaultSpec(IO_ERROR, rate),
@@ -337,9 +334,7 @@ def service_plan(
 def sync_fault_metrics(plan: Optional[FaultPlan], metrics) -> None:
     """Mirror this process's new injections into ``metrics``.
 
-    Called at the end of engine runs and archive builds; counts only
-    the driving process (worker-side injections surface here as the
-    chunk retries and pool failures they cause).
+    Called at the end of engine runs and archive builds.
     """
     if plan is None or metrics is None:
         return

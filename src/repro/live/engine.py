@@ -22,9 +22,9 @@ Failures never escape :meth:`advance`: a day that cannot be ingested
 within the retry budget bumps a consecutive-failure counter that walks
 the degradation ladder ``following → lagging → stalled``.  The ladder,
 the ingest lag, and the event cursor are mirrored into an advisory
-``follow.status.json`` (excluded from the archive digest) that every
-serving worker — not just the one that follows — reads for
-``/healthz`` and for switching queries to stale-mode headers.
+``follow.status.json`` (excluded from the archive digest) that a
+separate ``repro serve`` process pointed at the followed archive reads
+for ``/healthz`` and for switching queries to stale-mode headers.
 """
 
 from __future__ import annotations
@@ -70,14 +70,14 @@ LAGGING = "lagging"
 #: ``stall_after`` consecutive cycles failed; serving goes stale-mode.
 STALLED = "stalled"
 
-#: Advisory status mirror for the serving workers.  Like the journal
-#: and event log it is not ``manifest.json`` / ``*.shard``, so the
-#: archive digest ignores it.
+#: Advisory status mirror for servers that do not run the follow
+#: engine themselves.  Like the journal and event log it is not
+#: ``manifest.json`` / ``*.shard``, so the archive digest ignores it.
 STATUS_FILENAME = "follow.status.json"
 
 
 class FollowOptions:
-    """Picklable knobs for a follow run (crosses the worker fork)."""
+    """Knobs for a follow run."""
 
     __slots__ = (
         "start", "end", "cadence_days", "interval_seconds",
@@ -113,13 +113,6 @@ class FollowOptions:
         if self.start > self.end:
             raise LiveError(f"empty follow range: {self.start} > {self.end}")
 
-    def __getstate__(self):
-        return tuple(getattr(self, slot) for slot in self.__slots__)
-
-    def __setstate__(self, state) -> None:
-        for slot, value in zip(self.__slots__, state):
-            setattr(self, slot, value)
-
 
 class FollowEngine:
     """Extends one archive directory live, one study day at a time."""
@@ -132,7 +125,6 @@ class FollowEngine:
         detectors=None,
         faults=None,
         metrics=None,
-        workers: int = 1,
     ) -> None:
         self.directory = str(directory)
         self.config = config
@@ -142,7 +134,6 @@ class FollowEngine:
         )
         self.faults = faults
         self.metrics = metrics
-        self.workers = int(workers)
         self.journal = FollowJournal(self.directory, faults=faults)
         self.log = EventLog(self.directory)
         self.clock = DayClock(self.options.start)
@@ -326,7 +317,6 @@ class FollowEngine:
             self._builder = ArchiveBuilder(
                 self.directory,
                 self.config,
-                workers=self.workers,
                 metrics=self.metrics,
                 faults=self.faults,
             )
@@ -409,7 +399,7 @@ class FollowEngine:
     # ------------------------------------------------------------------
 
     def status(self) -> Dict:
-        """The follow-state snapshot mirrored for the serving workers."""
+        """The follow-state snapshot mirrored to ``follow.status.json``."""
         checkpoint = self.journal.last()
         return {
             "state": self.state,
@@ -440,9 +430,9 @@ class FollowEngine:
 def read_follow_status(directory: str) -> Optional[Dict]:
     """The latest advisory follow status, or ``None`` when not following.
 
-    Serving workers (all of them, not just the follower) call this for
-    ``/healthz`` and for the stale-mode switch; a missing or torn file
-    reads as "no live follow here".
+    A server pointed at an archive that another process follows calls
+    this for ``/healthz`` and for the stale-mode switch; a missing or
+    torn file reads as "no live follow here".
     """
     path = os.path.join(str(directory), STATUS_FILENAME)
     try:

@@ -6,13 +6,7 @@ from .quality import CoveragePoint, MeasurementHealth
 from .records import DomainMeasurement
 from .resolving import ResolvingCollector
 from .seeds import ZoneTransferSeeder
-from .sweep import (
-    ProcessChunkExecutor,
-    SerialChunkExecutor,
-    SweepChunk,
-    SweepEngine,
-    partition_chunks,
-)
+from .sweep import SweepChunk, SweepEngine, partition_chunks
 
 __all__ = [
     "DailySnapshot",
@@ -21,9 +15,7 @@ __all__ = [
     "FastCollector",
     "DomainMeasurement",
     "PhaseStat",
-    "ProcessChunkExecutor",
     "ResolvingCollector",
-    "SerialChunkExecutor",
     "SweepChunk",
     "SweepEngine",
     "SweepMetrics",

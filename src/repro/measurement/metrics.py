@@ -247,8 +247,8 @@ class SweepMetrics:
         """Count a self-healing action (retry, quarantine, rebuild...).
 
         The standard counter names are ``faults_injected``,
-        ``chunk_retries``, ``pool_failures``, ``degraded_to_serial``,
-        ``shards_quarantined``, and ``shards_rebuilt``.
+        ``chunk_retries``, ``shards_quarantined``, and
+        ``shards_rebuilt``.
         """
         with self._lock:
             self._recovery[name] = self._recovery.get(name, 0) + int(count)

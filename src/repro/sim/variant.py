@@ -4,9 +4,8 @@ A :class:`ScenarioVariant` is what :meth:`repro.scenario.ScenarioSpec.compile`
 produces from the declarative world block: a small, picklable object of
 *resolved* deltas (plain :class:`~repro.sim.flows.Flow`/:class:`Pulse`
 objects, concrete sanction waves) that travels inside
-:class:`~repro.sim.conflict.ConflictScenarioConfig` so sweep worker
-processes can rebuild the identical counterfactual world from the pickled
-config alone.
+:class:`~repro.sim.conflict.ConflictScenarioConfig`, so the config alone
+(pickled or not) rebuilds the identical counterfactual world.
 
 The contract with :func:`~repro.sim.conflict.build_world` is strict:
 ``variant=None`` (the baseline) must leave every RNG draw untouched, so

@@ -1,4 +1,4 @@
-"""Tests for repro.archive.builder: incremental, resumable, parallel builds."""
+"""Tests for repro.archive.builder: incremental, resumable builds."""
 
 import datetime as dt
 import hashlib
@@ -131,21 +131,12 @@ class TestResumeByteIdentity:
         ArchiveBuilder(torn, archive_config).build(START, END)
         assert archive_digest(torn) == archive_digest(single)
 
-    def test_parallel_build_equals_serial(self, tmp_path, archive_config):
-        serial = str(tmp_path / "serial")
-        ArchiveBuilder(serial, archive_config).build(START, END)
-        parallel = str(tmp_path / "parallel")
-        ArchiveBuilder(
-            parallel, archive_config, workers=2, chunk_days=3
-        ).build(START, END)
-        assert archive_digest(parallel) == archive_digest(serial)
-
 
 class TestKillAndResume:
     """A hard kill at a chunk_days boundary resumes without loss or dupes.
 
     The scenario the ``chunk_days``/resume interaction must survive: the
-    parent flushes the manifest only after a whole segment, so a build
+    builder flushes the manifest only after a whole segment, so a build
     killed after N days (a chunk boundary, with more chunks to go) leaves
     N complete shard files the manifest never recorded.  The resume must
     adopt those orphans (no re-sweep, no duplicate days), sweep exactly

@@ -12,7 +12,6 @@ import os
 
 import pytest
 
-from repro.faults import FaultPlan, WorkerCrashed
 from repro.sim import ConflictScenarioConfig
 
 
@@ -24,35 +23,3 @@ def fault_seed():
 @pytest.fixture(scope="session")
 def fault_config():
     return ConflictScenarioConfig(scale=5000.0, with_pki=False)
-
-
-class HardExitPlan(FaultPlan):
-    """A fault plan whose injected crashes hard-exit pool workers.
-
-    A real worker death (an OOM kill, a segfault) takes the whole
-    process pool down, and the sweep engine must recover from that as
-    well as from exceptions a worker hands back.  In any process other
-    than the one that built the plan, an injected
-    :class:`WorkerCrashed` becomes ``os._exit``; in the driving process
-    (the serial fallback) it stays a survivable exception.  Decisions
-    are the base plan's, unchanged.
-    """
-
-    def __init__(self, seed, sites=None, enabled=True) -> None:
-        super().__init__(seed, sites, enabled)
-        self.driver_pid = os.getpid()
-
-    def __getstate__(self):
-        return {**super().__getstate__(), "driver_pid": self.driver_pid}
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        self.driver_pid = state["driver_pid"]
-
-    def check(self, site: str, key: str = "") -> None:
-        try:
-            super().check(site, key)
-        except WorkerCrashed:
-            if os.getpid() != self.driver_pid:
-                os._exit(73)
-            raise

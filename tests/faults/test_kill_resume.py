@@ -19,8 +19,6 @@ from repro.archive.manifest import MANIFEST_NAME
 from repro.errors import RecoveryError
 from repro.faults import CRASH, FaultPlan, FaultSpec
 
-from .conftest import HardExitPlan
-
 pytestmark = pytest.mark.faults
 
 START = dt.date(2022, 3, 1)
@@ -51,12 +49,11 @@ def uninterrupted(tmp_path_factory, fault_config):
     return str(directory)
 
 
-def interrupt_then_resume(directory, fault_config, plan, workers=1):
+def interrupt_then_resume(directory, fault_config, plan):
     """Run a build that must die on the doomed chunk, then resume clean."""
     builder = ArchiveBuilder(
         str(directory),
         fault_config,
-        workers=workers,
         chunk_days=CHUNK_DAYS,
         faults=plan,
     )
@@ -88,20 +85,5 @@ class TestKillAndResume:
         )
         directory = tmp_path / "serial"
         interrupt_then_resume(str(directory), fault_config, plan)
-        assert archive_digest(str(directory)) == archive_digest(uninterrupted)
-        assert MeasurementArchive(str(directory)).verify() == []
-
-    def test_killed_pool_interrupt_resume_byte_identical(
-        self, tmp_path, fault_config, uninterrupted
-    ):
-        # Hard-killed workers break pool after pool, the engine degrades
-        # to serial, and the doomed chunk still exhausts its retries —
-        # the worst recoverable-to-unrecoverable cascade ends in a clean
-        # RecoveryError, and resume converges all the same.
-        plan = HardExitPlan(
-            1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match=DOOMED_CHUNK)}
-        )
-        directory = tmp_path / "pool"
-        interrupt_then_resume(str(directory), fault_config, plan, workers=2)
         assert archive_digest(str(directory)) == archive_digest(uninterrupted)
         assert MeasurementArchive(str(directory)).verify() == []

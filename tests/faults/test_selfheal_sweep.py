@@ -1,7 +1,7 @@
-"""Self-healing sweep tests: injected crashes, pool degradation.
+"""Self-healing sweep tests: injected chunk crashes and retries.
 
 Marked ``faults`` (excluded from tier-1): these sweep a real 1:5000
-world, fork process pools, and hard-kill workers.  Every test asserts
+world under injected faults.  Every test asserts
 the recovered results are bit-identical to an undisturbed run — the
 engine's self-healing guarantee.
 """
@@ -18,8 +18,6 @@ from repro.measurement.fast import FastCollector
 from repro.measurement.metrics import SweepMetrics
 from repro.measurement.sweep import SweepEngine
 from repro.sim.conflict import build_world
-
-from .conftest import HardExitPlan
 
 pytestmark = pytest.mark.faults
 
@@ -46,18 +44,16 @@ def world(fault_config):
 
 
 @pytest.fixture(scope="module")
-def baseline(world, fault_config):
+def baseline(world):
     """The undisturbed sweep every recovery path must reproduce."""
-    engine = SweepEngine(FastCollector(world), config=fault_config, chunk_days=4)
+    engine = SweepEngine(FastCollector(world), chunk_days=4)
     return engine.run(DigestReducer(), START, END, 1)
 
 
-def make_engine(world, fault_config, faults, workers=1, **kwargs):
+def make_engine(world, faults, **kwargs):
     metrics = SweepMetrics()
     engine = SweepEngine(
         FastCollector(world),
-        config=fault_config,
-        workers=workers,
         chunk_days=4,
         metrics=metrics,
         faults=faults,
@@ -67,71 +63,28 @@ def make_engine(world, fault_config, faults, workers=1, **kwargs):
 
 
 class TestSerialSelfHealing:
-    def test_targeted_crash_retries_every_chunk(self, world, fault_config, baseline):
+    def test_targeted_crash_retries_every_chunk(self, world, baseline):
         # Every chunk's first attempt crashes; the retry (attempt #1)
         # falls outside the match and succeeds.
         plan = FaultPlan(1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match="#0")})
-        engine, metrics = make_engine(world, fault_config, plan)
+        engine, metrics = make_engine(world, plan)
         records = engine.run(DigestReducer(), START, END, 1)
         assert records == baseline
         chunks = 7  # 27 days in chunks of 4
         assert metrics.recovery_count("chunk_retries") == chunks
         assert metrics.recovery_count("faults_injected") == chunks
-        assert metrics.recovery_count("degraded_to_serial") == 0
 
-    def test_random_crashes_converge(self, world, fault_config, baseline, fault_seed):
+    def test_random_crashes_converge(self, world, baseline, fault_seed):
         plan = FaultPlan(fault_seed, {"sweep.chunk": FaultSpec(CRASH, 0.3)})
         engine, metrics = make_engine(
-            world, fault_config, plan, max_chunk_retries=6, retry_backoff=0.0
+            world, plan, max_chunk_retries=6, retry_backoff=0.0
         )
         records = engine.run(DigestReducer(), START, END, 1)
         assert records == baseline
 
-    def test_retry_budget_exhaustion_raises(self, world, fault_config):
+    def test_retry_budget_exhaustion_raises(self, world):
         # No match clause: every attempt of every chunk crashes.
         plan = FaultPlan(1, {"sweep.chunk": FaultSpec(CRASH, 1.0)})
-        engine, _ = make_engine(world, fault_config, plan, retry_backoff=0.0)
+        engine, _ = make_engine(world, plan, retry_backoff=0.0)
         with pytest.raises(RecoveryError, match="failed 4 times"):
             engine.run(DigestReducer(), START, END, 1)
-
-
-class TestProcessSelfHealing:
-    def test_crashed_chunk_is_resubmitted(self, world, fault_config, baseline):
-        plan = FaultPlan(1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match="#0")})
-        engine, metrics = make_engine(world, fault_config, plan, workers=2)
-        records = engine.run(DigestReducer(), START, END, 1)
-        assert records == baseline
-        assert metrics.recovery_count("chunk_retries") == 7
-        assert metrics.recovery_count("degraded_to_serial") == 0
-
-    def test_killed_workers_degrade_to_serial(self, world, fault_config, baseline):
-        # A hard kill takes the whole pool down (BrokenProcessPool), and
-        # resubmission never bumps the attempt counter, so every pool
-        # round dies the same way until the engine gives up on pools and
-        # finishes serially — where the crash is survivable and the
-        # retry succeeds.
-        plan = HardExitPlan(
-            1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match="#0")}
-        )
-        engine, metrics = make_engine(
-            world, fault_config, plan, workers=2, retry_backoff=0.0
-        )
-        records = engine.run(DigestReducer(), START, END, 1)
-        assert records == baseline
-        assert metrics.recovery_count("degraded_to_serial") == 1
-        assert metrics.recovery_count("pool_failures") == 3
-        assert metrics.recovery_count("chunk_retries") > 0
-
-    def test_pool_round_crash_recreates_pool(self, world, fault_config, baseline):
-        # The pool-level fault fires in the driving process before the
-        # first round's pool is created; the second round proceeds.
-        plan = FaultPlan(
-            1, {"sweep.pool": FaultSpec(CRASH, 1.0, match="round#0")}
-        )
-        engine, metrics = make_engine(
-            world, fault_config, plan, workers=2, retry_backoff=0.0
-        )
-        records = engine.run(DigestReducer(), START, END, 1)
-        assert records == baseline
-        assert metrics.recovery_count("pool_failures") == 1
-        assert metrics.recovery_count("degraded_to_serial") == 0

@@ -68,10 +68,10 @@ class TestRecoveryCounters:
     def test_summary_includes_recovery(self):
         metrics = SweepMetrics()
         metrics.record_recovery("faults_injected", 4)
-        metrics.record_recovery("degraded_to_serial")
+        metrics.record_recovery("shards_rebuilt")
         assert metrics.summary()["recovery"] == {
             "faults_injected": 4,
-            "degraded_to_serial": 1,
+            "shards_rebuilt": 1,
         }
 
     def test_render_lists_recovery_counters(self):
@@ -121,7 +121,7 @@ class TestContextIntegration:
         stat = context.metrics.get_phase("full_sweep")
         assert stat is not None
         assert stat.snapshots == len(context.api.full_sweep().ns_composition)
-        assert stat.notes["executor"] == "serial"
+        assert stat.notes["chunks"] == 1
 
 
 class TestResolvingCollectorMetrics:

@@ -1,4 +1,4 @@
-"""Tests for repro.measurement.sweep: chunking, executors, equivalence."""
+"""Tests for repro.measurement.sweep: chunking, validation, equivalence."""
 
 import datetime as dt
 
@@ -6,47 +6,14 @@ import pytest
 
 from repro.archive.kernel import SummaryReducer
 from repro.errors import MeasurementError
-from repro.experiments import ExperimentContext
 from repro.measurement.fast import FastCollector
-from repro.measurement.sweep import (
-    SerialChunkExecutor,
-    SweepEngine,
-    partition_chunks,
-)
-from repro.scenario import ScenarioSpec
+from repro.measurement.sweep import SweepEngine, partition_chunks
 
 #: The paper's footnote-8 measurement outage day (inside the study window).
 OUTAGE = dt.date(2021, 3, 22)
 
 START = dt.date(2021, 3, 15)
 END = dt.date(2021, 4, 10)
-
-
-@pytest.fixture(scope="module")
-def engine_config():
-    return ScenarioSpec.resolve("baseline").with_config(
-        scale=5000.0, with_pki=False
-    ).compile()
-
-
-@pytest.fixture(scope="module")
-def serial_context(engine_config):
-    return ExperimentContext(config=engine_config, cadence_days=60, workers=1)
-
-
-def sweep_series_equal(a, b):
-    """Assert two SweepSeries are bit-identical."""
-    for attr in ("ns_composition", "hosting_composition", "tld_composition"):
-        pa, pb = getattr(a, attr).points(), getattr(b, attr).points()
-        assert len(pa) == len(pb)
-        for x, y in zip(pa, pb):
-            assert (x.date, x.full, x.part, x.non) == (
-                y.date, y.full, y.part, y.non,
-            )
-    sa, sb = list(a.tld_shares), list(b.tld_shares)
-    assert len(sa) == len(sb)
-    for x, y in zip(sa, sb):
-        assert (x.date, x.total, x.counts) == (y.date, y.total, y.counts)
 
 
 class TestPartition:
@@ -119,7 +86,7 @@ class TestRunValidation:
 
 
 class TestSerialChunking:
-    """The in-process fallback: any chunking must be bit-identical."""
+    """Any chunking must be bit-identical."""
 
     def test_chunked_equals_unchunked(self, tiny_world):
         collector = FastCollector(tiny_world)
@@ -149,65 +116,3 @@ class TestSerialChunking:
         records = engine.run(SummaryReducer(), START, END, 3)
         dates = [record.date for record in records]
         assert dates == sorted(dates)
-
-    def test_executor_without_config_stays_serial(self, tiny_world):
-        """No scenario config -> workers cannot rebuild -> serial fallback."""
-        engine = SweepEngine(FastCollector(tiny_world), workers=4, chunk_days=5)
-        assert not engine.parallel_capable
-        records = engine.run(SummaryReducer(), START, END, 1)
-        baseline = SweepEngine(FastCollector(tiny_world)).run(
-            SummaryReducer(), START, END, 1
-        )
-        assert records == baseline
-
-    def test_bad_workers_rejected(self, tiny_world):
-        with pytest.raises(MeasurementError):
-            SweepEngine(FastCollector(tiny_world), workers=0)
-
-
-class TestParallelEquivalence:
-    """workers=4 across real processes must match workers=1 bit-for-bit."""
-
-    def test_full_sweep_bit_identical(self, engine_config, serial_context):
-        parallel_context = ExperimentContext(
-            config=engine_config, cadence_days=60, workers=4
-        )
-        sweep_series_equal(
-            serial_context.api.full_sweep(), parallel_context.api.full_sweep()
-        )
-        stat = parallel_context.metrics.get_phase("full_sweep")
-        assert stat.notes["executor"] == "process"
-        assert stat.notes["workers"] == 4
-
-    def test_recent_window_bit_identical(self, engine_config, serial_context):
-        parallel_context = ExperimentContext(
-            config=engine_config, cadence_days=60, workers=2, chunk_days=17
-        )
-        serial_asn = list(serial_context.recent_asn_shares())
-        parallel_asn = list(parallel_context.recent_asn_shares())
-        assert len(serial_asn) == len(parallel_asn)
-        for x, y in zip(serial_asn, parallel_asn):
-            assert (x.date, x.total, x.counts) == (y.date, y.total, y.counts)
-        sp = serial_context.recent_sanctioned_composition().points()
-        pp = parallel_context.recent_sanctioned_composition().points()
-        for x, y in zip(sp, pp):
-            assert (x.date, x.full, x.part, x.non) == (
-                y.date, y.full, y.part, y.non,
-            )
-        assert (
-            serial_context.recent_listed_counts()
-            == parallel_context.recent_listed_counts()
-        )
-
-    def test_direct_engine_parallel_records_equal(self, engine_config):
-        """Engine-level check, outage day included in the parallel range."""
-        serial_engine = SweepEngine(
-            FastCollector(
-                ExperimentContext(config=engine_config, workers=1).world
-            )
-        )
-        context = ExperimentContext(config=engine_config, workers=2)
-        reducer = SummaryReducer()
-        baseline = serial_engine.run(reducer, START, END, 1)
-        parallel = context.engine.run(reducer, START, END, 1)
-        assert parallel == baseline

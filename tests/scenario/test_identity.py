@@ -86,9 +86,8 @@ class TestDeterminism:
         assert remote == local
 
     def test_compiled_configs_survive_pickling(self):
-        # Sweep worker processes receive the config by pickle and rebuild
-        # the world; a variant that loses state in transit would silently
-        # rebuild a different counterfactual.
+        # A config is self-contained: a variant that loses state when
+        # pickled would silently rebuild a different counterfactual.
         config = _spec("ixp-disconnect").compile()
         clone = pickle.loads(pickle.dumps(config))
         assert clone.scenario_id == config.scenario_id

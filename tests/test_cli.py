@@ -22,7 +22,13 @@ class TestParser:
         assert args.seed is None
         assert args.scenario == "baseline"
         assert args.cadence == 7
-        assert args.workers == 1
+
+    def test_workers_flag_is_gone(self, capsys):
+        # Sweeps always run in-process; there is no pool to size.
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", "2", "list"])
+        assert exc.value.code == 2
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_unset_scale_compiles_to_the_config_default(self):
         from repro.scenario import ScenarioSpec
@@ -122,7 +128,6 @@ class TestCommands:
             "scale": 2500.0,
             "seed": 20220224,
             "cadence_days": 60,
-            "workers": 1,
             "with_pki": True,
         }
         assert manifest["include_extensions"] is False
