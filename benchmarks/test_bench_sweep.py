@@ -1,8 +1,8 @@
-"""Bench: the sweep engine — chunked vs monolithic five-year pass.
+"""Bench: the sweep engine — the five-year pass.
 
-Times the SummaryReducer five-year pass through the engine at bench scale,
-verifies chunked output matches the monolithic pass, and saves the last
-round's profile rendering (chunk count, snapshots/sec) alongside the
+Times the SummaryReducer five-year pass through the engine at bench scale
+with profiling on, verifies it matches an uninstrumented pass, and saves
+the last round's profile rendering (snapshots/sec) alongside the
 artefact outputs.
 """
 
@@ -17,7 +17,7 @@ from repro.timeline import STUDY_END, STUDY_START
 CADENCE = 7
 
 
-def test_bench_sweep_engine_chunked(benchmark, bench_world, save):
+def test_bench_sweep_engine(benchmark, bench_world, save):
     collector = FastCollector(bench_world)
     reducer = SummaryReducer()
     baseline = SweepEngine(collector).run(
@@ -25,9 +25,9 @@ def test_bench_sweep_engine_chunked(benchmark, bench_world, save):
     )
     profiles = []
 
-    def chunked():
+    def profiled():
         metrics = SweepMetrics()
-        engine = SweepEngine(collector, chunk_days=32, metrics=metrics)
+        engine = SweepEngine(collector, metrics=metrics)
         with metrics.phase("full_sweep"):
             records = engine.run(
                 reducer, STUDY_START, STUDY_END, CADENCE, phase="full_sweep"
@@ -35,7 +35,7 @@ def test_bench_sweep_engine_chunked(benchmark, bench_world, save):
         profiles.append(metrics.render())
         return records
 
-    records = benchmark.pedantic(chunked, rounds=ROUNDS_LIGHT, iterations=1)
+    records = benchmark.pedantic(profiled, rounds=ROUNDS_LIGHT, iterations=1)
     assert records == baseline
     save("sweep_engine", profiles[-1])
     print()

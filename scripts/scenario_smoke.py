@@ -27,7 +27,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import warnings
 
 sys.path.insert(0, "src")
 
@@ -53,9 +52,7 @@ def fail(message: str) -> None:
 
 def check_baseline_identity(scratch: str) -> None:
     print("+ checking baseline archive byte-identity (spec vs ad-hoc config)")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_config = ConflictScenarioConfig(scale=SCALE, with_pki=False)
+    legacy_config = ConflictScenarioConfig(scale=SCALE, with_pki=False)
     spec_config = (
         ScenarioSpec.resolve("baseline")
         .with_config(scale=SCALE, with_pki=False)

@@ -213,7 +213,6 @@ class ArchiveBuilder:
         self,
         directory: str,
         config,
-        chunk_days: Optional[int] = None,
         metrics: Optional[SweepMetrics] = None,
         outage_dates: Sequence[_dt.date] = DEFAULT_OUTAGE_DATES,
         outage_coverage: float = _OUTAGE_COVERAGE,
@@ -222,7 +221,6 @@ class ArchiveBuilder:
     ) -> None:
         self.directory = str(directory)
         self.config = config
-        self.chunk_days = chunk_days
         self.metrics = metrics
         self.faults = faults
         self._outage_dates = tuple(sorted(as_date(d) for d in outage_dates))
@@ -254,7 +252,6 @@ class ArchiveBuilder:
             )
             self._engine = SweepEngine(
                 collector,
-                chunk_days=self.chunk_days,
                 metrics=self.metrics,
                 faults=self.faults,
             )
@@ -295,13 +292,12 @@ class ArchiveBuilder:
     ) -> List[_dt.date]:
         """Register verified orphan shards for missing days, no re-sweep.
 
-        An interrupted build — a crash mid-segment, a kill between a
-        shard write and the segment's manifest flush (the ``chunk_days``
-        window) — leaves complete, CRC-valid shard files
-        that the manifest never recorded.  Because shard bytes are
-        write-atomic and deterministic, such a file *is* the shard the
-        resume would produce; probing it (full CRC verify plus a
-        date/population identity check) and adding its manifest entry
+        An interrupted build — a crash or kill between a shard write
+        and the segment's manifest flush — leaves complete, CRC-valid
+        shard files that the manifest never recorded.  Because shard
+        bytes are write-atomic and deterministic, such a file *is* the
+        shard the resume would produce; probing it (full CRC verify plus
+        a date/population identity check) and adding its manifest entry
         converges on the identical archive without re-sweeping the day.
         Anything that fails the probe is left for the normal re-sweep,
         whose atomic write replaces it.

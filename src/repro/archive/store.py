@@ -63,6 +63,10 @@ __all__ = [
 #: Shards kept decoded in memory (the two standard sweeps overlap).
 _DEFAULT_CACHE_SHARDS = 16
 
+#: Transient-error retries per shard read, and their backoff base, seconds.
+_READ_RETRIES = 3
+_READ_BACKOFF = 0.01
+
 #: Suffix quarantined shards are renamed to (not matched by the
 #: ``*.shard`` orphan scan, so they never look adoptable).
 QUARANTINE_SUFFIX = ".quarantined"
@@ -154,20 +158,14 @@ class MeasurementArchive:
         self,
         directory: str,
         metrics: Optional[SweepMetrics] = None,
-        cache_shards: int = _DEFAULT_CACHE_SHARDS,
         config=None,
         faults=None,
-        read_retries: int = 3,
-        retry_backoff: float = 0.01,
     ) -> None:
         self.directory = str(directory)
         self.manifest = Manifest.load(self.directory)
         self.metrics = metrics
         self.config = config
         self.faults = faults
-        self.read_retries = int(read_retries)
-        self.retry_backoff = float(retry_backoff)
-        self._cache_shards = max(1, int(cache_shards))
         self._cache: "OrderedDict[_dt.date, DayShardRecord]" = OrderedDict()
         #: Decoded per-day summaries (a few hundred bytes each, so no
         #: eviction); every shard admitted to the LRU donates its own.
@@ -193,11 +191,6 @@ class MeasurementArchive:
         """
         with self._lock:
             self.manifest = Manifest.load(self.directory)
-
-    def path_for(self, date: DateLike) -> str:
-        """The shard path for ``date`` (which must be covered)."""
-        date_obj = as_date(date)
-        return os.path.join(self.directory, self._entry(date_obj).file)
 
     def _entry(self, date_obj: _dt.date):
         entry = self.manifest.days.get(date_obj)
@@ -304,7 +297,7 @@ class MeasurementArchive:
         """Put a decoded shard (and its summary) into the caches."""
         self._summaries[date_obj] = record.summary
         self._cache[date_obj] = record
-        while len(self._cache) > self._cache_shards:
+        while len(self._cache) > _DEFAULT_CACHE_SHARDS:
             self._cache.popitem(last=False)
 
     def _read(self, date_obj: _dt.date, entry, counter: str, read):
@@ -315,7 +308,7 @@ class MeasurementArchive:
         manifest entry, whichever kind of read it was.
         """
         path = os.path.join(self.directory, entry.file)
-        for attempt in range(self.read_retries + 1):
+        for attempt in range(_READ_RETRIES + 1):
             started = time.perf_counter()
             try:
                 if self.faults is not None:
@@ -323,12 +316,12 @@ class MeasurementArchive:
                 value, summary, bytes_read = read(path, entry)
                 break
             except TransientIOError as exc:
-                if attempt >= self.read_retries:
+                if attempt >= _READ_RETRIES:
                     raise RecoveryError(
                         f"could not read shard {entry.file} after "
                         f"{attempt + 1} attempts: {exc}"
                     ) from exc
-                time.sleep(backoff_seconds(attempt, self.retry_backoff))
+                time.sleep(backoff_seconds(attempt, _READ_BACKOFF))
         elapsed = time.perf_counter() - started
         if summary.date != date_obj:
             raise ArchiveStaleError(

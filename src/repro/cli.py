@@ -284,28 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving processes; only 1 is accepted (one asyncio server)",
     )
     serve_parser.add_argument(
-        "--max-concurrency", type=int, default=4, metavar="N",
-        help="worker threads computing queries (default 4)",
-    )
-    serve_parser.add_argument(
-        "--queue-limit", type=int, default=32, metavar="N",
-        help=(
-            "distinct in-flight queries before new ones get 503 + "
-            "Retry-After (default 32)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--cache-results", type=int, default=128, metavar="N",
-        help="query results kept in the serving LRU (default 128)",
-    )
-    serve_parser.add_argument(
-        "--deadline-ms", type=int, default=30000, metavar="MS",
-        help=(
-            "default per-request deadline; clients may lower or raise it "
-            "per request via X-Repro-Deadline-Ms (default 30000)"
-        ),
-    )
-    serve_parser.add_argument(
         "--breaker-threshold", type=int, default=5, metavar="N",
         help="classified failures in the window that open the breaker (default 5)",
     )
@@ -344,35 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--follow-end", default="2022-03-26", metavar="DATE",
         help="last day the follow engine ingests (default 2022-03-26)",
-    )
-    serve_parser.add_argument(
-        "--follow-cadence", type=int, default=1, metavar="DAYS",
-        help="simulated days advanced per follow cycle (default 1)",
-    )
-    serve_parser.add_argument(
-        "--follow-interval", type=float, default=0.0, metavar="SECONDS",
-        help=(
-            "wall-clock pause between follow cycles (default 0 = ingest "
-            "as fast as the builder allows)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--follow-stall-after", type=int, default=3, metavar="N",
-        help=(
-            "consecutive failed cycles before /healthz reports the feed "
-            "stalled and queries serve with stale headers (default 3)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--follow-retries", type=int, default=3, metavar="N",
-        help="per-day ingest/detector retry budget (default 3)",
-    )
-    serve_parser.add_argument(
-        "--sse-buffer", type=int, default=None, metavar="N",
-        help=(
-            "event backlog a slow SSE consumer may accumulate before the "
-            "stream skips ahead with an explicit gap frame (default 64)"
-        ),
     )
     serve_parser.add_argument(
         "--profile-json", default=None, metavar="PATH",
@@ -580,7 +529,6 @@ def _context(
     return ExperimentContext(
         scenario=_scenario_spec(args, scenario),
         cadence_days=args.cadence,
-        profile=getattr(args, "profile", False),
         archive=archive,
         faults=_fault_plan(args, service=service),
     )
@@ -931,16 +879,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     service_options = dict(
-        max_concurrency=args.max_concurrency,
-        queue_limit=args.queue_limit,
-        cache_results=args.cache_results,
-        deadline_ms=args.deadline_ms,
         breaker_threshold=args.breaker_threshold,
         breaker_window=args.breaker_window,
         breaker_cooldown=args.breaker_cooldown,
     )
-    if args.sse_buffer is not None:
-        service_options["sse_buffer"] = args.sse_buffer
     if args.follow:
         if args.archive is None:
             print(
@@ -952,12 +894,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .live import FollowOptions
 
         service_options["follow"] = FollowOptions(
-            start=args.follow_start,
-            end=args.follow_end,
-            cadence_days=args.follow_cadence,
-            interval_seconds=args.follow_interval,
-            stall_after=args.follow_stall_after,
-            retries=args.follow_retries,
+            start=args.follow_start, end=args.follow_end
         )
 
     def announce(service) -> None:

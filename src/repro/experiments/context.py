@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import threading
-import warnings
 from typing import List, Optional, Union
 
 from ..core.reducers import SweepSeries
@@ -50,7 +49,6 @@ class ExperimentContext:
         world: Optional[World] = None,
         config: Optional[ConflictScenarioConfig] = None,
         cadence_days: int = 7,
-        profile: bool = False,
         archive: Optional[Union[str, "MeasurementArchive"]] = None,
         faults=None,
         scenario: Optional[Union[str, "ScenarioSpec"]] = None,
@@ -76,25 +74,12 @@ class ExperimentContext:
             )
             self.scenario_spec = spec
             config = spec.compile()
-        elif config is not None and not getattr(config, "from_spec", False):
-            # Ad-hoc configs bypass the canonical scenario identity the
-            # archive fingerprint and the v2 query API key on.  The old
-            # path still works, but warns.
-            warnings.warn(
-                "constructing ExperimentContext from an ad-hoc "
-                "ConflictScenarioConfig is deprecated; resolve a scenario "
-                "instead: ExperimentContext(scenario='baseline') or "
-                "ScenarioSpec.resolve(name).with_config(...).compile()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if config is None:
             from ..scenario import ScenarioSpec
 
             config = ScenarioSpec.resolve("baseline").compile()
         self.config = config
         self.metrics = SweepMetrics()
-        self.profile = profile
         self.faults = faults
         self.archive: Optional["MeasurementArchive"] = None
         if archive is not None:

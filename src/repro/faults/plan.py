@@ -5,8 +5,8 @@ operation should experience a transient IO error, a worker crash,
 corrupted bytes, or a stall.  Decisions are *pure
 functions* of ``(seed, site, key)`` — the key carries the work item's
 identity plus its attempt number (``"2022-03-04.shard#1"``), so the
-same fault seed reproduces the identical injected-fault sequence no
-matter how the work is chunked, and a retry of the same
+same fault seed reproduces the identical injected-fault sequence in
+any process, and a retry of the same
 operation re-rolls under a fresh key instead of hitting the same fault
 forever.
 
@@ -58,7 +58,7 @@ KINDS = (IO_ERROR, CRASH, CORRUPT, STALL)
 
 #: Known injection sites and what faulting there simulates.
 SITES = {
-    "sweep.chunk": "chunk evaluation in the sweep engine",
+    "sweep.chunk": "one sweep engine run, before it reduces its days",
     "shard.write": "shard write, mid-way through the temp file",
     "shard.write.bytes": "shard bytes on their way to disk (corruption)",
     "manifest.write": "manifest write, mid-way through the temp file",
@@ -118,7 +118,7 @@ class FaultSpec:
         self.max_injections = int(max_injections)
         self.stall_seconds = float(stall_seconds)
         #: Only keys containing this substring are eligible (lets tests
-        #: target one chunk or one attempt deterministically).
+        #: target one work item or one attempt deterministically).
         self.match = match
 
     def __getstate__(self):

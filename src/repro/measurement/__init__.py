@@ -6,7 +6,7 @@ from .quality import CoveragePoint, MeasurementHealth
 from .records import DomainMeasurement
 from .resolving import ResolvingCollector
 from .seeds import ZoneTransferSeeder
-from .sweep import SweepChunk, SweepEngine, partition_chunks
+from .sweep import SweepEngine
 
 __all__ = [
     "DailySnapshot",
@@ -16,9 +16,7 @@ __all__ = [
     "DomainMeasurement",
     "PhaseStat",
     "ResolvingCollector",
-    "SweepChunk",
     "SweepEngine",
     "SweepMetrics",
     "ZoneTransferSeeder",
-    "partition_chunks",
 ]

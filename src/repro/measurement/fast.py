@@ -49,14 +49,6 @@ class DailySnapshot:
         """The world this snapshot was collected from."""
         return self._world
 
-    def measured_dns_ids(self) -> np.ndarray:
-        """DNS plan id per measured domain."""
-        return self.dns_ids[self.measured]
-
-    def measured_hosting_ids(self) -> np.ndarray:
-        """Hosting plan id per measured domain."""
-        return self.hosting_ids[self.measured]
-
     def subset(self, indices: Sequence[int]) -> np.ndarray:
         """The measured subset restricted to ``indices`` (e.g. sanctioned)."""
         wanted = np.asarray(indices, dtype=np.int64)

@@ -60,7 +60,7 @@ class PhaseStat:
         self.snapshots = 0
         #: Times the phase ran (cache hits skip reruns).
         self.runs = 0
-        #: Free-form annotations (executor kind, chunk count, ...).
+        #: Free-form annotations (bytes written or read, ...).
         self.notes: Dict[str, object] = {}
 
     @property
@@ -187,10 +187,6 @@ class SweepMetrics:
             stat["max_seconds"] = max(
                 float(stat["max_seconds"]), float(seconds)
             )
-
-    def endpoint_stats(self, name: str) -> Optional[Dict[str, object]]:
-        """The accumulated stats for one endpoint (None if never hit)."""
-        return self._endpoints.get(name)
 
     # ------------------------------------------------------------------
     # Free-form counters (coalesced requests, backpressure rejections...)

@@ -498,7 +498,6 @@ class ScenarioSpec:
             variant=variant,
             scenario_id=self.name,
             spec_digest=self.digest() if self.name != "baseline" else None,
-            from_spec=True,
         )
 
     def build(self):

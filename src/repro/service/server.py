@@ -58,7 +58,7 @@ from concurrent.futures import Future as ConcurrentFuture
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Set, Tuple
 
-from ..api.deadline import MAX_DEADLINE_MS, Deadline, deadline_scope
+from ..api.deadline import Deadline, deadline_scope
 from ..api.spec import SCHEMA_VERSION, QuerySpec, jsonify
 from ..errors import DeadlineExceeded, QueryError, ReproError
 from ..faults import TransientIOError, WorkerCrashed, sync_fault_metrics
@@ -84,7 +84,8 @@ from .resilience import (
 
 __all__ = ["QueryService", "run_service"]
 
-#: Defaults for the serving knobs (also the CLI defaults).
+#: Serving knobs: the constructor defaults (tests override some) and
+#: the fixed values ``repro serve`` runs with.
 DEFAULT_MAX_CONCURRENCY = 4
 DEFAULT_QUEUE_LIMIT = 32
 DEFAULT_CACHE_RESULTS = 128
@@ -145,30 +146,23 @@ class QueryService:
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         cache_results: int = DEFAULT_CACHE_RESULTS,
-        retry_after: int = DEFAULT_RETRY_AFTER,
-        deadline_ms: int = DEFAULT_DEADLINE_MS,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_window: float = DEFAULT_BREAKER_WINDOW,
         breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
         follow: Optional[FollowOptions] = None,
         follow_detectors=None,
         sse_buffer: int = DEFAULT_SSE_BUFFER,
-        sse_poll: float = DEFAULT_SSE_POLL,
     ) -> None:
         if max_concurrency < 1:
             raise QueryError(f"max_concurrency must be >= 1: {max_concurrency}")
         if queue_limit < 1:
             raise QueryError(f"queue_limit must be >= 1: {queue_limit}")
-        if deadline_ms < 1:
-            raise QueryError(f"deadline_ms must be >= 1: {deadline_ms}")
         self._context = context
         self._facade = context.api
         self._metrics = context.metrics
         self._faults = getattr(context, "faults", None)
         self._queue_limit = int(queue_limit)
-        self._retry_after = max(1, int(retry_after))
         self._cache_results = max(0, int(cache_results))
-        self._deadline_ms = min(int(deadline_ms), MAX_DEADLINE_MS)
         self._breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             window_seconds=breaker_window,
@@ -206,7 +200,6 @@ class QueryService:
             EventLog(self._archive_dir) if self._archive_dir else None
         )
         self._sse_buffer = max(1, int(sse_buffer))
-        self._sse_poll = float(sse_poll)
         #: (monotonic stamp, payload) cache for the status-file read,
         #: so stale-mode checks stay off the hot path.
         self._follow_status_cache: Tuple[float, Optional[Dict]] = (-1.0, None)
@@ -457,6 +450,19 @@ class QueryService:
             raise HttpError(f"event stream position must be >= 0: {since}")
         return since
 
+    def _sse_limit(self, request: HttpRequest) -> Optional[int]:
+        """The stream's event cap; an absent ``limit`` streams unbounded."""
+        raw = request.params.get("limit")
+        if raw is None:
+            return None
+        try:
+            limit = int(raw)
+        except ValueError as exc:
+            raise HttpError(f"bad event stream limit {raw!r}") from exc
+        if limit < 1:
+            raise HttpError(f"limit must be >= 1: {limit}")
+        return limit
+
     async def _serve_sse(
         self, request: HttpRequest, writer: asyncio.StreamWriter
     ) -> None:
@@ -474,6 +480,7 @@ class QueryService:
         try:
             try:
                 since = self._sse_since(request)
+                limit = self._sse_limit(request)
             except HttpError as exc:
                 status = 400
                 writer.write(HttpResponse.error(400, str(exc)).to_bytes())
@@ -488,12 +495,6 @@ class QueryService:
                 )
                 await writer.drain()
                 return
-            limit: Optional[int] = None
-            if "limit" in request.params:
-                try:
-                    limit = int(request.params["limit"])
-                except ValueError:
-                    limit = None
             head = (
                 "HTTP/1.1 200 OK\r\n"
                 "Content-Type: text/event-stream; charset=utf-8\r\n"
@@ -555,14 +556,14 @@ class QueryService:
                 # The follow range is fully ingested and the log is
                 # drained: nothing more will ever arrive.
                 return
-            idle += self._sse_poll
+            idle += DEFAULT_SSE_POLL
             if idle >= DEFAULT_SSE_KEEPALIVE:
                 idle = 0.0
                 if not await self._write_sse(
                     writer, encode_comment("keepalive"), "keepalive"
                 ):
                     return
-            await asyncio.sleep(self._sse_poll)
+            await asyncio.sleep(DEFAULT_SSE_POLL)
 
     async def _write_sse(
         self, writer: asyncio.StreamWriter, frame: bytes, key: str
@@ -612,7 +613,7 @@ class QueryService:
         """The request's time budget: header override or server default."""
         raw = request.headers.get(DEADLINE_HEADER)
         if raw is None:
-            return Deadline.after_ms(self._deadline_ms)
+            return Deadline.after_ms(DEFAULT_DEADLINE_MS)
         try:
             budget = int(raw)
         except ValueError as exc:
@@ -850,7 +851,7 @@ class QueryService:
                 503,
                 f"query queue is full ({self._queue_limit} in flight); "
                 "retry shortly",
-                {"Retry-After": str(self._retry_after)},
+                {"Retry-After": str(DEFAULT_RETRY_AFTER)},
             )
 
         probe = admission == ADMIT_PROBE
@@ -898,7 +899,7 @@ class QueryService:
         if status == 200 and self._cache_results:
             self._cache_put(key, text)
         headers = (
-            {"Retry-After": str(self._retry_after)}
+            {"Retry-After": str(DEFAULT_RETRY_AFTER)}
             if status in (503, 504)
             else None
         )
@@ -980,13 +981,13 @@ class QueryService:
         return HttpResponse.error(
             504,
             f"deadline of {deadline.budget_ms} ms exceeded",
-            {"Retry-After": str(self._retry_after)},
+            {"Retry-After": str(DEFAULT_RETRY_AFTER)},
         )
 
     def _shutdown_response(self) -> HttpResponse:
         return HttpResponse.error(
             503, "service shutting down",
-            {"Retry-After": str(self._retry_after)},
+            {"Retry-After": str(DEFAULT_RETRY_AFTER)},
         )
 
     @staticmethod
@@ -1094,7 +1095,7 @@ class QueryService:
                 "inflight": len(self._inflight),
                 "cached_results": len(self._cache),
                 "queue_limit": self._queue_limit,
-                "deadline_ms": self._deadline_ms,
+                "deadline_ms": DEFAULT_DEADLINE_MS,
                 "breaker": self._breaker.snapshot(),
             },
         }

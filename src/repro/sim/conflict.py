@@ -67,7 +67,6 @@ class ConflictScenarioConfig:
         variant: Optional["ScenarioVariant"] = None,
         scenario_id: str = "baseline",
         spec_digest: Optional[str] = None,
-        from_spec: bool = False,
     ) -> None:
         if scale <= 0:
             raise ScenarioError(f"scale must be positive: {scale}")
@@ -99,9 +98,6 @@ class ConflictScenarioConfig:
         self.variant = variant
         self.scenario_id = str(scenario_id)
         self.spec_digest = spec_digest
-        #: True when this config came out of ``ScenarioSpec.compile()``;
-        #: ad-hoc construction at analysis call sites is deprecated.
-        self.from_spec = from_spec
         if self.variant is not None and self.scenario_id == "baseline":
             # A world-altering variant must never masquerade as baseline:
             # the archive fingerprint omits scenario identity for baseline

@@ -133,12 +133,11 @@ class TestResumeByteIdentity:
 
 
 class TestKillAndResume:
-    """A hard kill at a chunk_days boundary resumes without loss or dupes.
+    """A hard kill mid-segment resumes without loss or dupes.
 
-    The scenario the ``chunk_days``/resume interaction must survive: the
-    builder flushes the manifest only after a whole segment, so a build
-    killed after N days (a chunk boundary, with more chunks to go) leaves
-    N complete shard files the manifest never recorded.  The resume must
+    The builder flushes the manifest only after a whole segment, so a
+    build killed after N days (with more days to go) leaves N complete
+    shard files the manifest never recorded.  The resume must
     adopt those orphans (no re-sweep, no duplicate days), sweep exactly
     the remainder, and converge on bytes identical to an uninterrupted
     build.
@@ -163,13 +162,13 @@ class TestKillAndResume:
             def dying(self, snapshot):
                 info = original(self, snapshot)
                 state["days"] += 1
-                if state["days"] == 4:  # chunk_days=2: a chunk boundary
+                if state["days"] == 4:  # mid-segment, more days to go
                     os._exit(17)
                 return info
 
             builder_mod.ArchiveShardReducer.reduce_day = dying
             config = ConflictScenarioConfig(scale=5000.0, with_pki=False)
-            ArchiveBuilder({killed!r}, config, chunk_days=2).build(
+            ArchiveBuilder({killed!r}, config).build(
                 dt.date({START.year}, {START.month}, {START.day}),
                 dt.date({END.year}, {END.month}, {END.day}),
             )

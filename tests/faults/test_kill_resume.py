@@ -1,11 +1,12 @@
 """Kill-and-resume: an interrupted build converges on identical bytes.
 
-Marked ``faults``.  A fault plan deterministically kills one chunk of an
-in-flight ``ArchiveBuilder.build`` (every attempt, so the retry budget
-exhausts and the build dies mid-segment, leaving orphan shards and no
-manifest coverage for the segment).  Resuming without faults must
-produce an archive byte-identical to one built without interruption —
-the resumability property the archive design promises.
+Marked ``faults``.  A fault plan deterministically fails one day's shard
+write in an in-flight ``ArchiveBuilder.build`` (every attempt, so the
+write's retry budget exhausts and the build dies mid-segment, leaving
+orphan shards and no manifest coverage for the segment).  Resuming
+without faults must produce an archive byte-identical to one built
+without interruption — the resumability property the archive design
+promises.
 """
 
 import datetime as dt
@@ -17,16 +18,15 @@ import pytest
 from repro.archive import ArchiveBuilder, MeasurementArchive
 from repro.archive.manifest import MANIFEST_NAME
 from repro.errors import RecoveryError
-from repro.faults import CRASH, FaultPlan, FaultSpec
+from repro.faults import IO_ERROR, FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.faults
 
 START = dt.date(2022, 3, 1)
 END = dt.date(2022, 3, 14)
 
-#: Chunk size the builds run at; 2022-03-07 starts the third chunk.
-CHUNK_DAYS = 3
-DOOMED_CHUNK = "2022-03-07"
+#: The shard whose write fails on every attempt, mid-range.
+DOOMED_SHARD = "2022-03-07.shard"
 
 
 def archive_digest(directory):
@@ -43,20 +43,13 @@ def archive_digest(directory):
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory, fault_config):
     directory = tmp_path_factory.mktemp("killresume") / "reference"
-    ArchiveBuilder(str(directory), fault_config, chunk_days=CHUNK_DAYS).build(
-        START, END, 1
-    )
+    ArchiveBuilder(str(directory), fault_config).build(START, END, 1)
     return str(directory)
 
 
 def interrupt_then_resume(directory, fault_config, plan):
-    """Run a build that must die on the doomed chunk, then resume clean."""
-    builder = ArchiveBuilder(
-        str(directory),
-        fault_config,
-        chunk_days=CHUNK_DAYS,
-        faults=plan,
-    )
+    """Run a build that must die on the doomed shard, then resume clean."""
+    builder = ArchiveBuilder(str(directory), fault_config, faults=plan)
     with pytest.raises(RecoveryError):
         builder.build(START, END, 1)
     # The interruption landed mid-segment: shards exist that no
@@ -64,7 +57,7 @@ def interrupt_then_resume(directory, fault_config, plan):
     orphans = [n for n in os.listdir(directory) if n.endswith(".shard")]
     assert orphans
     assert not os.path.exists(os.path.join(directory, MANIFEST_NAME))
-    resumed = ArchiveBuilder(str(directory), fault_config, chunk_days=CHUNK_DAYS)
+    resumed = ArchiveBuilder(str(directory), fault_config)
     report = resumed.build(START, END, 1)
     # Resume covers every day of the range exactly once: intact orphan
     # shards are adopted in place, the rest are rebuilt.  Nothing was in
@@ -78,12 +71,16 @@ class TestKillAndResume:
     def test_serial_interrupt_resume_byte_identical(
         self, tmp_path, fault_config, uninterrupted
     ):
-        # Matching the chunk key without an attempt suffix dooms every
+        # Matching the shard key without an attempt suffix dooms every
         # retry, so the serial build dies with RecoveryError mid-range.
         plan = FaultPlan(
-            1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match=DOOMED_CHUNK)}
+            1, {"shard.write": FaultSpec(IO_ERROR, 1.0, match=DOOMED_SHARD)}
         )
         directory = tmp_path / "serial"
-        interrupt_then_resume(str(directory), fault_config, plan)
+        report = interrupt_then_resume(str(directory), fault_config, plan)
+        # Every day before the doomed shard was written, then orphaned.
+        assert report.adopted == [
+            START + dt.timedelta(days=offset) for offset in range(6)
+        ]
         assert archive_digest(str(directory)) == archive_digest(uninterrupted)
         assert MeasurementArchive(str(directory)).verify() == []

@@ -1,4 +1,4 @@
-"""Self-healing sweep tests: injected chunk crashes and retries.
+"""Self-healing sweep tests: injected run crashes and retries.
 
 Marked ``faults`` (excluded from tier-1): these sweep a real 1:5000
 world under injected faults.  Every test asserts
@@ -46,7 +46,7 @@ def world(fault_config):
 @pytest.fixture(scope="module")
 def baseline(world):
     """The undisturbed sweep every recovery path must reproduce."""
-    engine = SweepEngine(FastCollector(world), chunk_days=4)
+    engine = SweepEngine(FastCollector(world))
     return engine.run(DigestReducer(), START, END, 1)
 
 
@@ -54,7 +54,6 @@ def make_engine(world, faults, **kwargs):
     metrics = SweepMetrics()
     engine = SweepEngine(
         FastCollector(world),
-        chunk_days=4,
         metrics=metrics,
         faults=faults,
         **kwargs,
@@ -64,15 +63,14 @@ def make_engine(world, faults, **kwargs):
 
 class TestSerialSelfHealing:
     def test_targeted_crash_retries_every_chunk(self, world, baseline):
-        # Every chunk's first attempt crashes; the retry (attempt #1)
-        # falls outside the match and succeeds.
+        # The run's first attempt crashes; the retry (attempt #1) falls
+        # outside the match and succeeds.
         plan = FaultPlan(1, {"sweep.chunk": FaultSpec(CRASH, 1.0, match="#0")})
         engine, metrics = make_engine(world, plan)
         records = engine.run(DigestReducer(), START, END, 1)
         assert records == baseline
-        chunks = 7  # 27 days in chunks of 4
-        assert metrics.recovery_count("chunk_retries") == chunks
-        assert metrics.recovery_count("faults_injected") == chunks
+        assert metrics.recovery_count("chunk_retries") == 1
+        assert metrics.recovery_count("faults_injected") == 1
 
     def test_random_crashes_converge(self, world, baseline, fault_seed):
         plan = FaultPlan(fault_seed, {"sweep.chunk": FaultSpec(CRASH, 0.3)})
@@ -83,7 +81,7 @@ class TestSerialSelfHealing:
         assert records == baseline
 
     def test_retry_budget_exhaustion_raises(self, world):
-        # No match clause: every attempt of every chunk crashes.
+        # No match clause: every attempt crashes.
         plan = FaultPlan(1, {"sweep.chunk": FaultSpec(CRASH, 1.0)})
         engine, _ = make_engine(world, plan, retry_backoff=0.0)
         with pytest.raises(RecoveryError, match="failed 4 times"):

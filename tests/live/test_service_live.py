@@ -94,6 +94,15 @@ class TestSseStream:
             frames = list(client_for(svc).follow_events(limit=2))
         assert [frame.seq for frame in frames] == [1, 2]
 
+    def test_bad_limit_rejected(self, followed_archive, live_config):
+        # A bad limit is refused up front, like a bad since: neither a
+        # non-integer nor a non-positive limit may open the stream.
+        with ServiceThread(live_context(live_config, followed_archive)) as svc:
+            for limit in ("abc", "0", "-2"):
+                status, _, body = svc.get(f"/v1/events/stream?limit={limit}")
+                assert status == 400, limit
+                assert b"limit" in body
+
     def test_last_event_id_beats_since(self, followed_archive, live_config):
         with ServiceThread(live_context(live_config, followed_archive)) as svc:
             connection = http.client.HTTPConnection(

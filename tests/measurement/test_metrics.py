@@ -121,7 +121,6 @@ class TestContextIntegration:
         stat = context.metrics.get_phase("full_sweep")
         assert stat is not None
         assert stat.snapshots == len(context.api.full_sweep().ns_composition)
-        assert stat.notes["chunks"] == 1
 
 
 class TestResolvingCollectorMetrics:

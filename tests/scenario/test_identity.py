@@ -10,7 +10,6 @@ import os
 import pickle
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -34,11 +33,9 @@ def _spec(name: str) -> ScenarioSpec:
 
 class TestBaselineByteIdentity:
     def test_world_digest_matches_the_ad_hoc_config_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = build_world(
-                ConflictScenarioConfig(scale=TEST_SCALE, with_pki=False)
-            )
+        legacy = build_world(
+            ConflictScenarioConfig(scale=TEST_SCALE, with_pki=False)
+        )
         assert world_digest(_spec("baseline").build()) == world_digest(legacy)
 
     def test_archive_bytes_match_the_ad_hoc_config_path(self, tmp_path):

@@ -298,11 +298,29 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8321
-        assert args.max_concurrency == 4
-        assert args.queue_limit == 32
-        assert args.cache_results == 128
         assert args.archive is None
         assert args.processes == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-concurrency", "4"),
+            ("--queue-limit", "32"),
+            ("--cache-results", "128"),
+            ("--deadline-ms", "30000"),
+            ("--follow-cadence", "1"),
+            ("--follow-interval", "0"),
+            ("--follow-stall-after", "3"),
+            ("--follow-retries", "3"),
+            ("--sse-buffer", "64"),
+        ],
+    )
+    def test_unset_knobs_are_gone(self, flag, value, capsys):
+        # The server runs these at the service module's constants.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_processes_accepts_only_one(self, capsys):
         # One asyncio server per process; the flag survives only so
