@@ -15,8 +15,9 @@ Two properties follow:
   to an uninterrupted build.
 
 Every day goes through the one streaming writer
-(:func:`~repro.archive.stream.write_shard_stream`), so a build's memory
-stays bounded by the writer's chunk at any scale.
+(:func:`~repro.archive.stream.write_shard_stream`), so a build's
+transient memory stays bounded by the writer's chunk at any scale; the
+reducer's encoded caches are the part that grows with the population.
 """
 
 from __future__ import annotations
@@ -88,9 +89,16 @@ class ShardInfo:
 class ArchiveShardReducer:
     """Day reducer that persists each snapshot as one day shard.
 
-    The apex/plan materialisation caches are accelerators keyed by
-    ``(domain_index, hosting_id)`` / ``(epoch, dns_id)``; assignments
-    change rarely, so consecutive days hit the caches almost every time.
+    Carries :meth:`DayStream.from_snapshot
+    <repro.archive.stream.DayStream.from_snapshot>`'s caches from day to
+    day: the encoded name bytes per domain index, the encoded apex run
+    per ``(domain_index, hosting_id)``, and the NS plan table entry per
+    ``(epoch, dns_id)``.  Assignments change rarely, so consecutive days
+    hit almost every time and a day's columns are mostly joins of
+    cached bytes.  :class:`ArchiveBuilder` keeps one reducer for its
+    lifetime, so the caches also carry across its ``build()`` calls.
+    They grow with the measured domains and the distinct ``(domain,
+    plan)`` pairs the builder has seen.
     """
 
     def __init__(
@@ -103,7 +111,8 @@ class ArchiveShardReducer:
         self.faults = faults
         #: Metrics for RSS sampling after every written day.
         self.metrics = metrics
-        self._apex_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._name_cache: Dict[int, bytes] = {}
+        self._apex_cache: Dict[int, bytes] = {}
         self._plan_cache: Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
 
     def reduce_day(self, snapshot) -> ShardInfo:
@@ -116,7 +125,8 @@ class ArchiveShardReducer:
         # without decoding the columns or building a world.
         summary = summarize_snapshot(snapshot)
         stream = DayStream.from_snapshot(
-            snapshot, summary, self._apex_cache, self._plan_cache
+            snapshot, summary, self._apex_cache, self._plan_cache,
+            self._name_cache,
         )
         file_bytes, crc = write_shard_stream(path, stream, faults=self.faults)
         if self.metrics is not None:
@@ -230,6 +240,12 @@ class ArchiveBuilder:
         # resume) build never pays the world construction cost.
         self._engine: Optional[SweepEngine] = None
         self._world = None
+        # One reducer per builder (one world per builder), so its
+        # encoded caches carry across build() calls: live follow and
+        # self-heal build one day per call.
+        self._reducer = ArchiveShardReducer(
+            self.directory, faults=faults, metrics=metrics
+        )
 
     # ------------------------------------------------------------------
     # Lazy simulation state
@@ -342,9 +358,6 @@ class ArchiveBuilder:
             manifest.save(self.directory, faults=self.faults)
             return BuildReport([], skipped, 0, 0, adopted)
         engine = self._ensure_engine()
-        reducer = ArchiveShardReducer(
-            self.directory, faults=self.faults, metrics=self.metrics
-        )
         os.makedirs(self.directory, exist_ok=True)
         written: List[_dt.date] = []
         bytes_written = 0
@@ -353,11 +366,11 @@ class ArchiveBuilder:
             if self.metrics is not None:
                 with self.metrics.phase("archive_build"):
                     infos: List[ShardInfo] = engine.run(
-                        reducer, seg_start, seg_end, seg_step, phase="archive_build"
+                        self._reducer, seg_start, seg_end, seg_step, phase="archive_build"
                     )
             else:
                 infos = engine.run(
-                    reducer, seg_start, seg_end, seg_step, phase="archive_build"
+                    self._reducer, seg_start, seg_end, seg_step, phase="archive_build"
                 )
             for info in infos:
                 manifest.add_day(info.entry())

@@ -33,8 +33,10 @@ self-healing and ``repro archive repair`` turn into a rebuild.
 
 This module owns the format definition, :class:`DayShardRecord` and
 the readers.  The one writer is the streaming encoder in
-:mod:`repro.archive.stream`; :func:`encode_shard` and
-:func:`write_shard` are its record-facing forms.  Writes are
+:mod:`repro.archive.stream` (encoded per-domain caches, compression on
+one helper thread); :func:`encode_shard` and :func:`write_shard` are
+its record-facing forms, and :meth:`DayShardRecord.from_snapshot`
+decodes its uncompressed payload.  Writes are
 build-order independent and byte-deterministic: the same day always
 serialises to the same bytes, which is what makes
 interrupted-then-resumed archive builds byte-identical to
@@ -44,7 +46,6 @@ uninterrupted ones.
 from __future__ import annotations
 
 import datetime as _dt
-import io
 import os
 import struct
 import zlib
@@ -280,30 +281,22 @@ class DayShardRecord:
     def from_snapshot(
         cls,
         snapshot,
-        apex_cache: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None,
+        apex_cache: Optional[Dict[int, bytes]] = None,
         plan_cache: Optional[Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]]] = None,
     ) -> "DayShardRecord":
         """Columnarise one :class:`DailySnapshot`; ``summary`` stays unset.
 
-        Materialises :meth:`DayStream.from_snapshot
-        <repro.archive.stream.DayStream.from_snapshot>`, whose apex/plan
-        caches (see there) this forwards.
+        Decodes the uncompressed payload of :meth:`DayStream.from_snapshot
+        <repro.archive.stream.DayStream.from_snapshot>` — the bytes a
+        shard of the day would hold — so the record and the shard cannot
+        disagree.  The encoded apex cache and the plan cache (see there)
+        are forwarded.
         """
-        from .stream import DayStream
+        from .stream import DayStream, _stream_pieces
 
         stream = DayStream.from_snapshot(snapshot, None, apex_cache, plan_cache)
-        positions = range(len(stream))
-        return cls(
-            stream.date,
-            stream.epoch_start_day,
-            stream.population_size,
-            stream.measured,
-            stream.dns_ids,
-            stream.hosting_ids,
-            stream.dns_plan_ns,
-            [stream.domain_at(p) for p in positions],
-            [stream.apex_at(p) for p in positions],
-        )
+        payload = b"".join(_stream_pieces(stream))
+        return _decode_payload(stream.date, len(stream), payload)
 
     # ------------------------------------------------------------------
     # Record materialisation
@@ -538,11 +531,9 @@ def encode_shard(record: DayShardRecord) -> Tuple[bytes, int]:
     field zeroed) plus every uncompressed block.  ``record.summary``
     must be populated.  Runs the streaming writer into memory.
     """
-    from .stream import DayStream, _encode_into
+    from .stream import DayStream, encode_stream
 
-    buffer = io.BytesIO()
-    _, crc = _encode_into(buffer, DayStream.from_record(record))
-    return buffer.getvalue(), crc
+    return encode_stream(DayStream.from_record(record))
 
 
 def write_shard(

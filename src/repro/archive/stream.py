@@ -11,18 +11,32 @@ shard file:
   payload prefix needs them), the domain and apex columns as
   position-addressed lookups that a writer pulls in ``[lo, hi)``
   chunks of :data:`CHUNK_DOMAINS`;
-* :func:`write_shard_stream` feeds the prefix slices, then the domain
-  chunks, then the apex chunks to one ``zlib.compressobj``, tracks the
-  payload CRC as it goes, and — because the v3 header CRC folds the
-  header in *first*, and the header stores the payload length that is
-  only known at the end — finishes with
-  :func:`~repro.archive.codec.crc32_combine` and patches the real
-  header over its placeholder before the atomic rename.
+* a stream built by :meth:`DayStream.from_snapshot` may carry two
+  *encoded caches* that outlive the day: each domain's
+  ``write_string`` bytes keyed by its population index, and each
+  ``write_delta_run`` apex run keyed by ``(domain_index, hosting_id)``.
+  A name never changes and an apex run is a function of that pair, so
+  a chunk is a ``b"".join`` of cache hits and only a miss reaches the
+  world.  The caches grow with the distinct measured domains and
+  ``(domain, plan)`` pairs a builder has seen;
+* :func:`write_shard_stream` produces the prefix slices, then the
+  domain chunks, then the apex chunks on the calling thread, folding
+  the payload CRC as it goes, and hands each piece through a queue of
+  :data:`QUEUE_DEPTH` to one compressor thread, which owns the
+  ``zlib.compressobj`` and the file writes (zlib releases the GIL, so
+  compression runs beside the encoding).  The thread is joined before
+  the write returns and any exception it raised is re-raised in the
+  caller.  Because the v3 header CRC folds the header in *first*, and
+  the header stores the payload length that is only known at the end,
+  the write finishes with :func:`~repro.archive.codec.crc32_combine`
+  and patches the real header over its placeholder before the atomic
+  rename.
 
-:func:`repro.archive.shard.encode_shard` runs the same pipeline into an
-in-memory buffer, so there is one encoding of the format.  The bytes do
-not depend on the chunk size: chunk boundaries fall between codec
-fields (a length-prefixed string or delta run is never split), and a
+:func:`encode_stream` runs the same pipeline into an in-memory buffer
+(:func:`repro.archive.shard.encode_shard` and the scenario digests use
+it), so there is one encoding of the format.  The bytes do not depend
+on the chunk size: chunk boundaries fall between codec fields (a
+length-prefixed string or delta run is never split), and a
 ``compressobj`` fed any partition of the payload emits the same stream.
 ``tests/archive/test_streaming_equivalence.py`` checks that property,
 and ``tests/archive/test_shard_golden.py`` pins the bytes themselves.
@@ -30,10 +44,13 @@ and ``tests/archive/test_shard_golden.py`` pins the bytes themselves.
 
 from __future__ import annotations
 
+import io
 import os
+import queue
+import threading
 import time
 import zlib
-from typing import BinaryIO, Callable, Dict, Iterator, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,13 +67,24 @@ from .codec import (
 from .shard import _HEADER_V3, _ZLIB_LEVEL, SHARD_MAGIC, read_shard
 from .summary import DaySummary, encode_summary
 
-__all__ = ["CHUNK_DOMAINS", "DayStream", "write_shard_stream"]
+__all__ = [
+    "CHUNK_DOMAINS",
+    "QUEUE_DEPTH",
+    "DayStream",
+    "encode_stream",
+    "write_shard_stream",
+]
 
 #: Positions per streamed chunk: small enough that a chunk's Python
 #: strings and encode buffer stay in the tens of megabytes at any scale.
 #: :func:`~repro.archive.kernel.summarize_snapshot` aggregates in chunks
 #: of the same size.
 CHUNK_DOMAINS = 50_000
+
+#: Encoded pieces the calling thread may run ahead of the compressor
+#: thread.  Each is at most one chunk of one column, so this bounds the
+#: writer's in-flight payload at a few chunks.
+QUEUE_DEPTH = 4
 
 
 class DayStream:
@@ -67,6 +95,10 @@ class DayStream:
     columns as per-position callables, so a writer can pull any
     ``[lo, hi)`` chunk without the rest of the day existing as Python
     objects.  ``summary`` must be set before the day is written.
+
+    ``name_cache`` and ``apex_cache`` are the optional encoded caches
+    (see :meth:`from_snapshot`); without them every position is encoded
+    afresh.
     """
 
     __slots__ = (
@@ -80,6 +112,8 @@ class DayStream:
         "summary",
         "domain_at",
         "apex_at",
+        "name_cache",
+        "apex_cache",
     )
 
     def __init__(
@@ -94,6 +128,8 @@ class DayStream:
         summary: Optional[DaySummary],
         domain_at: Callable[[int], str],
         apex_at: Callable[[int], Tuple[int, ...]],
+        name_cache: Optional[Dict[int, bytes]] = None,
+        apex_cache: Optional[Dict[int, bytes]] = None,
     ) -> None:
         self.date = date
         self.epoch_start_day = int(epoch_start_day)
@@ -108,6 +144,8 @@ class DayStream:
         self.summary = summary
         self.domain_at = domain_at
         self.apex_at = apex_at
+        self.name_cache = name_cache
+        self.apex_cache = apex_cache
 
     def __len__(self) -> int:
         return len(self.measured)
@@ -121,8 +159,9 @@ class DayStream:
         cls,
         snapshot,
         summary: Optional[DaySummary],
-        apex_cache: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None,
+        apex_cache: Optional[Dict[int, bytes]] = None,
         plan_cache: Optional[Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]]] = None,
+        name_cache: Optional[Dict[int, bytes]] = None,
     ) -> "DayStream":
         """Stream view of one live :class:`DailySnapshot`.
 
@@ -133,14 +172,21 @@ class DayStream:
         :func:`~repro.archive.kernel.summarize_snapshot`, computed by
         the caller.
 
-        The caches are keyed by ``(domain_index, hosting_id)`` and
-        ``(epoch_start_day, dns_id)``; assignments change rarely, so a
-        builder that threads the same dicts through consecutive days
-        materialises each plan/apex tuple once instead of once per day.
+        The caches are accelerators a builder threads through
+        consecutive days.  ``name_cache`` maps a domain index to its
+        encoded name and ``apex_cache`` maps ``(domain_index,
+        hosting_id)`` — packed into one int by :func:`_apex_keys` — to
+        its encoded apex run; both hold codec bytes, so a hit skips the
+        world lookup *and* the encode.  ``plan_cache`` maps
+        ``(epoch_start_day, dns_id)`` to the plan's NS names and
+        addresses.  Names never change and an apex run depends only on
+        its key, so a hit is always current; assignments change
+        rarely, so almost every position hits.  The encoded caches hold
+        one entry per measured domain and per distinct ``(domain,
+        plan)`` pair seen.
         """
         world = snapshot.world
         epoch = snapshot.epoch
-        apex_cache = {} if apex_cache is None else apex_cache
         plan_cache = {} if plan_cache is None else plan_cache
 
         measured = np.asarray(snapshot.measured, dtype=np.int64)
@@ -168,14 +214,9 @@ class DayStream:
             return str(world.population.record(int(measured[position])).name)
 
         def apex_at(position: int) -> Tuple[int, ...]:
-            key = (int(measured[position]), int(hosting_ids[position]))
-            addresses = apex_cache.get(key)
-            if addresses is None:
-                addresses = tuple(
-                    sorted(world.apex_addresses_for_plan(key[0], key[1]))
-                )
-                apex_cache[key] = addresses
-            return addresses
+            return tuple(sorted(world.apex_addresses_for_plan(
+                int(measured[position]), int(hosting_ids[position])
+            )))
 
         return cls(
             snapshot.date,
@@ -188,6 +229,8 @@ class DayStream:
             summary,
             domain_at,
             apex_at,
+            name_cache,
+            apex_cache,
         )
 
     @classmethod
@@ -219,22 +262,55 @@ class DayStream:
 
     def domains_chunk(self, lo: int, hi: int) -> bytes:
         """Encoded domain-name column for positions ``[lo, hi)``."""
-        buffer = bytearray()
-        domain_at = self.domain_at
-        for position in range(lo, hi):
-            write_string(buffer, domain_at(position))
-        return bytes(buffer)
+        return _encoded_chunk(
+            self.name_cache, self.measured[lo:hi].tolist(), lo,
+            self.domain_at, write_string,
+        )
 
     def apex_chunk(self, lo: int, hi: int) -> bytes:
         """Encoded apex delta-run column for positions ``[lo, hi)``."""
-        buffer = bytearray()
-        apex_at = self.apex_at
-        for position in range(lo, hi):
-            write_delta_run(buffer, apex_at(position))
-        return bytes(buffer)
+        return _encoded_chunk(
+            self.apex_cache,
+            _apex_keys(self.measured[lo:hi], self.hosting_ids[lo:hi]),
+            lo, self.apex_at, write_delta_run,
+        )
 
     def __repr__(self) -> str:
         return f"DayStream({self.date}, {len(self.measured)} measured)"
+
+
+def _apex_keys(measured: np.ndarray, hosting_ids: np.ndarray) -> List[int]:
+    """One int per ``(domain_index, hosting_id)`` pair, injectively.
+
+    The hosting id fills the low 32 bits (as unsigned), so keys are
+    built vectorised and cost one int apiece rather than a tuple.
+    """
+    low = hosting_ids.astype(np.int64) & 0xFFFFFFFF
+    return ((measured.astype(np.int64) << 32) | low).tolist()
+
+
+def _encoded_chunk(
+    cache: Optional[Dict[int, bytes]],
+    keys: List[int],
+    lo: int,
+    value_at: Callable[[int], object],
+    write: Callable[[bytearray, object], None],
+) -> bytes:
+    """Positions ``lo ..`` encoded by ``write``: cache hits, joined.
+
+    ``keys[i]`` names position ``lo + i`` in ``cache``; only a miss
+    calls ``value_at`` and encodes, and it is stored for the next day.
+    With no cache the chunk fills a throwaway one.
+    """
+    if cache is None:
+        cache = {}
+    pieces = list(map(cache.get, keys))
+    for offset, piece in enumerate(pieces):
+        if piece is None:
+            buffer = bytearray()
+            write(buffer, value_at(lo + offset))
+            pieces[offset] = cache[keys[offset]] = bytes(buffer)
+    return b"".join(pieces)
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +376,34 @@ def _stream_pieces(stream: DayStream) -> Iterator[bytes]:
         yield stream.apex_chunk(lo, hi)
 
 
+def _compress_pieces(
+    handle: BinaryIO,
+    pieces: "queue.Queue[Optional[bytes]]",
+    errors: List[BaseException],
+) -> None:
+    """Compressor thread: deflate queued pieces onto ``handle``.
+
+    ``None`` ends the stream (the compressor is flushed).  The first
+    exception is kept in ``errors`` for the writer to re-raise; after
+    it the queue is only drained, so the writer never blocks on it.
+    """
+    compressor = zlib.compressobj(_ZLIB_LEVEL)
+    piece: Optional[bytes] = b""
+    while piece is not None:
+        piece = pieces.get()
+        if errors:
+            continue
+        try:
+            if piece is None:
+                handle.write(compressor.flush())
+            else:
+                handle.write(compressor.compress(piece))
+        except BaseException as exc:
+            # Re-raised by the writer after the join; caught broadly so
+            # that no failure can leave the writer blocked on the queue.
+            errors.append(exc)
+
+
 def _encode_into(
     handle: BinaryIO, stream: DayStream, faults=None, key: str = ""
 ) -> Tuple[int, int]:
@@ -308,16 +412,18 @@ def _encode_into(
     Returns ``(file_bytes, crc32)``.
 
     The header goes down as a placeholder, then the compressed summary
-    block, then the payload pieces through one compressor.  The header
-    CRC covers zeroed-header || summary || payload; the first two are
-    known only once the payload length is final, so their CRC is
-    combined with the independently streamed payload CRC and the real
-    header is written over the placeholder.
+    block, then the payload pieces through one compressor thread (see
+    the module docstring).  The header CRC covers zeroed-header ||
+    summary || payload; the first two are known only once the payload
+    length is final, so their CRC is combined with the independently
+    streamed payload CRC and the real header is written over the
+    placeholder once the thread is joined.
 
     With a fault plan, ``shard.write.bytes`` is rolled once under
     ``key`` (it may flip a bit of the summary block, which the caller's
     read-back verify catches) before the mid-write ``shard.write``
     check, the same order :func:`repro.ioutil.atomic_write_bytes` uses.
+    Both happen before the thread starts.
     """
     summary = encode_summary(stream.summary)
     summary_blob = zlib.compress(summary, _ZLIB_LEVEL)
@@ -341,12 +447,27 @@ def _encode_into(
         handle.write(summary_blob)
     payload_length = 0
     payload_crc = 0
-    compressor = zlib.compressobj(_ZLIB_LEVEL)
-    for piece in _stream_pieces(stream):
-        payload_length += len(piece)
-        payload_crc = zlib.crc32(piece, payload_crc)
-        handle.write(compressor.compress(piece))
-    handle.write(compressor.flush())
+    pieces: "queue.Queue[Optional[bytes]]" = queue.Queue(QUEUE_DEPTH)
+    errors: List[BaseException] = []
+    compressor = threading.Thread(
+        target=_compress_pieces,
+        args=(handle, pieces, errors),
+        name="shard-compressor",
+        daemon=True,
+    )
+    compressor.start()
+    try:
+        for piece in _stream_pieces(stream):
+            if errors:
+                break
+            payload_length += len(piece)
+            payload_crc = zlib.crc32(piece, payload_crc)
+            pieces.put(piece)
+    finally:
+        pieces.put(None)
+        compressor.join()
+    if errors:
+        raise errors[0]
     file_bytes = handle.tell()
     crc = crc32_combine(
         zlib.crc32(summary, zlib.crc32(header(0, payload_length))),
@@ -358,6 +479,13 @@ def _encode_into(
     return file_bytes, crc
 
 
+def encode_stream(stream: DayStream) -> Tuple[bytes, int]:
+    """``stream``'s shard as in-memory bytes; returns ``(blob, crc32)``."""
+    buffer = io.BytesIO()
+    _, crc = _encode_into(buffer, stream)
+    return buffer.getvalue(), crc
+
+
 def write_shard_stream(
     path: str,
     stream: DayStream,
@@ -367,7 +495,8 @@ def write_shard_stream(
 ) -> Tuple[int, int]:
     """Stream one day to ``path`` atomically; returns ``(file_bytes, crc32)``.
 
-    Chunks are compressed as they are produced and written to a
+    Chunks are compressed as they are produced (on the compressor
+    thread, which is joined before each attempt ends) and written to a
     same-directory temp file, which ``os.replace`` renames over the
     final name, so an interrupted or faulted write never leaves a torn
     shard behind a name that passes existence checks.

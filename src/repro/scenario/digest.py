@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ..archive.kernel import summarize_snapshot
 from ..archive.manifest import MANIFEST_NAME
-from ..archive.shard import DayShardRecord, encode_shard
+from ..archive.stream import DayStream, encode_stream
 from ..errors import ArchiveError, ScenarioError
 from ..measurement.fast import FastCollector
 from ..timeline import DateLike, as_date
@@ -53,9 +53,8 @@ def world_digest(
     hasher = hashlib.sha256()
     for date in dates:
         snapshot = collector.collect(as_date(date))
-        record = DayShardRecord.from_snapshot(snapshot)
-        record.summary = summarize_snapshot(snapshot)
-        blob, _crc = encode_shard(record)
+        stream = DayStream.from_snapshot(snapshot, summarize_snapshot(snapshot))
+        blob, _crc = encode_stream(stream)
         hasher.update(blob)
     return hasher.hexdigest()
 
