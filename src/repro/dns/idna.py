@@ -187,7 +187,7 @@ def encode_label(label: str) -> str:
     if not label:
         raise PunycodeError("empty label")
     lowered = label.lower()
-    if all(ord(ch) < 0x80 for ch in lowered):
+    if lowered.isascii():
         return lowered
     encoded = ACE_PREFIX + punycode_encode(lowered)
     if len(encoded) > 63:

@@ -101,10 +101,6 @@ class IterativeResolver:
         """Resolve ``qname``/``qtype``, following CNAMEs."""
         return self._resolve(qname, qtype, depth=0)
 
-    def resolve_addresses(self, qname: DomainName) -> ResolutionResult:
-        """Convenience: resolve the A records for ``qname``."""
-        return self.resolve(qname, RRType.A)
-
     # ------------------------------------------------------------------
     # Core walk
     # ------------------------------------------------------------------

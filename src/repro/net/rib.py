@@ -67,11 +67,6 @@ class RoutingTable:
                 del self._by_length[prefix.length]
         self._routes.pop(prefix, None)
 
-    def announce_all(self, routes: Iterable[Tuple[Prefix, int]]) -> None:
-        """Bulk :meth:`announce`."""
-        for prefix, asn in routes:
-            self.announce(prefix, asn)
-
     def routes(self) -> List[Route]:
         """All installed routes, sorted by prefix."""
         return [Route(p, a) for p, a in sorted(self._routes.items())]

@@ -10,10 +10,11 @@ so the unique-to-concurrent ratio lands near the paper's ~2.3x.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..dns.idna import encode_label
 from ..dns.name import DomainName
 from ..errors import RegistryError
 from ..rng import derive_rng
@@ -61,80 +62,77 @@ class PopulationConfig:
 
 
 class DomainPopulation:
-    """The generated registration history, with columnar views."""
+    """The generated registration history, kept as columns.
+
+    Generation appends to plain columns (the label as generated, its
+    TLD, the created and deleted study days, a registrar index) and
+    builds the ``created``/``deleted``/``tld``/``is_rf`` numpy views
+    straight from them.  Nothing reads most records while a world is
+    built, so :meth:`record` builds each :class:`DomainRecord`, with its
+    validated, IDNA-encoded :class:`DomainName`, on first read and
+    caches it.  Iteration and :meth:`by_name` go through :meth:`record`,
+    so every name anyone reads is still checked.
+    """
 
     def __init__(self, config: PopulationConfig) -> None:
         self.config = config
-        self._records: List[DomainRecord] = []
-        self._generate()
-        self.created = np.asarray(
-            [rec.created_day for rec in self._records], dtype=np.int64
-        )
-        self.deleted = np.asarray(
-            [rec.deleted_day for rec in self._records], dtype=np.int64
-        )
+        self._labels, tlds, created, deleted, self._registrars = self._generate()
+        self._records: List[Optional[DomainRecord]] = [None] * len(self._labels)
+        self._name_index: Optional[Dict[Tuple[str, ...], int]] = None
+        self.created = np.asarray(created, dtype=np.int64)
+        self.deleted = np.asarray(deleted, dtype=np.int64)
         #: Per-record TLD label as ASCII bytes (A-label form, e.g.
         #: ``b"xn--p1ai"``): bytes take a quarter of a str column's memory.
-        self.tld = np.asarray(
-            [rec.name.tld.encode("ascii") for rec in self._records]
-        )
+        alabels = {tld: encode_label(tld).encode("ascii") for tld in set(tlds)}
+        self.tld = np.asarray([alabels[tld] for tld in tlds])
         self.is_rf = self.tld == TLD_RF.encode("ascii")
 
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
 
-    def _generate(self) -> None:
+    def _generate(
+        self,
+    ) -> Tuple[List[str], List[str], List[int], List[int], List[int]]:
+        """The label, TLD, created, deleted and registrar-index columns."""
         cfg = self.config
         rng = derive_rng(cfg.seed, "registry", "population")
         names = NameFactory(derive_rng(cfg.seed, "registry", "names"))
+        labels: List[str] = []
+        tlds: List[str] = []
+        created: List[int] = []
+        deleted: List[int] = []
+        registrars: List[int] = []
+        lifetime_scale = 1.0 / max(cfg.daily_death_rate, 1e-9)
 
-        def make_record(created_day: int) -> None:
-            index = len(self._records)
+        def append(created_day: int) -> None:
             is_rf = rng.random() < cfg.rf_share
-            tld = TLD_RF if is_rf else TLD_RU
-            label = names.next_cyrillic() if is_rf else names.next_ascii()
-            lifetime = 1 + int(rng.exponential(1.0 / max(cfg.daily_death_rate, 1e-9)))
-            deleted_day = created_day + lifetime
+            tlds.append(TLD_RF if is_rf else TLD_RU)
+            labels.append(names.next_cyrillic() if is_rf else names.next_ascii())
+            deleted_day = created_day + 1 + int(rng.exponential(lifetime_scale))
             if deleted_day > cfg.horizon_days + 365:
                 deleted_day = NEVER
-            registrar = cfg.registrars[int(rng.integers(0, len(cfg.registrars)))]
-            self._records.append(
-                DomainRecord(
-                    DomainName((label, tld)),
-                    index,
-                    created_day,
-                    deleted_day,
-                    registrar=registrar,
-                    registrant=f"org-{index:06d}",
-                )
-            )
+            created.append(created_day)
+            deleted.append(deleted_day)
+            registrars.append(int(rng.integers(0, len(cfg.registrars))))
 
         # Reserved names first: stable, pre-study, never deleted.
         for label, tld in cfg.reserved_names:
-            index = len(self._records)
-            self._records.append(
-                DomainRecord(
-                    DomainName((label, tld)),
-                    index,
-                    created_day=-2000,
-                    deleted_day=NEVER,
-                    registrar=cfg.registrars[index % len(cfg.registrars)],
-                    registrant=f"org-{index:06d}",
-                )
-            )
+            registrars.append(len(labels) % len(cfg.registrars))
+            labels.append(label)
+            tlds.append(tld)
+            created.append(-2000)
+            deleted.append(NEVER)
 
         # Initial cohort: registered before the study window opened.
         for _ in range(cfg.initial_count):
             age = int(rng.exponential(900.0)) + 1
-            make_record(-age)
+            append(-age)
         # Their deletion days were drawn relative to creation; resurrect any
         # that died before day 0 (they must be active when the study opens).
-        for rec in self._records:
-            if rec.deleted_day <= 0:
-                rec.deleted_day = 1 + int(
-                    rng.exponential(1.0 / max(cfg.daily_death_rate, 1e-9))
-                )
+        for index, deleted_day in enumerate(deleted):
+            if deleted_day <= 0:
+                deleted[index] = 1 + int(rng.exponential(lifetime_scale))
 
         # Daily births against a slow exponential growth target.
         net = cfg.daily_birth_rate - cfg.daily_death_rate
@@ -142,7 +140,8 @@ class DomainPopulation:
             target_active = cfg.initial_count * math.exp(net * day)
             expected = cfg.daily_birth_rate * target_active
             for _ in range(int(rng.poisson(expected))):
-                make_record(day)
+                append(day)
+        return labels, tlds, created, deleted, registrars
 
     # ------------------------------------------------------------------
     # Views
@@ -152,18 +151,42 @@ class DomainPopulation:
         return len(self._records)
 
     def __iter__(self) -> Iterator[DomainRecord]:
-        return iter(self._records)
+        return map(self.record, range(len(self._records)))
 
     def record(self, index: int) -> DomainRecord:
-        """The record with the given index."""
-        return self._records[index]
+        """The record with the given index (built on first read, then cached)."""
+        record = self._records[index]
+        if record is None:
+            # Two threads racing here build equal records; one is kept.
+            index = range(len(self._records))[index]
+            record = DomainRecord(
+                DomainName((self._labels[index], self.tld[index].decode("ascii"))),
+                index,
+                int(self.created[index]),
+                int(self.deleted[index]),
+                registrar=self.config.registrars[self._registrars[index]],
+                registrant=f"org-{index:06d}",
+            )
+            self._records[index] = record
+        return record
 
     def by_name(self, name: DomainName) -> DomainRecord:
-        """Find a record by domain name (linear; for tests and whois)."""
-        for rec in self._records:
-            if rec.name == name:
-                return rec
-        raise RegistryError(f"unknown domain: {name}")
+        """Find a record by domain name.
+
+        The name → index map is built on the first lookup from the label
+        and TLD columns (the A-label tuples :class:`DomainName` compares
+        by); the lowest index wins a repeated name.
+        """
+        if self._name_index is None:
+            index: Dict[Tuple[str, ...], int] = {}
+            tlds = [tld.decode("ascii") for tld in self.tld.tolist()]
+            for position, key in enumerate(zip(map(encode_label, self._labels), tlds)):
+                index.setdefault(key, position)
+            self._name_index = index
+        position = self._name_index.get(name.labels)
+        if position is None:
+            raise RegistryError(f"unknown domain: {name}")
+        return self.record(position)
 
     def active_mask(self, date: DateLike) -> np.ndarray:
         """Boolean mask of records active on ``date``."""

@@ -50,23 +50,28 @@ class WhoisService:
 
     def __init__(self, population: DomainPopulation) -> None:
         self._population = population
-        self._by_name = {record.name: record for record in population}
+
+    def _find(self, name: DomainName) -> Optional[DomainRecord]:
+        try:
+            return self._population.by_name(name)
+        except RegistryError:
+            return None
 
     def lookup(self, name: DomainName) -> WhoisRecord:
         """Whois data for ``name``; raises for never-registered names."""
-        record = self._by_name.get(name)
+        record = self._find(name)
         if record is None:
             raise RegistryError(f"whois: no such domain {name}")
         return self._to_whois(record)
 
     def try_lookup(self, name: DomainName) -> Optional[WhoisRecord]:
         """Like :meth:`lookup` but returns None for unknown names."""
-        record = self._by_name.get(name)
+        record = self._find(name)
         return self._to_whois(record) if record is not None else None
 
     def is_newly_registered(self, name: DomainName, since: DateLike) -> bool:
         """True when ``name`` was first registered on/after ``since``."""
-        record = self._by_name.get(name)
+        record = self._find(name)
         if record is None:
             raise RegistryError(f"whois: no such domain {name}")
         return record.created_date >= as_date(since)

@@ -74,13 +74,6 @@ class WorldBuilder:
         self._dns_weights[plan_key] = weight
         return self
 
-    def set_hosting_weight(self, plan_key: str, weight: float) -> "WorldBuilder":
-        """Override one hosting cohort's initial weight (percent)."""
-        if weight < 0:
-            raise ScenarioError(f"negative weight for {plan_key}")
-        self._hosting_weights[plan_key] = weight
-        return self
-
     def add_flow(self, flow: Flow, note: str = "") -> "WorldBuilder":
         """Add a gradual reassignment."""
         self._flows.append(flow)

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..dns.name import DomainName
 from ..errors import ScenarioError
 from ..providers.addressing import AddressPlan
 from ..providers.catalog import ProviderCatalog, standard_catalog
@@ -305,10 +306,15 @@ def _sanctioned_names(count: int) -> List[Tuple[str, str]]:
 
 
 def _build_sanctions_list(
-    population: DomainPopulation,
-    count: int,
+    names: Sequence[Tuple[str, str]],
     waves: Sequence[Tuple[_dt.date, int]] = _SANCTION_WAVES,
 ) -> SanctionsList:
+    """Group the reserved ``(label, tld)`` names into sanctioned entities.
+
+    The population puts its reserved names at indices ``0..count-1``, so
+    ``DomainName(names[i])`` is the name of record ``i``.
+    """
+    count = len(names)
     entities: List[SanctionedEntity] = []
     index = 0
     entity_id = 0
@@ -322,8 +328,7 @@ def _build_sanctions_list(
         while remaining > 0:
             group = min(remaining, 1 + entity_id % 3)
             domains = [
-                population.record(index + position).name
-                for position in range(group)
+                DomainName(names[index + position]) for position in range(group)
             ]
             designations = [
                 Designation(authority, wave_date)
@@ -594,11 +599,12 @@ def build_world(config: Optional[ConflictScenarioConfig] = None) -> World:
     dns_table = _dns_plans(catalog)
     hosting_table = _hosting_plans(catalog)
 
+    sanctioned_names = _sanctioned_names(config.sanctioned_domain_count)
     population = DomainPopulation(
         PopulationConfig(
             seed=config.seed,
             initial_count=config.initial_count,
-            reserved_names=_sanctioned_names(config.sanctioned_domain_count),
+            reserved_names=sanctioned_names,
         )
     )
     n = len(population)
@@ -668,7 +674,7 @@ def build_world(config: Optional[ConflictScenarioConfig] = None) -> World:
         waves = _SANCTION_WAVES
     else:
         waves = ()
-    sanctions = _build_sanctions_list(population, sanct_count, waves)
+    sanctions = _build_sanctions_list(sanctioned_names, waves)
 
     # Netnod / RU-CENTER, March 3 2022.
     if not conflict_happens:

@@ -112,6 +112,10 @@ class FlowEngine:
         self._population = population
         self._plan_ids = plan_ids
         self._rng = rng
+        self._plan_count = {
+            field: max(table.values(), default=-1) + 1
+            for field, table in plan_ids.items()
+        }
 
     def _resolve(self, field: Field, keys: Sequence[str]) -> np.ndarray:
         table = self._plan_ids[field]
@@ -136,6 +140,10 @@ class FlowEngine:
         """
         events = DomainEventLog()
         state = {field: array.copy() for field, array in base.items()}
+        for field, array in state.items():
+            count = self._plan_count.get(field)
+            if count is not None and len(array) and (array.min() < 0 or array.max() >= count):
+                raise ScenarioError(f"{field.name} base assignment holds an unknown plan id")
         created = self._population.created
         deleted = self._population.deleted
         eligible_base = (
@@ -189,7 +197,11 @@ class FlowEngine:
         dest_id = int(self._plan_ids[field][dest]) if dest in self._plan_ids[field] else None
         if dest_id is None:
             raise ScenarioError(f"unknown plan key {dest!r}")
-        candidates = np.flatnonzero(active & np.isin(state[field], source_ids))
+        # A boolean table over plan ids picks the same sorted candidates as
+        # ``np.isin(state[field], source_ids)`` in one gather.
+        is_source = np.zeros(self._plan_count[field], dtype=bool)
+        is_source[source_ids] = True
+        candidates = np.flatnonzero(active & is_source[state[field]])
         if len(candidates) == 0:
             return
         if fraction is not None:

@@ -1,8 +1,11 @@
 """Tests for repro.registry.population: churn dynamics and determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.dns.name import DomainName
 from repro.errors import RegistryError
 from repro.registry.population import DomainPopulation, PopulationConfig
 from repro.registry.tld import TLD_RF, TLD_RU
@@ -117,3 +120,55 @@ class TestReservedNames:
         assert population.by_name(DomainName.parse("bank-alpha.ru")).index == 0
         with pytest.raises(RegistryError):
             population.by_name(DomainName.parse("not-registered-ever.ru"))
+
+
+# sha256 over every record's (name, created, deleted, registrar, registrant)
+# and the created/deleted/tld columns of the 1:2500 population below,
+# computed on the per-record generator this columnar one replaced.
+POPULATION_PIN = "001da2874cbf28dd4624be86ca677b7b4a0de8e036e24a7eb0410a6b99f608f3"
+
+
+class TestColumns:
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        from repro.sim.conflict import ConflictScenarioConfig
+
+        reserved = [(f"sanctioned-entity-{i:03d}", TLD_RU) for i in range(107)]
+        return DomainPopulation(
+            PopulationConfig(
+                initial_count=ConflictScenarioConfig(scale=2500).initial_count,
+                reserved_names=reserved + [("Пример", "рф")],
+            )
+        )
+
+    def test_population_pin(self, pinned):
+        digest = hashlib.sha256()
+        for rec in pinned:
+            digest.update(
+                f"{rec.name}\t{rec.created_day}\t{rec.deleted_day}\t"
+                f"{rec.registrar}\t{rec.registrant}\n".encode()
+            )
+        for column in (pinned.created, pinned.deleted, pinned.tld):
+            digest.update(column.dtype.str.encode())
+            digest.update(column.tobytes())
+        assert digest.hexdigest() == POPULATION_PIN
+
+    def test_records_built_on_first_read_and_cached(self):
+        population = DomainPopulation(PopulationConfig(seed=2, initial_count=50))
+        assert population._records == [None] * len(population)
+        first = population.record(3)
+        assert population.record(3) is first
+        assert population.record(-1) is population.record(len(population) - 1)
+        assert population.record(np.int64(3)) is first
+        assert sum(rec is not None for rec in population._records) == 2
+        assert list(population)[3] is first
+
+    def test_unicode_reserved_name_encoded(self, pinned):
+        rec = pinned.record(107)
+        assert rec.name == DomainName.parse("пример.рф")
+        assert pinned.tld[107] == b"xn--p1ai" and pinned.is_rf[107]
+
+    def test_by_name_finds_every_record(self, pinned):
+        for rec in pinned:
+            assert pinned.by_name(rec.name) is rec
+        assert pinned.by_name(DomainName.parse("ПРИМЕР.рф")).index == 107

@@ -122,3 +122,25 @@ class TestTransferMode:
         address = world.epoch_at("2022-03-02").ns_addresses["ns4-cloud.nic.ru"]
         assert world.epoch_at("2022-03-05").geo.lookup(address) == "SE"
         assert world.epoch_at("2022-03-17").geo.lookup(address) == "RU"
+
+
+class TestLazyRecords:
+    def test_build_world_constructs_no_domain_records(self, monkeypatch):
+        from repro.registry.domain import DomainRecord
+
+        built = []
+        original = DomainRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DomainRecord, "__init__", counting_init)
+        world = build_world(ConflictScenarioConfig(scale=20000, with_pki=False))
+        assert len(built) == 0
+        population = world.population
+        assert population.record(5) is population.record(5)
+        assert len(built) == 1
+        # The sanctions list names the reserved records without reading them.
+        first = world.sanctions.all_domains()[0]
+        assert population.by_name(first).index == 0

@@ -137,3 +137,71 @@ class TestDeterminism:
 
         assert (run(3) == run(3)).all()
         assert not (run(3) == run(4)).all()
+
+
+class TestCandidates:
+    """The plan lookup table picks exactly the ``np.isin`` candidates."""
+
+    CASES = [
+        (["a"], "b"),
+        (["a", "a"], "c"),  # repeated source id
+        (["b", "c", "b"], "a"),
+        (["a", "b"], "b"),  # destination is also a source
+        (["a", "b", "c"], "c"),
+    ]
+
+    @staticmethod
+    def _random_run(population, seed, sources, dest, **quantum):
+        n = len(population)
+        draws = np.random.default_rng(seed)
+        base = {
+            Field.DNS: draws.integers(0, 3, size=n).astype(np.int32),
+            Field.HOSTING: np.zeros(n, dtype=np.int32),
+        }
+        exclude = draws.random(n) < 0.1
+        pulse = Pulse(Field.DNS, sources, dest, "2019-01-01", **quantum)
+        events, final = engine(population, seed).run(
+            base, [], [pulse], 1803, exclude=exclude
+        )
+        day = pulse.day
+        active = (population.created <= day) & (day < population.deleted) & ~exclude
+        source_ids = [PLAN_IDS[Field.DNS][key] for key in sources]
+        reference = np.flatnonzero(active & np.isin(base[Field.DNS], source_ids))
+        return base[Field.DNS], events, final[Field.DNS], reference
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("sources,dest", CASES)
+    def test_full_pulse_moves_reference_candidates(self, population, seed, sources, dest):
+        base, events, final, reference = self._random_run(
+            population, seed, sources, dest, fraction=1.0
+        )
+        assert len(reference) > 0
+        assert len(events) == len(reference)
+        expected = base.copy()
+        expected[reference] = PLAN_IDS[Field.DNS][dest]
+        assert (final == expected).all()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("sources,dest", CASES)
+    def test_count_pulse_draws_from_reference_candidates(
+        self, population, seed, sources, dest
+    ):
+        base, events, final, reference = self._random_run(
+            population, seed, sources, dest, count=40
+        )
+        # Same sorted candidates, so the engine's draw is the reference draw.
+        picks = derive_rng(seed, "flow-test").choice(reference, size=40, replace=False)
+        expected = base.copy()
+        expected[picks] = PLAN_IDS[Field.DNS][dest]
+        assert len(events) == 40
+        assert (final == expected).all()
+
+    def test_unknown_plan_id_in_base_rejected(self, population):
+        n = len(population)
+        base = {
+            Field.DNS: np.full(n, 3, dtype=np.int32),
+            Field.HOSTING: np.zeros(n, dtype=np.int32),
+        }
+        pulse = Pulse(Field.DNS, ["a"], "b", "2019-01-01", fraction=1.0)
+        with pytest.raises(ScenarioError):
+            engine(population).run(base, [], [pulse], 1803)
