@@ -2,23 +2,22 @@
 """Counterfactual: what if Cloudflare had exited the Russian market?
 
 The paper notes Cloudflare explicitly chose to keep serving Russia
-("Russia needs more Internet access, not less").  This example uses the
-public ``WorldBuilder`` API to construct the counterfactual — Cloudflare
-terminating Russian customers on April 1, 2022 — and measures how much
-further the "fully Russian name service" share would have jumped, using
-the *unchanged* analysis pipeline.
+("Russia needs more Internet access, not less").  This example writes
+the counterfactual as an ad-hoc ``ScenarioSpec`` — the historical
+timeline plus Cloudflare terminating Russian customers on April 1,
+2022 — and measures how much further the "fully Russian name service"
+share would have jumped, using the *unchanged* analysis pipeline.
 """
 
 import datetime as dt
 
 from repro.core.composition import collect_composition
 from repro.measurement import FastCollector
-from repro.sim import WorldBuilder
-from repro.sim.events import Field
-from repro.sim.flows import Pulse
+from repro.scenario import PulseSpec, ScenarioSpec
 
 WINDOW = (dt.date(2022, 3, 1), dt.date(2022, 5, 25))
 EXIT_DAY = dt.date(2022, 4, 1)
+CONFIG = dict(scale=1000.0, with_pki=False)
 
 
 def full_share_series(world):
@@ -30,28 +29,28 @@ def full_share_series(world):
 
 
 def main() -> None:
-    print("building baseline (no exit) and counterfactual worlds ...\n")
-    baseline = WorldBuilder(scale=1000.0).build()
+    print("building baseline (historical) and counterfactual worlds ...\n")
+    baseline = ScenarioSpec("baseline", **CONFIG).build()
 
-    counterfactual = (
-        WorldBuilder(scale=1000.0)
-        .add_pulse(
-            Pulse(Field.DNS, ["cloudflare_dns"], "regru_dns", EXIT_DAY,
-                  fraction=1.0),
-            note="Cloudflare terminates Russian DNS customers",
-        )
-        .add_pulse(
-            Pulse(Field.DNS, ["ru_plus_cloudflare"], "rucenter_dns", EXIT_DAY,
-                  fraction=1.0),
-            note="secondary-NS customers drop the Cloudflare leg",
-        )
-        .add_pulse(
-            Pulse(Field.HOSTING, ["cloudflare_h"], "timeweb_h", EXIT_DAY,
-                  fraction=1.0),
-            note="Cloudflare-hosted sites repatriate",
-        )
-        .build()
-    )
+    counterfactual = ScenarioSpec(
+        "cloudflare-exit",
+        title="Cloudflare leaves the Russian market",
+        **CONFIG,
+        extra_pulses=[
+            PulseSpec("dns", ["cloudflare_dns"], "regru_dns", EXIT_DAY,
+                      fraction=1.0),
+            PulseSpec("dns", ["ru_plus_cloudflare"], "rucenter_dns", EXIT_DAY,
+                      fraction=1.0),
+            PulseSpec("hosting", ["cloudflare_h"], "timeweb_h", EXIT_DAY,
+                      fraction=1.0),
+        ],
+        notes=[
+            (EXIT_DAY, "Cloudflare", "terminates Russian DNS customers"),
+            (EXIT_DAY, "Cloudflare",
+             "secondary-NS customers drop the Cloudflare leg"),
+            (EXIT_DAY, "Cloudflare", "Cloudflare-hosted sites repatriate"),
+        ],
+    ).build()
     print(counterfactual.manifest.render())
     print()
 

@@ -129,27 +129,9 @@ class IssuanceTimeline:
         """All certificates in the window."""
         return sum(self.daily_counts.values())
 
-    def active_days(self) -> List[_dt.date]:
-        """Days with at least one issued certificate (the green dots)."""
-        return sorted(self.daily_counts)
-
-    def last_active_day(self) -> Optional[_dt.date]:
-        """The final issuance day, or None when never active."""
-        return max(self.daily_counts) if self.daily_counts else None
-
     def issued_on(self, date: _dt.date) -> bool:
         """True when the issuer produced >= 1 certificate that day."""
         return date in self.daily_counts
-
-    def stopped_before(self, date: _dt.date) -> bool:
-        """True when the issuer's last activity precedes ``date``."""
-        last = self.last_active_day()
-        return last is not None and last < date
-
-    def gap_after(self, date: _dt.date, window_days: int = 14) -> bool:
-        """True when no issuance occurred within ``window_days`` after ``date``."""
-        horizon = date + _dt.timedelta(days=window_days)
-        return not any(date <= day <= horizon for day in self.daily_counts)
 
     def active_day_share(self, start: _dt.date, end: _dt.date) -> float:
         """Fraction of days in [start, end] with >= 1 certificate.

@@ -120,12 +120,6 @@ class GeoDatabase:
         result[covered] = self._np_country_idx[clipped[covered]]
         return result
 
-    def country_code_for_index(self, index: int) -> Optional[str]:
-        """Map a :meth:`lookup_array` index back to its country code."""
-        if index < 0:
-            return None
-        return self._country_codes[index]
-
 
 def merge_adjacent_ranges(ranges: Iterable[GeoRange]) -> List[GeoRange]:
     """Coalesce contiguous same-country ranges (input may be unsorted)."""

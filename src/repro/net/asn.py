@@ -7,7 +7,7 @@ of an AS-to-organisation mapping such as CAIDA's AS2Org.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from ..errors import AddressError
 
@@ -62,11 +62,6 @@ class ASRegistry:
         """Add or replace the record for ``info.asn``."""
         self._by_asn[info.asn] = info
 
-    def register_all(self, infos: Iterable[ASInfo]) -> None:
-        """Bulk :meth:`register`."""
-        for info in infos:
-            self.register(info)
-
     def get(self, asn: int) -> Optional[ASInfo]:
         """Record for ``asn`` or None."""
         return self._by_asn.get(asn)
@@ -75,14 +70,3 @@ class ASRegistry:
         """Display name for ``asn`` (falls back to ``AS<number>``)."""
         info = self._by_asn.get(asn)
         return info.name if info is not None else f"AS{asn}"
-
-    def country_of(self, asn: int) -> Optional[str]:
-        """Registered country for ``asn`` or None."""
-        info = self._by_asn.get(asn)
-        return info.country if info is not None else None
-
-    def asns_in_country(self, country: str) -> List[int]:
-        """All ASNs registered to ``country``, ascending."""
-        return sorted(
-            info.asn for info in self._by_asn.values() if info.country == country
-        )

@@ -127,17 +127,11 @@ class PrefixAllocator:
     def __init__(self, parent: Prefix) -> None:
         self._parent = parent
         self._cursor = parent.first
-        self._allocated: List[Prefix] = []
 
     @property
     def parent(self) -> Prefix:
         """The block being carved up."""
         return self._parent
-
-    @property
-    def allocated(self) -> List[Prefix]:
-        """Blocks handed out so far, in allocation order."""
-        return list(self._allocated)
 
     def remaining(self) -> int:
         """Addresses left (ignoring alignment waste yet to come)."""
@@ -157,7 +151,6 @@ class PrefixAllocator:
             )
         block = Prefix(aligned, length)
         self._cursor = aligned + size
-        self._allocated.append(block)
         return block
 
     def allocate_sized(self, min_addresses: int) -> Prefix:

@@ -8,9 +8,7 @@ distinct lengths) — fast and simple for simulation-scale tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import AddressError
 from .ip import is_valid_ipv4_int
@@ -96,29 +94,3 @@ class RoutingTable:
     def lookup_many(self, addresses: Iterable[int]) -> List[Optional[int]]:
         """Vector form of :meth:`lookup` (preserves order)."""
         return [self.lookup(address) for address in addresses]
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Export as (starts, ends, asns) arrays sorted by range start.
-
-        Only valid for non-overlapping tables (the simulation's address
-        plans never nest prefixes across providers); used by the fast
-        columnar collector for bulk mapping.
-        """
-        items = sorted(
-            (prefix.first, prefix.last, asn)
-            for prefix, asn in self._routes.items()
-        )
-        for (_, prev_end, _), (next_start, _, _) in zip(items, items[1:]):
-            if next_start <= prev_end:
-                raise AddressError(
-                    "as_arrays requires a non-overlapping routing table"
-                )
-        if not items:
-            empty = np.empty(0, dtype=np.uint32)
-            return empty, empty.copy(), np.empty(0, dtype=np.int64)
-        starts, ends, asns = zip(*items)
-        return (
-            np.asarray(starts, dtype=np.uint32),
-            np.asarray(ends, dtype=np.uint32),
-            np.asarray(asns, dtype=np.int64),
-        )

@@ -67,10 +67,6 @@ class CertificateRevocationList:
         self._entries[serial] = entry
         return entry
 
-    def entry_for(self, serial: int) -> Optional[RevokedEntry]:
-        """The entry for ``serial``, or None."""
-        return self._entries.get(serial)
-
     def is_revoked(self, serial: int, at: Optional[DateLike] = None) -> bool:
         """True when ``serial`` is revoked (as of ``at``, when given)."""
         entry = self._entries.get(serial)

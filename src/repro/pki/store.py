@@ -1,14 +1,12 @@
 """A queryable index of issued certificates (the Censys-index equivalent).
 
-The analysis layer asks the same questions the paper asks of Censys' CT
-index: certificates matching ``.ru``/``.рф``, per-issuer tallies, validity
-windows, and revocation state joins.
+The analysis layer queries it the way the paper queries Censys' CT
+index: by issuance window, or by any predicate over a certificate.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..timeline import DateLike, as_date
 from .certificate import Certificate
@@ -36,11 +34,6 @@ class CertificateStore:
         self._by_fingerprint[certificate.fingerprint] = certificate
         self._certificates.append(certificate)
 
-    def add_all(self, certificates: Sequence[Certificate]) -> None:
-        """Bulk :meth:`add`."""
-        for certificate in certificates:
-            self.add(certificate)
-
     def by_fingerprint(self, fingerprint: str) -> Optional[Certificate]:
         """Certificate with the given fingerprint, or None."""
         return self._by_fingerprint.get(fingerprint)
@@ -55,32 +48,9 @@ class CertificateStore:
         """All certificates satisfying ``predicate``."""
         return [cert for cert in self._certificates if predicate(cert)]
 
-    def matching_tlds(self, tlds: Sequence[str]) -> List[Certificate]:
-        """Certificates with a CN or SAN under any of ``tlds``."""
-        return self.filter(lambda cert: cert.secures_tld(tlds))
-
     def issued_between(
         self, start: DateLike, end: DateLike
     ) -> List[Certificate]:
         """Certificates with not_before in [start, end]."""
         lo, hi = as_date(start), as_date(end)
         return self.filter(lambda cert: lo <= cert.not_before <= hi)
-
-    def validity_ending_after(self, cutoff: DateLike) -> List[Certificate]:
-        """Certificates whose validity ends after ``cutoff``.
-
-        This is Table 2's population: revocations are tallied across all
-        certificates "whose validity ended after February 25, 2022".
-        """
-        boundary = as_date(cutoff)
-        return self.filter(lambda cert: cert.not_after > boundary)
-
-    def count_by_issuer(
-        self, certificates: Optional[Sequence[Certificate]] = None
-    ) -> Dict[str, int]:
-        """Counts keyed by Issuer Organization."""
-        counts: Dict[str, int] = {}
-        for cert in self._certificates if certificates is None else certificates:
-            org = cert.issuer.organization
-            counts[org] = counts.get(org, 0) + 1
-        return counts

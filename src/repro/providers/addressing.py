@@ -175,13 +175,6 @@ class AddressPlan:
         new_address = self._place_ns_host(moved)
         return old_address, new_address
 
-    def country_of_address(self, address: int) -> Optional[str]:
-        """Country an address geolocates to under the *current* plan."""
-        for asn, prefix in self._asn_prefix.items():
-            if prefix.contains(address):
-                return self._asn_country[asn]
-        return None
-
     # ------------------------------------------------------------------
     # Customer hosting addresses
     # ------------------------------------------------------------------

@@ -60,14 +60,6 @@ class ProviderCatalog:
                 return provider
         return None
 
-    def hosting_providers(self) -> List[Provider]:
-        """Providers that can host web content."""
-        return [p for p in self._by_key.values() if p.offers_hosting]
-
-    def dns_providers(self) -> List[Provider]:
-        """Providers that run authoritative DNS."""
-        return [p for p in self._by_key.values() if p.offers_dns]
-
     def as_registry(self) -> ASRegistry:
         """Build the AS metadata registry for every catalogued ASN.
 

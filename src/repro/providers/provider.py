@@ -93,10 +93,5 @@ class Provider:
         """True when domains can point their apex A records here."""
         return bool(self.roles & (Role.HOSTING | Role.PARKING))
 
-    @property
-    def offers_dns(self) -> bool:
-        """True when domains can delegate to this provider."""
-        return Role.DNS in self.roles
-
     def __repr__(self) -> str:
         return f"Provider({self.key}, AS{self.primary_asn}, {self.country})"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..dns.name import DomainName
 from ..errors import RegistryError
 from ..timeline import DateLike, day_index, from_day_index
@@ -52,13 +50,6 @@ class DomainRecord:
     def created_date(self):
         """Creation date as :class:`datetime.date`."""
         return from_day_index(self.created_day)
-
-    @property
-    def deleted_date(self) -> Optional[object]:
-        """Deletion date, or None when never deleted."""
-        if self.deleted_day >= NEVER:
-            return None
-        return from_day_index(self.deleted_day)
 
     def __repr__(self) -> str:
         return (

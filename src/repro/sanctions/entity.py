@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
-from typing import List, Sequence
+from typing import Sequence
 
 from ..dns.name import DomainName
 from ..timeline import DateLike, as_date
@@ -63,10 +63,6 @@ class SanctionedEntity:
     def is_listed(self, date: DateLike) -> bool:
         """True when at least one designation is in force on ``date``."""
         return any(d.listed_on <= as_date(date) for d in self.designations)
-
-    def authorities(self) -> List[SanctionsAuthority]:
-        """All authorities that listed this entity."""
-        return sorted({d.authority for d in self.designations}, key=lambda a: a.value)
 
     def __repr__(self) -> str:
         return f"SanctionedEntity({self.name!r}, {len(self.domains)} domains)"

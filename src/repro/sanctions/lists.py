@@ -8,12 +8,12 @@ so "the sanctioned set" is date-dependent.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Sequence
 
 from ..dns.name import DomainName
 from ..errors import ScenarioError
 from ..timeline import DateLike, as_date
-from .entity import Designation, SanctionedEntity, SanctionsAuthority
+from .entity import SanctionedEntity
 
 __all__ = ["SanctionsList"]
 
@@ -55,31 +55,6 @@ class SanctionsList:
             if entity.listed_on() <= boundary
         )
 
-    def is_sanctioned(
-        self, domain: DomainName, date: Optional[DateLike] = None
-    ) -> bool:
-        """True when ``domain`` is attributed to a (listed) entity."""
-        entity = self._by_domain.get(domain)
-        if entity is None:
-            return False
-        if date is None:
-            return True
-        return entity.is_listed(date)
-
-    def entity_for(self, domain: DomainName) -> Optional[SanctionedEntity]:
-        """The entity a domain is attributed to, if any."""
-        return self._by_domain.get(domain)
-
     def listing_dates(self) -> List[_dt.date]:
         """Distinct designation dates, ascending (the 'waves')."""
         return sorted({entity.listed_on() for entity in self._entities})
-
-    def domains_by_authority(
-        self, authority: SanctionsAuthority
-    ) -> List[DomainName]:
-        """Domains listed by one specific authority."""
-        result: Set[DomainName] = set()
-        for entity in self._entities:
-            if authority in entity.authorities():
-                result.update(entity.domains)
-        return sorted(result)

@@ -9,7 +9,7 @@ certificates are issued than are ever observed serving.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Callable, Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List
 
 from ..pki.certificate import Certificate
 from ..timeline import DateLike, as_date, iter_days
@@ -24,32 +24,17 @@ class UniversalScanDataset:
     def __init__(self) -> None:
         self._by_fingerprint: Dict[str, Certificate] = {}
         self._first_seen: Dict[str, _dt.date] = {}
-        self._last_seen: Dict[str, _dt.date] = {}
-        self._days_scanned: List[_dt.date] = []
 
     def __len__(self) -> int:
         return len(self._by_fingerprint)
 
-    @property
-    def days_scanned(self) -> List[_dt.date]:
-        """Dates for which a sweep was ingested."""
-        return list(self._days_scanned)
-
-    def ingest(self, records: Iterable[ScanRecord]) -> int:
-        """Add one day's scan records; returns new-certificate count."""
-        new = 0
-        day: _dt.date = _dt.date.min
+    def ingest(self, records: Iterable[ScanRecord]) -> None:
+        """Add one day's scan records."""
         for record in records:
-            day = record.date
             fp = record.certificate.fingerprint
             if fp not in self._by_fingerprint:
                 self._by_fingerprint[fp] = record.certificate
                 self._first_seen[fp] = record.date
-                new += 1
-            self._last_seen[fp] = record.date
-        if day != _dt.date.min:
-            self._days_scanned.append(day)
-        return new
 
     def run_sweeps(
         self,
@@ -69,10 +54,6 @@ class UniversalScanDataset:
     def certificates(self) -> List[Certificate]:
         """Every certificate ever observed serving."""
         return list(self._by_fingerprint.values())
-
-    def first_seen(self, certificate: Certificate) -> _dt.date:
-        """First sweep date the certificate was observed."""
-        return self._first_seen[certificate.fingerprint]
 
     def observed(
         self, predicate: Callable[[Certificate], bool]

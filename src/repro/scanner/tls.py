@@ -9,7 +9,7 @@ paper needs scan data for its Section 4.3 analysis.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from ..pki.certificate import Certificate
 from ..rng import stable_hash
@@ -60,7 +60,3 @@ class TlsScanner:
         for address, certificate in self._view(scan_date):
             if self._responds(address, scan_date):
                 yield ScanRecord(scan_date, address, certificate)
-
-    def scan_list(self, date: DateLike) -> List[ScanRecord]:
-        """Materialised :meth:`scan`."""
-        return list(self.scan(date))

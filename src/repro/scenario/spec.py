@@ -119,8 +119,7 @@ class PulseSpec:
         self.count = int(count) if count is not None else None
         if not self.sources:
             raise ScenarioError("pulse needs at least one source plan")
-        if (self.fraction is None) == (self.count is None):
-            raise ScenarioError("pulse needs exactly one of fraction/count")
+        self.resolve()  # Pulse owns the fraction/count rules
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {

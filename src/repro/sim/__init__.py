@@ -22,7 +22,6 @@ from .plans import (
     HostingPlanTable,
     composition_label,
 )
-from .builder import WorldBuilder, counterfactual_flows
 from .manifest import ScenarioManifest
 from .validate import validate_world
 from .world import InfraEpoch, World, WorldDay
@@ -53,8 +52,6 @@ __all__ = [
     "HostingPlan",
     "HostingPlanTable",
     "composition_label",
-    "WorldBuilder",
-    "counterfactual_flows",
     "ScenarioManifest",
     "validate_world",
     "InfraEpoch",

@@ -708,7 +708,9 @@ def build_world(config: Optional[ConflictScenarioConfig] = None) -> World:
         events=events,
         infra_events=[netnod_event] if netnod_event is not None else [],
         sanctions=sanctions,
-        sanctioned_indices=np.arange(sanct_count),
+        # The waves list the reserved names in index order, so the listed
+        # domains are the first ``len(all_domains())`` records.
+        sanctioned_indices=np.arange(len(sanctions.all_domains())),
         geo_lag_days=config.geo_lag_days,
     )
     world.manifest = _build_manifest(config, sanctions, variant)

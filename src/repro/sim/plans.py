@@ -137,10 +137,6 @@ class DnsPlanLabels:
         self.ns_countries = ns_countries
         self.ns_addresses = ns_addresses
 
-    def tld_index(self, tld: str) -> int:
-        """Column index of ``tld`` in the membership matrix."""
-        return self.tld_names.index(tld)
-
 
 class HostingPlanLabels:
     """Derived per-hosting-plan labels for one infrastructure epoch."""

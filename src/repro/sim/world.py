@@ -289,9 +289,3 @@ class World:
         plan_id = int(self.dns_state(date)[domain_index])
         plan = self.dns_plans.plan(plan_id)
         return tuple(str(hostname) for hostname in plan.ns_hostnames)
-
-    def sanctioned_mask(self) -> np.ndarray:
-        """Boolean mask over the population: attributed to a sanctioned entity."""
-        mask = np.zeros(len(self.population), dtype=bool)
-        mask[self.sanctioned_indices] = True
-        return mask

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
-from typing import Iterator, List, Union
+from typing import Iterator, Union
 
 from .errors import TimelineError
 
@@ -35,7 +35,6 @@ __all__ = [
     "day_index",
     "from_day_index",
     "iter_days",
-    "date_range",
     "phase_of",
     "DayClock",
 ]
@@ -121,15 +120,6 @@ def iter_days(
     while current <= hi:
         yield current
         current += _dt.timedelta(days=step)
-
-
-def date_range(
-    start: DateLike = STUDY_START,
-    end: DateLike = STUDY_END,
-    step: int = 1,
-) -> List[_dt.date]:
-    """Like :func:`iter_days` but materialised into a list."""
-    return list(iter_days(start, end, step))
 
 
 def phase_of(value: DateLike) -> Phase:

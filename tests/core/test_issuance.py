@@ -80,20 +80,23 @@ class TestTimelines:
     def test_active_days(self, monitor):
         timelines = {t.issuer: t for t in issuance_timelines(monitor)}
         digicert = timelines["DigiCert"]
-        assert digicert.active_days() == [dt.date(2022, 1, 15), dt.date(2022, 3, 10)]
-        assert digicert.last_active_day() == dt.date(2022, 3, 10)
+        assert sorted(digicert.daily_counts) == [
+            dt.date(2022, 1, 15), dt.date(2022, 3, 10),
+        ]
 
     def test_stopped_before(self, monitor):
         timelines = {t.issuer: t for t in issuance_timelines(monitor)}
-        assert timelines["DigiCert"].stopped_before(dt.date(2022, 3, 26))
-        assert not timelines["Let's Encrypt"].stopped_before(dt.date(2022, 3, 26))
+        after = (dt.date(2022, 3, 26), dt.date(2022, 5, 25))
+        assert timelines["DigiCert"].active_day_share(*after) == 0.0
+        assert timelines["Let's Encrypt"].active_day_share(*after) > 0.0
 
     def test_gap_after(self, monitor):
         timelines = {t.issuer: t for t in issuance_timelines(monitor)}
-        assert timelines["DigiCert"].gap_after(dt.date(2022, 3, 15), window_days=30)
-        assert not timelines["Let's Encrypt"].gap_after(
-            dt.date(2022, 3, 1), window_days=30
-        )
+        digicert, le = timelines["DigiCert"], timelines["Let's Encrypt"]
+        assert digicert.active_day_share(
+            dt.date(2022, 3, 15), dt.date(2022, 4, 14)
+        ) == 0.0
+        assert le.active_day_share(dt.date(2022, 3, 1), dt.date(2022, 3, 31)) > 0.0
 
     def test_bad_top_k(self, monitor):
         with pytest.raises(AnalysisError):

@@ -67,7 +67,8 @@ class TestLookupArray:
             dtype=np.int64,
         )
         indices = database.lookup_array(addresses)
-        decoded = [database.country_code_for_index(int(i)) for i in indices]
+        codes = database.countries
+        decoded = [codes[i] if i >= 0 else None for i in indices]
         assert decoded == [database.lookup(int(a)) for a in addresses]
 
     def test_empty_database(self):

@@ -77,23 +77,6 @@ class TestMutation:
             make_table().announce(Prefix.parse("10.0.0.0/8"), -1)
 
 
-class TestAsArrays:
-    def test_sorted_export(self):
-        table = make_table(("20.0.0.0/16", 2), ("10.0.0.0/16", 1))
-        starts, ends, asns = table.as_arrays()
-        assert list(asns) == [1, 2]
-        assert starts[0] < starts[1]
-
-    def test_rejects_overlap(self):
-        table = make_table(("10.0.0.0/8", 1), ("10.1.0.0/16", 2))
-        with pytest.raises(AddressError):
-            table.as_arrays()
-
-    def test_empty(self):
-        starts, ends, asns = RoutingTable().as_arrays()
-        assert len(starts) == len(ends) == len(asns) == 0
-
-
 @given(
     st.lists(
         st.tuples(

@@ -17,11 +17,12 @@ class TestEntries:
     def test_add_and_query(self, crl):
         crl.add(5, "2022-03-01", RevocationReason.KEY_COMPROMISE)
         assert crl.is_revoked(5)
-        assert crl.entry_for(5).reason is RevocationReason.KEY_COMPROMISE
+        assert [entry.reason for entry in crl.entries()] == [
+            RevocationReason.KEY_COMPROMISE
+        ]
 
     def test_unknown_serial_not_revoked(self, crl):
         assert not crl.is_revoked(99)
-        assert crl.entry_for(99) is None
 
     def test_double_add_rejected(self, crl):
         crl.add(5, "2022-03-01")

@@ -51,7 +51,7 @@ class TestConsistency:
         for provider in plan.catalog:
             address = plan.hosting_pool(provider.primary_asn).first + 7
             assert routing.lookup(address) == provider.primary_asn
-            assert geo.lookup(address) == registry.country_of(provider.primary_asn)
+            assert geo.lookup(address) == registry.get(provider.primary_asn).country
 
     def test_ns_addresses_inside_infra_network(self, plan):
         routing = plan.routing_table()
@@ -95,11 +95,11 @@ class TestNsHostMoves:
     def test_netnod_renumbering(self):
         plan = AddressPlan(standard_catalog())
         old_address = plan.ns_address("ns4-cloud.nic.ru")
-        assert plan.country_of_address(old_address) == "SE"
+        assert plan.geo_database().lookup(old_address) == "SE"
         old, new = plan.move_ns_host("ns4-cloud.nic.ru", "rucenter")
         assert old == old_address
         assert plan.ns_address("ns4-cloud.nic.ru") == new
-        assert plan.country_of_address(new) == RU
+        assert plan.geo_database().lookup(new) == RU
         assert plan.routing_table().lookup(new) == 48287
 
     def test_unknown_host_rejected(self, plan):

@@ -98,8 +98,8 @@ class TestCatalogMechanics:
                 assert registry.get(asn).country == provider.country
 
     def test_hosting_and_dns_partitions(self, catalog):
-        assert len(catalog.hosting_providers()) > 20
-        assert len(catalog.dns_providers()) > 20
+        assert sum(provider.offers_hosting for provider in catalog) > 20
+        assert sum(Role.DNS in provider.roles for provider in catalog) > 20
 
 
 class TestLongTail:

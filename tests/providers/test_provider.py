@@ -37,9 +37,9 @@ class TestProvider:
         hosting = Provider("h", "H", "US", [1], Role.HOSTING)
         parking = Provider("p", "P", "DE", [2], Role.PARKING)
         dns = Provider("d", "D", "US", [3], Role.DNS, ["ns1.d.com"])
-        assert hosting.offers_hosting and not hosting.offers_dns
+        assert hosting.offers_hosting and Role.DNS not in hosting.roles
         assert parking.offers_hosting
-        assert dns.offers_dns and not dns.offers_hosting
+        assert Role.DNS in dns.roles and not dns.offers_hosting
 
     def test_ns_hosts_inherit_infra(self):
         provider = Provider(

@@ -24,12 +24,10 @@ class TestLifecycle:
     def test_never_deleted(self):
         rec = record(created=0)
         assert rec.is_active(10**6)
-        assert rec.deleted_date is None
 
     def test_dates(self):
         rec = record(created=0, deleted=10)
         assert rec.created_date == dt.date(2017, 6, 18)
-        assert rec.deleted_date == dt.date(2017, 6, 28)
 
     def test_deletion_before_creation_rejected(self):
         with pytest.raises(RegistryError):

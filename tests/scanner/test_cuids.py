@@ -34,14 +34,15 @@ class TestIngest:
         dataset.run_sweeps(TlsScanner(view, response_rate=1.0),
                            "2022-03-01", "2022-03-29", step=7)
         assert len(dataset) == 2
-        assert len(dataset.days_scanned) == 5
 
     def test_first_seen_tracks_install_date(self, world):
         view, _, state_cert = world
         dataset = UniversalScanDataset()
-        dataset.run_sweeps(TlsScanner(view, response_rate=1.0),
-                           "2022-03-01", "2022-03-29", step=7)
-        assert dataset.first_seen(state_cert) == dt.date(2022, 3, 15)
+        scanner = TlsScanner(view, response_rate=1.0)
+        dataset.run_sweeps(scanner, "2022-03-01", "2022-03-08", step=7)
+        assert state_cert not in dataset.certificates()
+        dataset.run_sweeps(scanner, "2022-03-15", "2022-03-15")
+        assert state_cert in dataset.certificates()
 
     def test_partial_coverage_catches_up(self, world):
         view, _, state_cert = world

@@ -26,13 +26,13 @@ class TestScan:
     def test_coverage_below_full(self, serving):
         view, certs = serving
         scanner = TlsScanner(view, response_rate=0.85)
-        records = scanner.scan_list("2022-03-01")
+        records = list(scanner.scan("2022-03-01"))
         assert 0.6 * len(certs) < len(records) < len(certs)
 
     def test_full_coverage(self, serving):
         view, certs = serving
         scanner = TlsScanner(view, response_rate=1.0)
-        assert len(scanner.scan_list("2022-03-01")) == len(certs)
+        assert len(list(scanner.scan("2022-03-01"))) == len(certs)
 
     def test_deterministic_same_day(self, serving):
         view, _ = serving
@@ -51,7 +51,7 @@ class TestScan:
     def test_record_fields(self, serving):
         view, certs = serving
         scanner = TlsScanner(view, response_rate=1.0)
-        record = scanner.scan_list("2022-03-01")[0]
+        record = list(scanner.scan("2022-03-01"))[0]
         assert record.date == dt.date(2022, 3, 1)
         assert record.certificate is certs[record.address]
 

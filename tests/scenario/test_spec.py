@@ -51,10 +51,13 @@ class TestValidation:
             FlowSpec("dns", ["a"], "b", 0.0, "2022-03-01", "2022-03-08")
 
     def test_pulse_needs_exactly_one_of_fraction_count(self):
-        with pytest.raises(ScenarioError):
-            PulseSpec("dns", ["a"], "b", "2022-03-01")
-        with pytest.raises(ScenarioError):
-            PulseSpec("dns", ["a"], "b", "2022-03-01", fraction=0.5, count=3)
+        for quantum in (
+            {}, {"fraction": 0.5, "count": 3},
+            {"fraction": 0}, {"fraction": -0.1}, {"fraction": 1.5},
+            {"count": -3},
+        ):
+            with pytest.raises(ScenarioError):
+                PulseSpec("dns", ["a"], "b", "2022-03-01", **quantum)
 
     def test_wave_count_positive(self):
         with pytest.raises(ScenarioError):

@@ -1,20 +1,46 @@
-"""Tests for repro.sim.builder: the public scenario-composition API."""
+"""Building counterfactual worlds from a ScenarioSpec: the peaceful
+baseline, spec-level pulses and notes, infra events, determinism."""
 
 import datetime as dt
 
 import pytest
 
 from repro.core.labels import snapshot_ns_geo_labels
-from repro.errors import ScenarioError
 from repro.measurement import FastCollector
-from repro.sim import WorldBuilder, counterfactual_flows, validate_world
-from repro.sim.events import Field, InfraEvent
-from repro.sim.flows import Flow, Pulse
+from repro.scenario import PulseSpec, ScenarioSpec, get_scenario
+from repro.sim import validate_world
+from repro.sim.conflict import NETNOD_CUTOFF
+
+CONFIG = dict(scale=2500.0, with_pki=False)
+EXIT_DAY = dt.date(2022, 4, 1)
+
+
+def _dns_exit_spec() -> ScenarioSpec:
+    """The historical timeline plus Cloudflare DNS leaving for REG.RU."""
+    return ScenarioSpec(
+        "cloudflare-dns-exit", **CONFIG,
+        extra_pulses=[
+            PulseSpec("dns", ["cloudflare_dns"], "regru_dns", EXIT_DAY,
+                      fraction=1.0),
+        ],
+        notes=[(EXIT_DAY, "Cloudflare", "cloudflare exit")],
+    )
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    return WorldBuilder(scale=2500.0).build()
+    """The peaceful world: the library's no-invasion scenario."""
+    return get_scenario("no-invasion").with_config(**CONFIG).build()
+
+
+@pytest.fixture(scope="module")
+def historical():
+    return get_scenario("baseline").with_config(**CONFIG).build()
+
+
+@pytest.fixture(scope="module")
+def dns_exit():
+    return _dns_exit_spec().build()
 
 
 class TestBaseline:
@@ -23,6 +49,7 @@ class TestBaseline:
 
     def test_no_sanctions(self, baseline):
         assert baseline.sanctions.all_domains() == []
+        assert len(baseline.sanctioned_indices) == 0
 
     def test_peaceful_baseline_is_flat(self, baseline):
         collector = FastCollector(baseline)
@@ -32,80 +59,37 @@ class TestBaseline:
 
 
 class TestCustomisation:
-    def test_pulse_moves_cohort(self):
-        builder = WorldBuilder(scale=2500.0)
-        builder.add_pulse(
-            Pulse(Field.DNS, ["cloudflare_dns"], "regru_dns",
-                  dt.date(2022, 4, 1), fraction=1.0),
-            note="cloudflare exit",
+    def test_pulse_moves_cohort(self, historical, dns_exit):
+        def full_share(world, date):
+            snapshot = FastCollector(world).collect(date)
+            return (snapshot_ns_geo_labels(snapshot) == 0).mean()
+
+        before, after = "2022-03-25", "2022-04-05"
+        assert full_share(dns_exit, before) == full_share(historical, before)
+        assert full_share(dns_exit, after) > full_share(historical, after) + 0.02
+        assert full_share(dns_exit, after) > full_share(dns_exit, before) + 0.02
+
+    def test_manifest_records_notes(self, dns_exit):
+        assert (EXIT_DAY, "Cloudflare", "cloudflare exit") in (
+            dns_exit.manifest.between(EXIT_DAY, EXIT_DAY)
         )
-        world = builder.build()
-        collector = FastCollector(world)
-        before = snapshot_ns_geo_labels(collector.collect("2022-03-25"))
-        after = snapshot_ns_geo_labels(collector.collect("2022-04-05"))
-        assert (after == 0).mean() > (before == 0).mean() + 0.02
 
-    def test_manifest_records_notes(self):
-        builder = WorldBuilder(scale=2500.0)
-        builder.add_pulse(
-            Pulse(Field.DNS, ["cloudflare_dns"], "regru_dns",
-                  dt.date(2022, 4, 1), fraction=0.5),
-            note="cloudflare exit",
-        )
-        world = builder.build()
-        assert any("cloudflare exit" in e[2] for e in world.manifest.entries())
-
-    def test_weight_override(self):
-        builder = WorldBuilder(scale=2500.0)
-        # Shift 5 points from REG.RU DNS to Cloudflare DNS.
-        builder.set_dns_weight("regru_dns", 9.0)
-        builder.set_dns_weight("cloudflare_dns", 8.2)
-        world = builder.build()
-        collector = FastCollector(world)
-        labels = snapshot_ns_geo_labels(collector.collect("2017-06-18"))
-        # Less fully-Russian than the calibrated 67%.
-        assert (labels == 0).mean() < 0.65
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ScenarioError):
-            WorldBuilder(scale=2500.0).set_dns_weight("regru_dns", -1.0)
-
-    def test_unbalanced_weights_rejected_at_build(self):
-        builder = WorldBuilder(scale=2500.0)
-        builder.set_dns_weight("regru_dns", 50.0)  # sum now far from 100
-        with pytest.raises(ScenarioError):
-            builder.build()
-
-    def test_infra_event(self):
-        builder = WorldBuilder(scale=2500.0)
-        builder.add_infra_event(
-            InfraEvent(
-                "2022-03-03", "netnod cut",
-                ns_moves=[("ns4-cloud.nic.ru", "rucenter"),
-                          ("ns8-cloud.nic.ru", "rucenter")],
-            ),
-            note="netnod renumbering",
-        )
-        world = builder.build()
-        assert len(world.epochs()) == 2
-
-    def test_counterfactual_flows_helper(self):
-        flows, pulses = counterfactual_flows(
-            "cloudflare_dns", "cloudflare_h", "regru_dns", "timeweb_h",
-            "2022-04-01", "2022-05-01", dns_pp=3.0, hosting_pp=6.0,
-        )
-        assert len(flows) == 2 and pulses == []
-        builder = WorldBuilder(scale=2500.0)
-        for flow in flows:
-            builder.add_flow(flow)
-        assert validate_world(builder.build()) == []
+    def test_infra_event(self, baseline, historical):
+        transfer = get_scenario("baseline").with_config(
+            netnod_mode="transfer", **CONFIG
+        ).build()
+        for world in (historical, transfer):
+            assert len(world.epochs()) == 2
+            assert world.epoch_at(NETNOD_CUTOFF) is world.epochs()[1]
+        # The peaceful world has no Netnod cut, so it keeps one epoch.
+        assert len(baseline.epochs()) == 1
 
 
 class TestDeterminism:
-    def test_same_builder_same_world(self):
-        def build():
-            return WorldBuilder(scale=2500.0, seed=7).build()
-
-        a, b = build(), build()
-        assert (a.base_dns == b.base_dns).all()
-        assert (a.base_hosting == b.base_hosting).all()
+    def test_same_builder_same_world(self, dns_exit):
+        again = _dns_exit_spec().build()
+        assert (again.base_dns == dns_exit.base_dns).all()
+        assert (again.base_hosting == dns_exit.base_hosting).all()
+        assert (
+            again.dns_state("2022-04-05") == dns_exit.dns_state("2022-04-05")
+        ).all()

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ScenarioError
+from repro.providers.catalog import standard_catalog
 from repro.sim.conflict import (
     DNS_WEIGHTS,
     HOSTING_WEIGHTS,
     ConflictScenarioConfig,
+    _dns_plans,
     _dns_weights_at,
+    _weight_vector,
     build_world,
 )
 
@@ -58,6 +61,17 @@ class TestWeights:
 
     def test_hosting_part_weight_matches_paper(self):
         assert HOSTING_WEIGHTS["dual_ru_de"] == pytest.approx(0.19)
+
+    def test_weight_vector_rejects_bad_weights(self):
+        table = _dns_plans(standard_catalog())
+        assert _weight_vector(table, DNS_WEIGHTS).sum() == pytest.approx(1.0)
+        unbalanced = dict(DNS_WEIGHTS, regru_dns=50.0)
+        with pytest.raises(ScenarioError, match="sum to"):
+            _weight_vector(table, unbalanced)
+        missing = dict(DNS_WEIGHTS)
+        del missing["regru_dns"]
+        with pytest.raises(ScenarioError, match="missing"):
+            _weight_vector(table, missing)
 
 
 class TestDeterminism:

@@ -84,8 +84,8 @@ class TestDnsPlanTable:
         table = DnsPlanTable()
         table.add(DnsPlan("mixed", ["ns1.reg.ru", "alice.ns.cloudflare.com"]))
         labels = table.derive(plan, routing, geo)
-        assert labels.tld_membership[0, labels.tld_index("ru")]
-        assert labels.tld_membership[0, labels.tld_index("com")]
+        assert labels.tld_membership[0, labels.tld_names.index("ru")]
+        assert labels.tld_membership[0, labels.tld_names.index("com")]
 
     def test_ns_asns(self, infra):
         catalog, plan, routing, geo = infra

@@ -70,9 +70,7 @@ class TestPerDomainFacts:
         assert "ns4-cloud.nic.ru" in hostnames
 
     def test_sanctioned_mask(self, tiny_world):
-        mask = tiny_world.sanctioned_mask()
-        assert mask[:107].all()
-        assert not mask[107:].any()
+        assert list(tiny_world.sanctioned_indices) == list(range(107))
 
     def test_sanctions_list_has_107_domains(self, tiny_world):
         assert len(tiny_world.sanctions.all_domains()) == 107

@@ -73,7 +73,7 @@ class TestIterDays:
         assert days == [dt.date(2022, 1, 1), dt.date(2022, 1, 8)]
 
     def test_full_study_count(self):
-        assert len(timeline.date_range()) == timeline.STUDY_DAYS
+        assert len(list(timeline.iter_days())) == timeline.STUDY_DAYS
 
     def test_empty_range_rejected(self):
         with pytest.raises(TimelineError):
