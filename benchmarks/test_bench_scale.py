@@ -9,7 +9,13 @@ an honest, isolated peak RSS.
 
 Per rung, ``benchmarks/output/BENCH_scale.json`` records population,
 build seconds (world construction included), archive bytes, peak RSS,
-and cold summary-query latency.  Two regression gates run over the ladder:
+cold summary-query latency, and the cold records page: a freshly opened
+archive loads one day and materialises its last 20 records, which
+indexes the whole day (median over the archived days).  Rungs of 1:50
+and smaller run three times and record the median build and page times
+with their samples, since one sample of a seconds-long rung swings more
+than the effects it is used to show.  Two regression gates run over the
+ladder:
 
 * **sublinear memory** — peak RSS must grow strictly slower than the
   population between adjacent rungs (the bounded-memory invariant:
@@ -28,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -44,6 +51,14 @@ WINDOW_DAYS = 3
 
 #: Ladder rungs as scale divisors (1:N of the paper's 11.7M domains).
 DEFAULT_RUNGS = "250,50,10"
+
+#: Rungs at or below this size (divisor at or above it) run
+#: ``SMALL_RUNG_SAMPLES`` times; taller rungs take minutes and run once.
+SMALL_RUNG_MIN_DIVISOR = 50
+SMALL_RUNG_SAMPLES = 3
+
+#: Records materialised from the end of each day for the cold page.
+RECORDS_PAGE = 20
 
 #: Peak-RSS ceiling per rung, MiB.  Generous by default (the 1:10 rung
 #: holds a ~1.2M-domain world); CI enforces a tighter value for the
@@ -70,6 +85,7 @@ def ladder_rungs() -> list:
 _RUNG_SCRIPT = textwrap.dedent(
     """
     import json
+    import statistics
     import sys
     import time
 
@@ -77,8 +93,9 @@ _RUNG_SCRIPT = textwrap.dedent(
     from repro.measurement.metrics import SweepMetrics, current_rss_bytes
     from repro.scenario import ScenarioSpec
 
-    divisor, directory, window_start, window_end = (
-        int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4]
+    divisor, directory, window_start, window_end, page = (
+        int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4],
+        int(sys.argv[5]),
     )
     metrics = SweepMetrics()
     config = ScenarioSpec.resolve("baseline").with_config(
@@ -98,6 +115,19 @@ _RUNG_SCRIPT = textwrap.dedent(
     started = time.perf_counter()
     archive.load_summaries(window_start, window_end)
     cold_query_seconds = time.perf_counter() - started
+    # Taken before the records pages, so the column stays the build's.
+    peak_rss_bytes = max(metrics.peak_rss_bytes, current_rss_bytes())
+
+    # Cold records page: a fresh archive misses the shard cache, and
+    # the day's last positions make the record index the whole day.
+    page_ms = []
+    for day in report.written:
+        started = time.perf_counter()
+        record = MeasurementArchive(directory).load_day(day)
+        count = len(record.measured)
+        for position in range(max(count - page, 0), count):
+            record.measurement_at(position)
+        page_ms.append((time.perf_counter() - started) * 1e3)
 
     print(json.dumps({
         "divisor": divisor,
@@ -105,8 +135,9 @@ _RUNG_SCRIPT = textwrap.dedent(
         "archived_days": len(report.written),
         "build_seconds": round(build_seconds, 3),
         "archive_bytes": report.bytes_written,
-        "peak_rss_bytes": max(metrics.peak_rss_bytes, current_rss_bytes()),
+        "peak_rss_bytes": peak_rss_bytes,
         "cold_query_seconds": round(cold_query_seconds, 6),
+        "cold_records_page_ms": round(statistics.median(page_ms), 3),
     }))
     """
 )
@@ -119,6 +150,7 @@ def run_rung(divisor: int, directory: str) -> dict:
         [
             sys.executable, "-c", _RUNG_SCRIPT,
             str(divisor), directory, WINDOW_START, WINDOW_END,
+            str(RECORDS_PAGE),
         ],
         capture_output=True,
         text=True,
@@ -131,12 +163,25 @@ def run_rung(divisor: int, directory: str) -> dict:
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
+def measure_rung(divisor: int, directory: pathlib.Path) -> dict:
+    """One rung's record: the median of its samples, peak RSS the max."""
+    samples = SMALL_RUNG_SAMPLES if divisor >= SMALL_RUNG_MIN_DIVISOR else 1
+    runs = [run_rung(divisor, str(directory / str(n))) for n in range(samples)]
+    record = dict(runs[0])
+    for key in ("build_seconds", "cold_records_page_ms"):
+        values = [run[key] for run in runs]
+        record[key] = statistics.median(values)
+        record[f"{key}_samples"] = values
+    record["peak_rss_bytes"] = max(run["peak_rss_bytes"] for run in runs)
+    return record
+
+
 def test_bench_scale_ladder(tmp_path):
     rungs = ladder_rungs()
     assert len(rungs) >= 2, "the ladder needs at least two rungs to compare"
     records = []
     for divisor in rungs:
-        record = run_rung(divisor, str(tmp_path / f"rung-{divisor}"))
+        record = measure_rung(divisor, tmp_path / f"rung-{divisor}")
         assert record["archived_days"] == WINDOW_DAYS
         assert record["archive_bytes"] > 0
         peak_mib = record["peak_rss_bytes"] / (1024 * 1024)

@@ -27,6 +27,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "QUERY_KINDS",
     "SERIES_NAMES",
+    "MAX_RECORDS_LIMIT",
     "QuerySpec",
     "QueryResult",
     "jsonify",
@@ -51,6 +52,11 @@ SERIES_NAMES = (
     "sanctioned_composition",
     "listed_counts",
 )
+
+#: Largest records page one query may ask for.  Every record on a page
+#: is materialised and rendered in one response with no deadline check
+#: between records, so the page size is what bounds that work.
+MAX_RECORDS_LIMIT = 1000
 
 #: Spec fields accepted from dicts/JSON/query strings, in canonical order.
 _FIELDS = (
@@ -133,6 +139,10 @@ class QuerySpec:
         self.tld = _alabel_tld(tld) if tld is not None else None
         self.offset = self._count(offset, "offset")
         self.limit = self._count(limit, "limit")
+        if self.limit is not None and self.limit > MAX_RECORDS_LIMIT:
+            raise QueryError(
+                f"limit must be <= {MAX_RECORDS_LIMIT}: {self.limit}"
+            )
         self.scenario = self._scenario(scenario)
         self._check_shape()
 

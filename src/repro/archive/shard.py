@@ -49,7 +49,7 @@ import datetime as _dt
 import os
 import struct
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -364,44 +364,98 @@ def _ascending(measured: np.ndarray) -> np.ndarray:
     return measured
 
 
+#: The lowest byte an A-label can hold (``-``).  A byte below it that
+#: starts a string can only be a one-byte length prefix.
+_MIN_LABEL_BYTE = 0x2D
+
+
+def _chain_walk(
+    nodes: np.ndarray,
+    successors: np.ndarray,
+    count: int,
+    limit: int,
+    step: Callable[[int], int],
+    truncated: str,
+) -> Tuple[np.ndarray, int]:
+    """The first ``count`` nodes of the chain that starts at node 0.
+
+    A region of ``limit`` units (bytes or varints) is a chain: each node
+    says how far its successor is.  ``nodes`` are the ascending int32
+    candidate units whose successor is cheap to compute, ``successors``
+    theirs; ``step(node)`` computes the successor of any other node
+    sequentially.  A candidate whose successor is the next candidate
+    links to it, so from a known chain node each linked stretch is taken
+    as one slice.  Every node reached is a true chain node by induction
+    from node 0, whatever the candidates are: they decide only how many
+    steps the walk takes.
+
+    Returns ``(int32 nodes, node after the last)``; a node at or past
+    ``limit`` raises :class:`ArchiveError` with ``truncated``.
+    """
+    last = len(nodes) - 1
+    breaks = np.flatnonzero(successors[:-1] != nodes[1:]).astype(np.int32)
+    stretch_ends = np.append(breaks, np.int32(max(last, 0)))
+    pieces: List[np.ndarray] = []
+    taken = 0
+    node = 0
+    while taken < count:
+        if node >= limit:
+            raise ArchiveError(truncated)
+        index = int(np.searchsorted(nodes, node))
+        if index <= last and nodes[index] == node:
+            end = int(stretch_ends[np.searchsorted(stretch_ends, index)])
+            end = min(end, index + count - taken - 1)
+            pieces.append(nodes[index : end + 1])
+            taken += end + 1 - index
+            node = int(successors[end])
+        else:
+            pieces.append(np.array([node], dtype=np.int32))
+            taken += 1
+            node = step(node)
+    return np.concatenate([nodes[:0], *pieces]), node
+
+
 def _index_strings(
     view: memoryview, offset: int, count: int
 ) -> Tuple[np.ndarray, int]:
     """Offsets of ``count`` length-prefixed strings starting at ``offset``.
 
-    Returns ``(offsets, next_offset)``.  The whole region is checked to
+    Returns ``(offsets, next_offset)``.  Candidate nodes are the bytes
+    below :data:`_MIN_LABEL_BYTE`; a longer name or a multi-byte length
+    prefix takes one sequential step.  The whole region is checked to
     be UTF-8 with one C-level decode: every length prefix ends in a
     byte below 0x80, which can never sit inside a multi-byte sequence,
     so the region decodes exactly when every string does.  The leading
     bytes of the rare multi-byte prefixes are zeroed first, since they
     could complete a string's dangling sequence.
     """
-    start = offset
-    offsets: List[int] = []
+    region = np.frombuffer(view, dtype=np.uint8, offset=offset)
+    nodes = np.flatnonzero(region < _MIN_LABEL_BYTE).astype(np.int32)
+    successors = nodes + 1 + region[nodes]
     wide: List[int] = []
+
+    def step(node: int) -> int:
+        length, after = read_uvarint(view, offset + node)
+        wide.extend(range(offset + node, after - 1))
+        return after - offset + length
+
+    truncated = "truncated string in shard payload"
+    starts, end = _chain_walk(
+        nodes, successors, count, len(region), step, truncated
+    )
+    end += offset
+    if end > len(view):
+        raise ArchiveError(truncated)
+    text = view[offset:end]
+    if wide:
+        text = bytearray(text)
+        for position in wide:
+            text[position - offset] = 0
     try:
-        for _ in range(count):
-            offsets.append(offset)
-            length = view[offset]
-            if length < 0x80:
-                offset += 1 + length
-            else:
-                prefix = offset
-                length, offset = read_uvarint(view, offset)
-                wide.extend(range(prefix, offset - 1))
-                offset += length
-    except IndexError:
-        raise ArchiveError("truncated string in shard payload") from None
-    if offset > len(view):
-        raise ArchiveError("truncated string in shard payload")
-    region = bytearray(view[start:offset])
-    for position in wide:
-        region[position - start] = 0
-    try:
-        region.decode("utf-8")
+        str(text, "utf-8")
     except UnicodeDecodeError:
         raise ArchiveError("invalid UTF-8 in shard payload") from None
-    return np.asarray(offsets, dtype=np.int64), offset
+    return starts.astype(np.int64) + offset, end
 
 
 def _index_runs(
@@ -410,30 +464,31 @@ def _index_runs(
     """Offsets of ``count`` delta runs starting at ``offset``.
 
     Returns ``(offsets, next_offset)``.  Varint boundaries are found
-    vectorised (every varint ends in its only byte below 0x80); the walk
-    then hops from each run's count varint past its deltas.
+    vectorised (every varint ends in its only byte below 0x80), and the
+    runs are a chain over varints: a run's count varint is followed by
+    that many deltas.  Candidate nodes are the one-byte varints; a
+    count of 128 or more takes one sequential step.
     """
     region = np.frombuffer(view, dtype=np.uint8, offset=offset)
-    stops = np.flatnonzero(region < 0x80)
+    stops = np.flatnonzero(region < 0x80).astype(np.int32)
     starts = np.empty_like(stops)
     starts[:1] = 0
     starts[1:] = stops[:-1] + 1
-    heads = region[starts].tolist()
-    total = len(heads)
-    runs: List[int] = []
-    varint = 0
-    for _ in range(count):
-        if varint >= total:
-            raise ArchiveError("truncated varint in shard payload")
-        runs.append(varint)
-        length = heads[varint]
-        if length & 0x80:
-            length, _ = read_uvarint(view, offset + int(starts[varint]))
-        varint += 1 + length
-    if varint > total:
-        raise ArchiveError("truncated varint in shard payload")
-    end = offset + (int(stops[varint - 1]) + 1 if varint else 0)
-    return offset + starts[np.asarray(runs, dtype=np.int64)], end
+    nodes = np.flatnonzero(starts == stops).astype(np.int32)
+    successors = nodes + 1 + region[stops[nodes]]
+
+    def step(node: int) -> int:
+        length, _ = read_uvarint(view, offset + int(starts[node]))
+        return node + 1 + length
+
+    truncated = "truncated varint in shard payload"
+    runs, after = _chain_walk(
+        nodes, successors, count, len(stops), step, truncated
+    )
+    if after > len(stops):
+        raise ArchiveError(truncated)
+    end = offset + (int(stops[after - 1]) + 1 if after else 0)
+    return offset + starts[runs].astype(np.int64), end
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.api import QUERY_KINDS, SCHEMA_VERSION, SERIES_NAMES
-from repro.api.spec import QueryResult, QuerySpec, jsonify
+from repro.api.spec import MAX_RECORDS_LIMIT, QueryResult, QuerySpec, jsonify
 from repro.errors import QueryError
 
 
@@ -52,6 +52,12 @@ class TestSpecValidation:
             QuerySpec("records", date="2022-03-04", offset=-1)
         with pytest.raises(QueryError, match="limit"):
             QuerySpec("records", date="2022-03-04", limit=-5)
+
+    def test_records_limit_capped(self):
+        spec = QuerySpec("records", date="2022-03-04", limit=MAX_RECORDS_LIMIT)
+        assert spec.limit == MAX_RECORDS_LIMIT
+        with pytest.raises(QueryError, match=f"limit must be <= {MAX_RECORDS_LIMIT}"):
+            QuerySpec("records", date="2022-03-04", limit=MAX_RECORDS_LIMIT + 1)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(QueryError, match="unknown query field"):

@@ -1,9 +1,11 @@
 """Property-based fuzz tests for the shard codec and container format.
 
-Two layers (both tier-1, both fully deterministic):
+Three layers (all tier-1, all fully deterministic):
 
 * hypothesis round-trips over the codec primitives, run with
   ``derandomize=True`` so CI never sees a flaky example;
+* hypothesis layouts through the shard's vectorised index walks, with
+  the sequential codec readers as the oracle;
 * seeded mutation fuzz over a canonical shard file — every truncation,
   single-bit flip, and splice must surface as :class:`ArchiveError`
   (the classified subclasses included), never as a crash, a hang, or a
@@ -30,7 +32,13 @@ from repro.archive.codec import (
     write_uvarint,
     zigzag,
 )
-from repro.archive.shard import DayShardRecord, read_shard, write_shard
+from repro.archive.shard import (
+    DayShardRecord,
+    _index_runs,
+    _index_strings,
+    read_shard,
+    write_shard,
+)
 from repro.archive.summary import DaySummary
 from repro.errors import ArchiveError
 from repro.rng import derive_rng
@@ -127,6 +135,90 @@ class TestPrimitiveMutationSafety:
                 assert 0 <= offset <= len(view)
             except ArchiveError:
                 pass
+
+
+#: Names that stress the string walk: bytes below the lowest A-label
+#: byte (0x2D) inside a name, lengths around the one-byte candidate
+#: limit (45) and the one-byte prefix limit (128), and non-ASCII UTF-8.
+walk_names = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([0, 1, 44, 45, 46, 127, 128, 129, 300]).flatmap(
+        lambda size: st.text(
+            alphabet=st.characters(max_codepoint=0x2F), min_size=size,
+            max_size=size,
+        )
+    ),
+    st.text(alphabet="\x00\x01\x2c-.a\u0436", min_size=40, max_size=140),
+)
+
+#: Runs that stress the run walk: empty runs, adjacent addresses (one-
+#: byte deltas that look like counts), and runs of 128+ elements (a
+#: multi-byte count).
+walk_runs = st.one_of(
+    st.lists(int32s, max_size=4),
+    st.builds(
+        lambda first, size: list(range(first, first + size)),
+        st.integers(min_value=0, max_value=2**31 - 200),
+        st.sampled_from([0, 1, 2, 3, 127, 128, 130]),
+    ),
+)
+
+
+def walk_tail(prefix, names, runs):
+    """``prefix`` then the strings then the delta runs, as one payload."""
+    buffer = bytearray(prefix)
+    for name in names:
+        write_string(buffer, name)
+    for run in runs:
+        write_delta_run(buffer, run)
+    return bytes(buffer)
+
+
+def sequential_offsets(reader, view, offset, count):
+    """Where ``count`` sequential ``reader`` decodes start, and their end."""
+    offsets = []
+    for _ in range(count):
+        offsets.append(offset)
+        _, offset = reader(view, offset)
+    return offsets, offset
+
+
+class TestIndexWalk:
+    """The chain walks index exactly what the sequential readers decode."""
+
+    @FUZZ
+    @given(
+        st.binary(max_size=3),
+        st.lists(walk_names, max_size=8),
+        st.lists(walk_runs, max_size=8),
+    )
+    def test_offsets_match_sequential_decode(self, prefix, names, runs):
+        view = memoryview(walk_tail(prefix, names, runs))
+        expected, middle = sequential_offsets(
+            read_string, view, len(prefix), len(names)
+        )
+        offsets, end = _index_strings(view, len(prefix), len(names))
+        assert offsets.dtype == "int64"
+        assert offsets.tolist() == expected and end == middle
+        expected, last = sequential_offsets(
+            read_delta_run, view, middle, len(runs)
+        )
+        offsets, end = _index_runs(view, middle, len(runs))
+        assert offsets.dtype == "int64"
+        assert offsets.tolist() == expected and end == last == len(view)
+
+    @FUZZ
+    @given(
+        st.lists(walk_names, min_size=1, max_size=4),
+        st.lists(walk_runs, min_size=1, max_size=4),
+    )
+    def test_every_truncation_refused(self, names, runs):
+        payload = walk_tail(b"", names, runs)
+        for length in range(len(payload)):
+            view = memoryview(payload[:length])
+            with pytest.raises(ArchiveError):
+                _, middle = _index_strings(view, 0, len(names))
+                _index_runs(view, middle, len(runs))
 
 
 def canonical_record():

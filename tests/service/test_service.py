@@ -93,6 +93,11 @@ class TestEndpoints:
         assert status == 400
         assert "unknown series" in json.loads(body)["error"]["message"]
 
+    def test_oversized_records_page_400(self, svc):
+        status, _, body = svc.get("/v1/records/2022-03-04?limit=100000000")
+        assert status == 400
+        assert "limit must be <= 1000" in json.loads(body)["error"]["message"]
+
     def test_bad_method_405(self, svc):
         status, _, _ = svc.post("/v1/headline", b"{}")
         assert status == 405

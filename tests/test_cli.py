@@ -285,6 +285,14 @@ class TestQueryCommand:
         assert main(ARGS + ["query", '{"kind": "mystery"}']) == 2
         assert "unknown query kind" in capsys.readouterr().err
 
+    def test_oversized_records_page_is_usage_error(self, capsys):
+        code = main(
+            ARGS + ["query", "--kind", "records", "--date", "2022-03-04",
+                    "--limit", "100000000"]
+        )
+        assert code == 2
+        assert "limit must be <= 1000" in capsys.readouterr().err
+
     def test_unknown_experiment_exits_one(self, capsys):
         code = main(
             ARGS + ["query", "--kind", "experiment", "--experiment", "fig99"]
