@@ -7,7 +7,8 @@ series over the conflict window.
 
 import datetime as dt
 
-from repro.core.composition import collect_composition
+from repro.archive import summarize_snapshot
+from repro.core.reducers import merge_full_sweep
 from repro.measurement import FastCollector
 
 WINDOW = (dt.date(2022, 2, 1), dt.date(2022, 5, 25))
@@ -17,16 +18,13 @@ def test_bench_ablation_cadence(benchmark, bench_world, save):
     collector = FastCollector(bench_world)
 
     def run():
-        daily = collect_composition(
-            collector.sweep(WINDOW[0], WINDOW[1], 1), kind="ns"
+        return tuple(
+            merge_full_sweep([
+                summarize_snapshot(snapshot)
+                for snapshot in collector.sweep(WINDOW[0], WINDOW[1], step)
+            ]).ns_composition
+            for step in (1, 7, 28)
         )
-        weekly = collect_composition(
-            collector.sweep(WINDOW[0], WINDOW[1], 7), kind="ns"
-        )
-        monthly = collect_composition(
-            collector.sweep(WINDOW[0], WINDOW[1], 28), kind="ns"
-        )
-        return daily, weekly, monthly
 
     daily, weekly, monthly = benchmark.pedantic(run, rounds=1, iterations=1)
     daily_by_date = {p.date: p.share("full") for p in daily}

@@ -9,7 +9,8 @@ jump to fully-Russian name service is detected only after the lag.
 
 import datetime as dt
 
-from repro.core.composition import collect_composition
+from repro.archive import summarize_snapshot
+from repro.core.reducers import merge_recent_window
 from repro.measurement import FastCollector
 from repro.sim import ConflictScenarioConfig, build_world
 
@@ -18,9 +19,14 @@ WINDOW = (dt.date(2022, 2, 24), dt.date(2022, 3, 31))
 
 
 def _full_share_series(world):
+    # The summary's sanctioned triple is the NS composition of
+    # world.sanctioned_indices: the 107 sanctioned domains.
     collector = FastCollector(world)
-    snapshots = collector.sweep(WINDOW[0], WINDOW[1], 1)
-    series = collect_composition(snapshots, kind="ns", subset_indices=range(107))
+    summaries = [
+        summarize_snapshot(snapshot)
+        for snapshot in collector.sweep(WINDOW[0], WINDOW[1], 1)
+    ]
+    series = merge_recent_window([], summaries).sanctioned_composition
     return {point.date: point.share("full") for point in series}
 
 

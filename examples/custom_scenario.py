@@ -11,7 +11,8 @@ share would have jumped, using the *unchanged* analysis pipeline.
 
 import datetime as dt
 
-from repro.core.composition import collect_composition
+from repro.archive import summarize_snapshot
+from repro.core.reducers import merge_full_sweep
 from repro.measurement import FastCollector
 from repro.scenario import PulseSpec, ScenarioSpec
 
@@ -22,10 +23,11 @@ CONFIG = dict(scale=1000.0, with_pki=False)
 
 def full_share_series(world):
     collector = FastCollector(world)
-    series = collect_composition(
-        collector.sweep(WINDOW[0], WINDOW[1], 7), kind="ns"
-    )
-    return series
+    summaries = [
+        summarize_snapshot(snapshot)
+        for snapshot in collector.sweep(WINDOW[0], WINDOW[1], 7)
+    ]
+    return merge_full_sweep(summaries).ns_composition
 
 
 def main() -> None:

@@ -30,9 +30,9 @@ import tempfile
 
 sys.path.insert(0, "src")
 
-from repro.archive import ArchiveBuilder  # noqa: E402
+from repro.archive import ArchiveBuilder, archive_digest  # noqa: E402
 from repro.client import ClientError, QueryClient  # noqa: E402
-from repro.scenario import ScenarioSpec, archive_digest  # noqa: E402
+from repro.scenario import ScenarioSpec  # noqa: E402
 from repro.sim import ConflictScenarioConfig  # noqa: E402
 
 SCALE = 20000.0

@@ -11,11 +11,14 @@ stats, every ``series`` query — is a fold over per-day
   engine as :class:`SummaryReducer`;
 * :class:`ArchiveQueryKernel` serves an archive-backed context's sweeps
   straight from the stored summaries: one partial file read per day,
-  no per-domain columns, no world construction.
+  no per-domain columns, no world construction;
+* an ad-hoc sweep (the examples, the ablation benches, the tests)
+  calls it once per collected snapshot.
 
-Both paths then fold through the same merges in
-:mod:`repro.core.reducers`, so an aggregation bug has one place to be
-fixed.  ``tests/integration/test_summary_reference.py`` recomputes every
+Every path then folds through the same merges in
+:mod:`repro.core.reducers`; no code computes the series counts a
+second way, so an aggregation bug has one place to be fixed.
+``tests/integration/test_summary_reference.py`` recomputes every
 summary field in plain Python, per domain, as the independent oracle.
 """
 

@@ -2,10 +2,14 @@
 
 Everything here consumes measurements (snapshots, CT monitor output,
 scan datasets) and produces the series, tables, and reports behind the
-paper's figures, tables, and prose claims.
+paper's figures, tables, and prose claims.  The longitudinal series
+(Figures 1-5) hold no per-day reduction of their own:
+:mod:`repro.core.reducers` merges them from the day summaries that
+:func:`repro.archive.summarize_snapshot` produces, the one per-day
+reduction in the repo.
 """
 
-from .composition import CompositionPoint, CompositionSeries, collect_composition
+from .composition import CompositionPoint, CompositionSeries
 from .concentration import ConcentrationReport, analyze_market, concentration_ratio, hhi
 from .countrydist import CountrySharePoint, CountryShareSeries, collect_country_shares
 from .issuance import (
@@ -34,19 +38,13 @@ from .movement import MovementReport, analyze_movement, transition_matrix
 from .reducers import RecentWindowSeries, SweepSeries
 from .revocation import IssuerRevocation, RevocationTable, analyze_revocations
 from .summary import HeadlineStats, compute_headline_stats
-from .tlddep import (
-    TldSharePoint,
-    TldShareSeries,
-    collect_tld_composition,
-    collect_tld_shares,
-)
-from .topasn import AsnSharePoint, AsnShareSeries, asn_members, collect_asn_shares
+from .tlddep import TldSharePoint, TldShareSeries
+from .topasn import AsnSharePoint, AsnShareSeries, asn_members
 from .trustedca import TrustedCaReport, analyze_trusted_ca
 
 __all__ = [
     "CompositionPoint",
     "CompositionSeries",
-    "collect_composition",
     "ConcentrationReport",
     "analyze_market",
     "concentration_ratio",
@@ -84,12 +82,9 @@ __all__ = [
     "compute_headline_stats",
     "TldSharePoint",
     "TldShareSeries",
-    "collect_tld_composition",
-    "collect_tld_shares",
     "AsnSharePoint",
     "AsnShareSeries",
     "asn_members",
-    "collect_asn_shares",
     "TrustedCaReport",
     "analyze_trusted_ca",
 ]

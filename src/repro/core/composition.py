@@ -2,28 +2,19 @@
 
 A :class:`CompositionSeries` accumulates per-day full/part/non counts and
 the daily domain total (the black curve in the paper's figures), for
-either the whole population or a subset (the sanctioned domains).
+either the whole population or a subset (the sanctioned domains).  The
+merges in :mod:`repro.core.reducers` fill it from day summaries.
 """
 
 from __future__ import annotations
 
 import bisect
 import datetime as _dt
-from typing import Callable, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import List
 
 from ..errors import AnalysisError
-from ..measurement.fast import DailySnapshot
-from .labels import (
-    LABEL_FULL,
-    LABEL_NON,
-    LABEL_PART,
-    snapshot_hosting_geo_labels,
-    snapshot_ns_geo_labels,
-)
 
-__all__ = ["CompositionPoint", "CompositionSeries", "collect_composition"]
+__all__ = ["CompositionPoint", "CompositionSeries"]
 
 
 class CompositionPoint:
@@ -137,40 +128,3 @@ class CompositionSeries:
     def net_change(self, which: str) -> float:
         """Percentage-point change of a class between first and last point."""
         return self.last().share(which) - self.first().share(which)
-
-
-def _labels_for(snapshot: DailySnapshot, kind: str, subset) -> np.ndarray:
-    if kind == "ns":
-        return snapshot_ns_geo_labels(snapshot, subset)
-    if kind == "hosting":
-        return snapshot_hosting_geo_labels(snapshot, subset)
-    raise AnalysisError(f"unknown composition kind {kind!r}")
-
-
-def collect_composition(
-    snapshots: Iterable[DailySnapshot],
-    kind: str = "ns",
-    subset_indices: Optional[Sequence[int]] = None,
-    title: str = "",
-) -> CompositionSeries:
-    """Accumulate a composition series over a snapshot sweep.
-
-    ``kind`` selects name-server (``"ns"``) or hosting (``"hosting"``)
-    geography; ``subset_indices`` restricts to a fixed domain set (the
-    sanctioned-domain analysis passes the 107 indices).
-    """
-    series = CompositionSeries(title=title)
-    for snapshot in snapshots:
-        subset = (
-            snapshot.subset(subset_indices)
-            if subset_indices is not None
-            else snapshot.measured
-        )
-        labels = _labels_for(snapshot, kind, subset)
-        series.add_counts(
-            snapshot.date,
-            int((labels == LABEL_FULL).sum()),
-            int((labels == LABEL_PART).sum()),
-            int((labels == LABEL_NON).sum()),
-        )
-    return series

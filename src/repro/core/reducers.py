@@ -3,8 +3,9 @@
 Every measurement day, live or archived, is reduced to one
 :class:`~repro.archive.summary.DaySummary` by
 :func:`~repro.archive.kernel.summarize_snapshot` — the only code that
-turns a snapshot into series counts.  This module folds an ordered
-summary list into the series the experiments consume:
+turns a snapshot into series counts; the series classes themselves
+only store points.  This module folds an ordered summary list into the
+series the experiments, examples and benches consume:
 :func:`merge_full_sweep` for the five-year sweep (Figures 1-3, headline
 stats) and :func:`merge_recent_window` for the conflict window
 (Figures 4 and 5).

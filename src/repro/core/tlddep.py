@@ -1,9 +1,11 @@
-"""Name-server TLD dependency analyses (Figures 2 and 3).
+"""Name-server TLD dependency series (Figures 2 and 3).
 
 Two views over the TLDs that authoritative name-server *names* are
-registered under:
+registered under, both merged from day summaries by
+:func:`~repro.core.reducers.merge_full_sweep`:
 
-* the full/part/non composition against Russian-administered TLDs, and
+* the full/part/non composition against Russian-administered TLDs (a
+  plain :class:`~repro.core.composition.CompositionSeries`), and
 * the per-TLD share of domains delegating to at least one name server
   under that TLD (shares can sum past 100%, as in the paper).
 """
@@ -11,39 +13,11 @@ registered under:
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from ..errors import AnalysisError
-from ..measurement.fast import DailySnapshot
-from .composition import CompositionSeries
-from .labels import LABEL_FULL, LABEL_NON, LABEL_PART, snapshot_ns_tld_labels
 
-__all__ = ["TldSharePoint", "TldShareSeries", "collect_tld_composition", "collect_tld_shares"]
-
-
-def collect_tld_composition(
-    snapshots: Iterable[DailySnapshot],
-    subset_indices: Optional[Sequence[int]] = None,
-    title: str = "NS TLD dependency",
-) -> CompositionSeries:
-    """Figure 2: full/part/non Russian NS-TLD composition over time."""
-    series = CompositionSeries(title=title)
-    for snapshot in snapshots:
-        subset = (
-            snapshot.subset(subset_indices)
-            if subset_indices is not None
-            else snapshot.measured
-        )
-        labels = snapshot_ns_tld_labels(snapshot, subset)
-        series.add_counts(
-            snapshot.date,
-            int((labels == LABEL_FULL).sum()),
-            int((labels == LABEL_PART).sum()),
-            int((labels == LABEL_NON).sum()),
-        )
-    return series
+__all__ = ["TldSharePoint", "TldShareSeries"]
 
 
 class TldSharePoint:
@@ -120,29 +94,3 @@ class TldShareSeries:
         if not self._points:
             raise AnalysisError("empty TLD share series")
         return self._points[-1]
-
-
-def collect_tld_shares(
-    snapshots: Iterable[DailySnapshot],
-    subset_indices: Optional[Sequence[int]] = None,
-) -> TldShareSeries:
-    """Figure 3's raw material: per-TLD share of domains, per day."""
-    series = TldShareSeries()
-    for snapshot in snapshots:
-        subset = (
-            snapshot.subset(subset_indices)
-            if subset_indices is not None
-            else snapshot.measured
-        )
-        labels = snapshot.epoch.dns_labels
-        plan_counts = np.bincount(
-            snapshot.dns_ids[subset], minlength=labels.tld_membership.shape[0]
-        )
-        per_tld = plan_counts @ labels.tld_membership  # domains per TLD
-        counts = {
-            tld: int(per_tld[column])
-            for column, tld in enumerate(labels.tld_names)
-            if per_tld[column] > 0
-        }
-        series.add(TldSharePoint(snapshot.date, int(len(subset)), counts))
-    return series

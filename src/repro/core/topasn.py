@@ -1,20 +1,22 @@
 """Per-hosting-network domain shares (Figure 4).
 
 For each tracked ASN, the share of Russian-Federation domains whose apex
-resolves into that network, day by day.
+resolves into that network, day by day, as
+:func:`~repro.core.reducers.merge_recent_window` merges it from day
+summaries.  :func:`asn_members` lists one day's members per domain.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..errors import AnalysisError
 from ..measurement.fast import DailySnapshot
 
-__all__ = ["AsnSharePoint", "AsnShareSeries", "collect_asn_shares", "asn_members"]
+__all__ = ["AsnSharePoint", "AsnShareSeries", "asn_members"]
 
 
 def asn_members(snapshot: DailySnapshot, asn: int) -> np.ndarray:
@@ -86,36 +88,3 @@ class AsnShareSeries:
         if not self._points:
             raise AnalysisError("empty ASN share series")
         return self._points[-1]
-
-
-def collect_asn_shares(
-    snapshots: Iterable[DailySnapshot],
-    asns: Sequence[int],
-) -> AsnShareSeries:
-    """Figure 4's series: daily domain share per tracked hosting ASN."""
-    series = AsnShareSeries(asns)
-    asn_list = list(asns)
-    membership_cache: Dict[int, np.ndarray] = {}
-
-    for snapshot in snapshots:
-        labels = snapshot.epoch.hosting_labels
-        cache_key = id(labels)
-        matrix = membership_cache.get(cache_key)
-        if matrix is None:
-            matrix = np.zeros((len(labels.asn_sets), len(asn_list)), dtype=bool)
-            for plan_id, plan_asns in enumerate(labels.asn_sets):
-                for column, asn in enumerate(asn_list):
-                    matrix[plan_id, column] = asn in plan_asns
-            membership_cache[cache_key] = matrix
-        plan_counts = np.bincount(
-            snapshot.hosting_ids[snapshot.measured], minlength=matrix.shape[0]
-        )
-        per_asn = plan_counts @ matrix
-        series.add(
-            AsnSharePoint(
-                snapshot.date,
-                int(len(snapshot.measured)),
-                {asn: int(per_asn[col]) for col, asn in enumerate(asn_list)},
-            )
-        )
-    return series

@@ -2,7 +2,6 @@
 
 from .fast import DailySnapshot, FastCollector
 from .metrics import PhaseStat, SweepMetrics
-from .quality import CoveragePoint, MeasurementHealth
 from .records import DomainMeasurement
 from .resolving import ResolvingCollector
 from .seeds import ZoneTransferSeeder
@@ -10,8 +9,6 @@ from .sweep import SweepEngine
 
 __all__ = [
     "DailySnapshot",
-    "CoveragePoint",
-    "MeasurementHealth",
     "FastCollector",
     "DomainMeasurement",
     "PhaseStat",

@@ -10,11 +10,11 @@ The public surface:
 * The shipped library (:data:`LIBRARY`, :func:`get_scenario`,
   :func:`scenario_ids`): ``baseline``, ``no-invasion``, ``depeering``,
   ``ixp-disconnect``, ``sanctions-early``.
-* Digest helpers (:func:`world_digest`, :func:`archive_digest`) that
-  reduce the engine's byte-identity contracts to comparable hashes.
+* :func:`world_digest`, which reduces a world to a comparable hash;
+  archives compare by :func:`repro.archive.archive_digest`.
 """
 
-from .digest import archive_digest, world_digest
+from .digest import world_digest
 from .library import LIBRARY, get_scenario, register_scenario, scenario_ids
 from .spec import FlowSpec, ProviderExit, PulseSpec, ScenarioSpec, WaveSpec
 
@@ -29,5 +29,4 @@ __all__ = [
     "register_scenario",
     "scenario_ids",
     "world_digest",
-    "archive_digest",
 ]

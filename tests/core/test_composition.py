@@ -5,11 +5,9 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.composition import (
-    CompositionPoint,
-    CompositionSeries,
-    collect_composition,
-)
+from repro.archive import summarize_snapshot
+from repro.core.composition import CompositionPoint, CompositionSeries
+from repro.core.reducers import merge_full_sweep, merge_recent_window
 from repro.errors import AnalysisError
 from repro.measurement.fast import FastCollector
 
@@ -99,28 +97,31 @@ class TestSeries:
 
 
 class TestCollect:
+    """The composition series the one per-day reduction produces."""
+
     def test_counts_conserved(self, tiny_world):
         collector = FastCollector(tiny_world)
         snapshots = list(collector.sweep("2022-02-01", "2022-03-15", 7))
-        series = collect_composition(snapshots, kind="ns")
+        series = merge_full_sweep(
+            [summarize_snapshot(snapshot) for snapshot in snapshots]
+        ).ns_composition
         for snapshot, point in zip(snapshots, series):
             assert point.total == len(snapshot)
 
     def test_subset_restricts_total(self, tiny_world):
         collector = FastCollector(tiny_world)
-        snapshots = list(collector.sweep("2022-02-01", "2022-02-15", 7))
-        series = collect_composition(snapshots, subset_indices=range(107))
+        summaries = [
+            summarize_snapshot(snapshot)
+            for snapshot in collector.sweep("2022-02-01", "2022-02-15", 7)
+        ]
+        series = merge_recent_window([], summaries).sanctioned_composition
         assert all(point.total == 107 for point in series)
-
-    def test_unknown_kind_rejected(self, tiny_world):
-        collector = FastCollector(tiny_world)
-        snapshots = list(collector.sweep("2022-02-01", "2022-02-08", 7))
-        with pytest.raises(AnalysisError):
-            collect_composition(snapshots, kind="bogus")
 
     def test_hosting_kind(self, tiny_world):
         collector = FastCollector(tiny_world)
-        snapshots = list(collector.sweep("2022-02-01", "2022-02-08", 7))
-        series = collect_composition(snapshots, kind="hosting")
+        series = merge_full_sweep([
+            summarize_snapshot(snapshot)
+            for snapshot in collector.sweep("2022-02-01", "2022-02-08", 7)
+        ]).hosting_composition
         # Hosting is overwhelmingly single-component: partial is rare.
         assert series.first().share("part") < 2.0

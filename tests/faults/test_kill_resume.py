@@ -10,12 +10,11 @@ promises.
 """
 
 import datetime as dt
-import hashlib
 import os
 
 import pytest
 
-from repro.archive import ArchiveBuilder, MeasurementArchive
+from repro.archive import ArchiveBuilder, MeasurementArchive, archive_digest
 from repro.archive.manifest import MANIFEST_NAME
 from repro.errors import RecoveryError
 from repro.faults import IO_ERROR, FaultPlan, FaultSpec
@@ -27,17 +26,6 @@ END = dt.date(2022, 3, 14)
 
 #: The shard whose write fails on every attempt, mid-range.
 DOOMED_SHARD = "2022-03-07.shard"
-
-
-def archive_digest(directory):
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(directory)):
-        if not (name.endswith(".shard") or name == MANIFEST_NAME):
-            continue
-        digest.update(name.encode())
-        with open(os.path.join(directory, name), "rb") as handle:
-            digest.update(handle.read())
-    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")

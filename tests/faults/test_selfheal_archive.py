@@ -7,13 +7,12 @@ fault-free artefact file for file.
 """
 
 import datetime as dt
-import hashlib
 import json
 import os
 
 import pytest
 
-from repro.archive import ArchiveBuilder, MeasurementArchive
+from repro.archive import ArchiveBuilder, MeasurementArchive, archive_digest
 from repro.archive.manifest import MANIFEST_NAME
 from repro.faults import default_plan
 from repro.measurement.metrics import SweepMetrics
@@ -22,18 +21,6 @@ pytestmark = pytest.mark.faults
 
 START = dt.date(2022, 3, 1)
 END = dt.date(2022, 3, 14)
-
-
-def archive_digest(directory):
-    """SHA-256 over every shard + the manifest (names and bytes)."""
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(directory)):
-        if not (name.endswith(".shard") or name == MANIFEST_NAME):
-            continue
-        digest.update(name.encode())
-        with open(os.path.join(directory, name), "rb") as handle:
-            digest.update(handle.read())
-    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")

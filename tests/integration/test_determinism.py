@@ -2,7 +2,8 @@
 
 import datetime as dt
 
-from repro.core.composition import collect_composition
+from repro.archive import summarize_snapshot
+from repro.core.reducers import merge_full_sweep
 from repro.experiments import ExperimentContext, run_experiment
 from repro.measurement import FastCollector
 from repro.scenario import ScenarioSpec
@@ -19,9 +20,10 @@ def _baseline(**overrides):
 
 def _fig1_series(world):
     collector = FastCollector(world)
-    series = collect_composition(
-        collector.sweep("2022-01-01", "2022-05-25", 7), kind="ns"
-    )
+    series = merge_full_sweep([
+        summarize_snapshot(snapshot)
+        for snapshot in collector.sweep("2022-01-01", "2022-05-25", 7)
+    ]).ns_composition
     return [(p.date, p.full, p.part, p.non) for p in series]
 
 

@@ -141,12 +141,14 @@ class TestGeolocationGaps:
 class TestMeasurementOutageVisibleInTotals:
     def test_black_curve_dip(self, tiny_world):
         """Footnote 8's March 22, 2021 dip appears in the domain totals."""
-        collector = FastCollector(tiny_world)
-        from repro.core.composition import collect_composition
+        from repro.archive import summarize_snapshot
+        from repro.core.reducers import merge_full_sweep
 
-        series = collect_composition(
-            collector.sweep("2021-03-20", "2021-03-24", 1), kind="ns"
-        )
+        collector = FastCollector(tiny_world)
+        series = merge_full_sweep([
+            summarize_snapshot(snapshot)
+            for snapshot in collector.sweep("2021-03-20", "2021-03-24", 1)
+        ]).ns_composition
         totals = series.totals()
         dip = totals[2]  # 2021-03-22
         assert dip < 0.8 * totals[0]

@@ -7,7 +7,8 @@ reproduction scale the same must hold.
 
 import datetime as dt
 
-from repro.core.composition import collect_composition
+from repro.archive import summarize_snapshot
+from repro.core.reducers import merge_full_sweep
 from repro.measurement import FastCollector
 from repro.timeline import STUDY_END, STUDY_START
 
@@ -15,9 +16,10 @@ from repro.timeline import STUDY_END, STUDY_START
 class TestBlackCurve:
     def test_totals_stay_in_band(self, tiny_world):
         collector = FastCollector(tiny_world)
-        series = collect_composition(
-            collector.sweep(STUDY_START, STUDY_END, 30), kind="ns"
-        )
+        series = merge_full_sweep([
+            summarize_snapshot(snapshot)
+            for snapshot in collector.sweep(STUDY_START, STUDY_END, 30)
+        ]).ns_composition
         totals = series.totals()
         start = totals[0]
         assert all(0.85 * start <= total <= 1.45 * start for total in totals)
@@ -30,9 +32,10 @@ class TestBlackCurve:
     def test_no_single_week_cliff_outside_outage(self, tiny_world):
         collector = FastCollector(tiny_world)
         outage_week = dt.date(2021, 3, 22)
-        series = collect_composition(
-            collector.sweep(STUDY_START, STUDY_END, 7), kind="ns"
-        )
+        series = merge_full_sweep([
+            summarize_snapshot(snapshot)
+            for snapshot in collector.sweep(STUDY_START, STUDY_END, 7)
+        ]).ns_composition
         points = series.points()
         for previous, current in zip(points, points[1:]):
             if abs((current.date - outage_week).days) <= 7 or abs(

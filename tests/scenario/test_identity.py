@@ -13,10 +13,10 @@ import sys
 
 import pytest
 
-from repro.archive import ArchiveBuilder
+from repro.archive import ArchiveBuilder, archive_digest
 from repro.errors import ArchiveMismatchError
 from repro.experiments import ExperimentContext
-from repro.scenario import ScenarioSpec, archive_digest, world_digest
+from repro.scenario import ScenarioSpec, world_digest
 from repro.sim import ConflictScenarioConfig, build_world
 
 TEST_SCALE = 30000.0
