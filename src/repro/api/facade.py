@@ -27,7 +27,7 @@ from ..core.reducers import (
 from ..core.summary import compute_headline_stats
 from ..errors import QueryError
 from ..net.ip import format_ipv4
-from ..timeline import STUDY_END, STUDY_START, as_date
+from ..timeline import RECENT_WINDOW_START, STUDY_END, STUDY_START, as_date
 from .deadline import check_deadline
 from .spec import SCHEMA_VERSION, SERIES_NAMES, QueryResult, QuerySpec
 
@@ -182,8 +182,6 @@ class AnalysisFacade:
         with self._lock:
             if self._recent is None:
                 check_deadline("recent_sweep")
-                from ..experiments.context import RECENT_WINDOW_START
-
                 self._recent = merge_recent_window(
                     self._context.fig4_asns(),
                     self._day_summaries(

@@ -15,7 +15,6 @@ from .builder import (
     ArchiveBuilder,
     ArchiveShardReducer,
     BuildReport,
-    RECENT_DAILY_START,
     shard_filename,
     standard_plan_dates,
 )
@@ -28,7 +27,6 @@ from .shard import (
     probe_shard,
     read_shard,
     read_summary,
-    write_shard,
 )
 from .store import ArchiveCollector, ArchivedSnapshot, MeasurementArchive
 from .stream import DayStream, write_shard_stream
@@ -40,7 +38,6 @@ __all__ = [
     "ArchiveQueryKernel",
     "BuildReport",
     "archive_digest",
-    "RECENT_DAILY_START",
     "Manifest",
     "scenario_fingerprint",
     "DayShardRecord",
@@ -51,7 +48,6 @@ __all__ = [
     "read_shard",
     "read_summary",
     "summarize_snapshot",
-    "write_shard",
     "write_shard_stream",
     "ArchiveCollector",
     "ArchivedSnapshot",

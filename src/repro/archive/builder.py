@@ -32,7 +32,7 @@ from ..faults import sync_fault_metrics
 from ..measurement.fast import DEFAULT_OUTAGE_DATES, _OUTAGE_COVERAGE, FastCollector
 from ..measurement.metrics import SweepMetrics
 from ..measurement.sweep import SweepEngine
-from ..timeline import STUDY_END, STUDY_START, DateLike, as_date
+from ..timeline import RECENT_WINDOW_START, STUDY_END, STUDY_START, DateLike, as_date
 from .kernel import summarize_snapshot
 from .manifest import DayEntry, Manifest, scenario_fingerprint
 from .shard import probe_shard
@@ -40,7 +40,6 @@ from .store import MeasurementArchive
 from .stream import DayStream, write_shard_stream
 
 __all__ = [
-    "RECENT_DAILY_START",
     "ShardInfo",
     "ArchiveShardReducer",
     "BuildReport",
@@ -48,10 +47,6 @@ __all__ = [
     "standard_plan_dates",
     "shard_filename",
 ]
-
-#: Start of the daily conflict-window sweep (Figures 4 and 5).
-RECENT_DAILY_START = _dt.date(2022, 2, 22)
-
 
 def shard_filename(date: _dt.date) -> str:
     """Canonical shard file name for one day."""
@@ -182,7 +177,7 @@ def standard_plan_dates(cadence_days: int = 7) -> List[_dt.date]:
     if cadence_days < 1:
         raise ArchiveError(f"cadence must be >= 1 day: {cadence_days}")
     dates = set(_date_grid(STUDY_START, STUDY_END, cadence_days))
-    dates.update(_date_grid(RECENT_DAILY_START, STUDY_END, 1))
+    dates.update(_date_grid(RECENT_WINDOW_START, STUDY_END, 1))
     return sorted(dates)
 
 
@@ -403,7 +398,7 @@ class ArchiveBuilder:
         if cadence_days < 1:
             raise ArchiveError(f"cadence must be >= 1 day: {cadence_days}")
         full = self.build(STUDY_START, STUDY_END, cadence_days)
-        recent = self.build(RECENT_DAILY_START, STUDY_END, 1)
+        recent = self.build(RECENT_WINDOW_START, STUDY_END, 1)
         return BuildReport(
             sorted(set(full.written) | set(recent.written)),
             sorted(set(full.skipped) | set(recent.skipped)),

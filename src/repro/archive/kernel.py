@@ -161,9 +161,10 @@ class SummaryReducer:
 class ArchiveQueryKernel:
     """Serves stored day summaries for one archive-backed collector.
 
-    Summaries are read directly (partial file reads through the
-    archive's summary cache).  The two sweeps read the same summaries;
-    each keeps its own method so per-layer traces can time them.
+    Summaries are read directly (partial file reads, uncached: the
+    facade caches the sweeps built from them).  The two sweeps read the
+    same summaries; each keeps its own method so per-layer traces can
+    time them.
     """
 
     def __init__(self, collector) -> None:

@@ -32,13 +32,14 @@ read or written; any other version is refused with an
 self-healing and ``repro archive repair`` turn into a rebuild.
 
 This module owns the format definition, :class:`DayShardRecord` and
-the readers.  The one writer is the streaming encoder in
+the readers.  A :class:`DayShardRecord` is only ever a decoded shard
+payload: :func:`read_shard` decodes a file, and
+:meth:`DayShardRecord.from_snapshot` decodes the payload the writer
+would store for a live day.  The one writer is the streaming encoder in
 :mod:`repro.archive.stream` (encoded per-domain caches, compression on
-one helper thread); :func:`encode_shard` and :func:`write_shard` are
-its record-facing forms, and :meth:`DayShardRecord.from_snapshot`
-decodes its uncompressed payload.  Writes are
-build-order independent and byte-deterministic: the same day always
-serialises to the same bytes, which is what makes
+one helper thread); :func:`encode_shard` re-encodes a record through
+it.  Writes are build-order independent and byte-deterministic: the
+same day always serialises to the same bytes, which is what makes
 interrupted-then-resumed archive builds byte-identical to
 uninterrupted ones.
 """
@@ -49,7 +50,7 @@ import datetime as _dt
 import os
 import struct
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,7 +75,6 @@ __all__ = [
     "DayShardRecord",
     "ShardProbe",
     "encode_shard",
-    "write_shard",
     "read_shard",
     "read_summary",
     "probe_shard",
@@ -98,12 +98,14 @@ _ZLIB_LEVEL = 6
 
 
 class DayShardRecord:
-    """One day's measurements in shard (column) form.
+    """One day's measurements in shard (column) form, decoded from a payload.
 
-    ``measured``/``dns_ids``/``hosting_ids``/``domains``/``apex`` are
-    parallel per-measured-domain columns; ``dns_plan_ns`` maps each DNS
-    plan id appearing in ``dns_ids`` to its ``(ns_names, ns_addresses)``
-    tuple for the day's infrastructure epoch.
+    ``measured``/``dns_ids``/``hosting_ids`` are parallel
+    per-measured-domain columns.  The domain names, the apex runs and
+    ``dns_plan_ns`` — each DNS plan id appearing in ``dns_ids`` mapped to
+    its ``(ns_names, ns_addresses)`` tuple for the day's infrastructure
+    epoch — stay in the undecoded payload tail until a record is first
+    materialised.
 
     The three numeric columns are numpy arrays held at their final
     analysis dtypes — ``measured`` as int64 (it is used for fancy
@@ -112,7 +114,11 @@ class DayShardRecord:
     without any per-query conversion or copy.  ``summary`` carries the
     day's pre-aggregated :class:`~repro.archive.summary.DaySummary`:
     always set on a record read from disk, and required before one is
-    written.
+    re-encoded.
+
+    Records are built only by :func:`_decode_payload` (behind
+    :func:`read_shard` and :meth:`from_snapshot`), so a record and the
+    bytes it came from cannot disagree.
     """
 
     __slots__ = (
@@ -124,59 +130,11 @@ class DayShardRecord:
         "hosting_ids",
         "summary",
         "_dns_plan_ns",
-        "_domains",
-        "_apex",
         "_tail",
         "_view",
         "_domain_offsets",
         "_apex_offsets",
     )
-
-    def __init__(
-        self,
-        date: _dt.date,
-        epoch_start_day: int,
-        population_size: int,
-        measured: Sequence[int],
-        dns_ids: Sequence[int],
-        hosting_ids: Sequence[int],
-        dns_plan_ns: Dict[int, Tuple[Tuple[str, ...], Tuple[int, ...]]],
-        domains: Sequence[str],
-        apex: Sequence[Tuple[int, ...]],
-    ) -> None:
-        count = len(measured)
-        for name, column in (
-            ("dns_ids", dns_ids),
-            ("hosting_ids", hosting_ids),
-            ("domains", domains),
-            ("apex", apex),
-        ):
-            if len(column) != count:
-                raise ArchiveError(
-                    f"column {name!r} length {len(column)} != {count} measured"
-                )
-        missing = {int(p) for p in dns_ids} - set(dns_plan_ns)
-        if missing:
-            raise ArchiveError(f"dns plans missing from the shard table: {sorted(missing)}")
-        self.date = date
-        self.epoch_start_day = int(epoch_start_day)
-        self.population_size = int(population_size)
-        self.measured = _ascending(np.asarray(measured, dtype=np.int64))
-        self.dns_ids = np.asarray(dns_ids, dtype=np.int32)
-        self.hosting_ids = np.asarray(hosting_ids, dtype=np.int32)
-        self.summary: Optional[DaySummary] = None
-        self._dns_plan_ns = {
-            int(plan_id): (tuple(names), tuple(int(a) for a in addresses))
-            for plan_id, (names, addresses) in dns_plan_ns.items()
-        }
-        self._domains: Optional[List[str]] = [str(d) for d in domains]
-        self._apex: Optional[List[Tuple[int, ...]]] = [
-            tuple(int(a) for a in addresses) for addresses in apex
-        ]
-        self._tail: Optional[Tuple[bytes, int]] = None
-        self._view: Optional[memoryview] = None
-        self._domain_offsets: Optional[np.ndarray] = None
-        self._apex_offsets: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Lazily-indexed columns
@@ -185,11 +143,11 @@ class DayShardRecord:
     # Reducer sweeps only ever read the three numeric columns above; the
     # NS plan table, domain names, and apex runs are needed solely to
     # materialise DomainMeasurement records, and a records page needs
-    # only a handful of them.  A record decoded from disk therefore
-    # keeps the undecoded payload tail and, on first access, indexes it
-    # once: the plan table is parsed, and the byte offset of every
-    # position's domain string and apex run is recorded.  Each record
-    # then decodes just its own string and run.
+    # only a handful of them.  A record therefore keeps the undecoded
+    # payload tail and, on first access, indexes it once: the plan
+    # table is parsed, and the byte offset of every position's domain
+    # string and apex run is recorded.  Each record then decodes just
+    # its own string and run.
 
     def _index(self) -> None:
         tail = self._tail
@@ -239,16 +197,12 @@ class DayShardRecord:
         """The A-label name at ``position``."""
         if self._tail is not None:
             self._index()
-        if self._domains is not None:
-            return self._domains[position]
         return read_string(self._view, int(self._domain_offsets[position]))[0]
 
     def _apex_at(self, position: int) -> Tuple[int, ...]:
         """The sorted apex address run at ``position``."""
         if self._tail is not None:
             self._index()
-        if self._apex is not None:
-            return self._apex[position]
         run, _ = read_delta_run(self._view, int(self._apex_offsets[position]))
         return tuple(run)
 
@@ -258,20 +212,6 @@ class DayShardRecord:
         if self._tail is not None:
             self._index()
         return self._dns_plan_ns
-
-    @property
-    def domains(self) -> List[str]:
-        """Per-measured-domain A-label names."""
-        if self._domains is not None:
-            return self._domains
-        return [self._domain_at(p) for p in range(len(self.measured))]
-
-    @property
-    def apex(self) -> List[Tuple[int, ...]]:
-        """Per-measured-domain sorted apex address tuples."""
-        if self._apex is not None:
-            return self._apex
-        return [self._apex_at(p) for p in range(len(self.measured))]
 
     # ------------------------------------------------------------------
     # Construction from a live snapshot
@@ -325,30 +265,6 @@ class DayShardRecord:
                 f"domain {domain_index} was not measured on {self.date}"
             )
         return self.measurement_at(position)
-
-    def measurements(self) -> Iterator[DomainMeasurement]:
-        """All of the day's records, in measured order."""
-        for position in range(len(self.measured)):
-            yield self.measurement_at(position)
-
-    def key(self) -> Tuple:
-        """Comparable content tuple (used by round-trip tests)."""
-        return (
-            self.date,
-            self.epoch_start_day,
-            self.population_size,
-            tuple(self.measured.tolist()),
-            tuple(self.dns_ids.tolist()),
-            tuple(self.hosting_ids.tolist()),
-            self.dns_plan_ns,
-            self.domains,
-            self.apex,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DayShardRecord):
-            return NotImplemented
-        return self.key() == other.key()
 
     def __repr__(self) -> str:
         return f"DayShardRecord({self.date}, {len(self.measured)} measured)"
@@ -533,8 +449,6 @@ def _decode_payload(date: _dt.date, count: int, payload: bytes) -> DayShardRecor
     record.hosting_ids = hosting_ids
     record.summary = None
     record._dns_plan_ns = {}
-    record._domains = None
-    record._apex = None
     record._tail = (payload, offset)
     record._view = None
     record._domain_offsets = None
@@ -589,24 +503,6 @@ def encode_shard(record: DayShardRecord) -> Tuple[bytes, int]:
     from .stream import DayStream, encode_stream
 
     return encode_stream(DayStream.from_record(record))
-
-
-def write_shard(
-    path: str,
-    record: DayShardRecord,
-    faults=None,
-    retries: int = 6,
-) -> Tuple[int, int]:
-    """Serialise ``record`` to ``path`` atomically; ``(file_bytes, crc32)``.
-
-    The record-facing form of
-    :func:`~repro.archive.stream.write_shard_stream`.
-    """
-    from .stream import DayStream, write_shard_stream
-
-    return write_shard_stream(
-        path, DayStream.from_record(record), faults=faults, retries=retries
-    )
 
 
 def _check_header(path: str, head: bytes) -> None:

@@ -2,11 +2,12 @@
 
 :class:`MeasurementArchive` opens an archive directory, validates its
 manifest, and serves CRC-checked day shards through a small LRU cache
-(the full-period and conflict-window sweeps overlap, so hot days are
-re-read from memory).  :class:`ArchiveCollector` then exposes the exact
-collector interface the experiment layer already consumes —
-``collect(date)`` and ``sweep(start, end, step)`` yielding snapshot
-objects — so every :mod:`repro.core` reducer runs unchanged off disk.
+(consecutive records pages of one day decode its shard once) and bare
+summary blocks straight from disk (the facade caches the sweeps built
+from them).  :class:`ArchiveCollector` then exposes the exact collector
+interface the experiment layer already consumes — ``collect(date)`` and
+``sweep(start, end, step)`` yielding snapshot objects — so every
+:mod:`repro.core` reducer runs unchanged off disk.
 
 Bit-identical results are structural, not incidental: an
 :class:`ArchivedSnapshot` scatters the shard's per-measured plan ids
@@ -30,7 +31,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +61,7 @@ __all__ = [
     "ArchiveCollector",
 ]
 
-#: Shards kept decoded in memory (the two standard sweeps overlap).
+#: Shards kept decoded in memory.
 _DEFAULT_CACHE_SHARDS = 16
 
 #: Transient-error retries per shard read, and their backoff base, seconds.
@@ -167,9 +168,6 @@ class MeasurementArchive:
         self.config = config
         self.faults = faults
         self._cache: "OrderedDict[_dt.date, DayShardRecord]" = OrderedDict()
-        #: Decoded per-day summaries (a few hundred bytes each, so no
-        #: eviction); every shard admitted to the LRU donates its own.
-        self._summaries: Dict[_dt.date, DaySummary] = {}
         #: Per-date uncached-read ordinals keying service.archive_read
         #: fault decisions (a retry re-rolls under a fresh key).
         self._service_reads: Dict[_dt.date, int] = {}
@@ -186,7 +184,7 @@ class MeasurementArchive:
 
         The live follow engine extends the archive while a serving
         process holds it open; shards are immutable once published, so
-        the decoded caches stay valid — only the manifest needs
+        the decoded-shard LRU stays valid — only the manifest needs
         refreshing.
         """
         with self._lock:
@@ -208,20 +206,33 @@ class MeasurementArchive:
         failures self-heal when the archive was opened with its
         scenario config.
         """
-        return self._load(date, self._cache, "archive_shards", _read_record)
+        date_obj = as_date(date)
+        with self._lock:
+            record = self._cache.get(date_obj)
+            if record is not None:
+                self._cache.move_to_end(date_obj)
+                if self.metrics is not None:
+                    self.metrics.record_cache("archive_shards", 1, 0)
+                return record
+            record = self._load(date_obj, _read_record)
+            if self.metrics is not None:
+                self.metrics.record_cache("archive_shards", 0, 1)
+            self._cache[date_obj] = record
+            while len(self._cache) > _DEFAULT_CACHE_SHARDS:
+                self._cache.popitem(last=False)
+            return record
 
     def load_summary(self, date: DateLike) -> DaySummary:
-        """The day's pre-aggregated summary.
+        """The day's pre-aggregated summary, read from disk.
 
         The coarse-query fast path: the shard answers from the first
         few hundred bytes of the file (header + compressed summary
         block) without decompressing — or reading — the per-domain
-        columns.  A shard already decoded by :meth:`load_day` donates
-        its summary for free.
+        columns.  Nothing is cached here: the facade keeps the sweeps
+        built from summaries.
         """
-        return self._load(
-            date, self._summaries, "archive_summaries", _read_summary_block
-        )
+        with self._lock:
+            return self._load(as_date(date), _read_summary_block)
 
     def load_summaries(
         self, start: DateLike, end: DateLike, step: int = 1
@@ -244,63 +255,38 @@ class MeasurementArchive:
             day += _dt.timedelta(days=step)
         return summaries
 
-    def _load(self, date: DateLike, cache: Dict, counter: str, read):
-        """Serve ``date`` from ``cache``, else read it from disk with ``read``.
+    def _load(self, date_obj: _dt.date, read):
+        """Read ``date_obj`` from disk with ``read``; the one read procedure.
 
-        The one read procedure, shared by :meth:`load_day` and
-        :meth:`load_summary`.  A cache hit returns at once.  A read
-        that must leave memory checks the request deadline, rolls the
-        ``service.archive_read`` fault, looks the day up in the
-        manifest, reads it with transient-error retry, and admits the
-        result to the caches.  Integrity failures self-heal (quarantine
-        + rebuild) when the archive was opened with its scenario config.
+        Shared by :meth:`load_day` and :meth:`load_summary`, and run
+        under the archive lock: check the request deadline, roll the
+        ``service.archive_read`` fault, look the day up in the manifest,
+        read it with transient-error retry and check its identity.
+        Integrity failures self-heal (quarantine + rebuild + re-read)
+        when the archive was opened with its scenario config.
         """
-        date_obj = as_date(date)
-        with self._lock:
-            cached = cache.get(date_obj)
-            if cached is not None:
-                if cache is self._cache:
-                    self._cache.move_to_end(date_obj)
-                if self.metrics is not None:
-                    self.metrics.record_cache(counter, 1, 0)
-                return cached
-            # A read that must leave memory is a phase boundary: a
-            # request whose budget already ran out stops here instead
-            # of decoding a shard nobody is waiting for.
-            check_deadline("archive_read")
-            if self.faults is not None:
-                # The service-level read fault: unlike shard.read below
-                # it is NOT retried in-path — it surfaces as a failed
-                # query so the breaker and client retries recover it.
-                ordinal = self._service_reads.get(date_obj, 0)
-                self._service_reads[date_obj] = ordinal + 1
-                self.faults.check(
-                    "service.archive_read", f"{date_obj}#{ordinal}"
-                )
-            entry = self._entry(date_obj)
-            try:
-                value = self._read(date_obj, entry, counter, read)
-            except ArchiveMismatchError:
+        # A read that must leave memory is a phase boundary: a request
+        # whose budget already ran out stops here instead of decoding
+        # a shard nobody is waiting for.
+        check_deadline("archive_read")
+        if self.faults is not None:
+            # The service-level read fault: unlike shard.read below it
+            # is NOT retried in-path — it surfaces as a failed query so
+            # the breaker and client retries recover it.
+            ordinal = self._service_reads.get(date_obj, 0)
+            self._service_reads[date_obj] = ordinal + 1
+            self.faults.check("service.archive_read", f"{date_obj}#{ordinal}")
+        entry = self._entry(date_obj)
+        try:
+            return self._read(date_obj, entry, read)
+        except ArchiveMismatchError:
+            raise
+        except ArchiveError as exc:
+            if self.config is None:
                 raise
-            except ArchiveError as exc:
-                if self.config is None:
-                    raise
-                self._admit(date_obj, self._heal_day(date_obj, exc))
-                return cache[date_obj]
-            if cache is self._cache:
-                self._admit(date_obj, value)
-            else:
-                cache[date_obj] = value
-            return value
+            return self._heal_day(date_obj, exc, read)
 
-    def _admit(self, date_obj: _dt.date, record: DayShardRecord) -> None:
-        """Put a decoded shard (and its summary) into the caches."""
-        self._summaries[date_obj] = record.summary
-        self._cache[date_obj] = record
-        while len(self._cache) > _DEFAULT_CACHE_SHARDS:
-            self._cache.popitem(last=False)
-
-    def _read(self, date_obj: _dt.date, entry, counter: str, read):
+    def _read(self, date_obj: _dt.date, entry, read):
         """One CRC-checked read of ``entry``, with transient-error retry.
 
         ``read(path, entry)`` returns ``(value, summary, bytes_read)``;
@@ -333,7 +319,6 @@ class MeasurementArchive:
                 f"manifest says {entry.records}"
             )
         if self.metrics is not None:
-            self.metrics.record_cache(counter, 0, 1)
             with self.metrics.phase("archive_read") as stat:
                 pass
             stat.wall_seconds += elapsed
@@ -375,8 +360,8 @@ class MeasurementArchive:
         os.replace(path, path + QUARANTINE_SUFFIX)
         return True
 
-    def _heal_day(self, date_obj: _dt.date, cause: ArchiveError) -> DayShardRecord:
-        """Quarantine and rebuild one damaged day, then re-read it."""
+    def _heal_day(self, date_obj: _dt.date, cause: ArchiveError, read):
+        """Quarantine and rebuild one damaged day, then re-read it with ``read``."""
         entry = self.manifest.days[date_obj]
         self._quarantine(entry.file)
         del self.manifest.days[date_obj]
@@ -390,10 +375,10 @@ class MeasurementArchive:
             raise RecoveryError(
                 f"rebuild of {date_obj} produced no shard (original error: {cause})"
             ) from cause
-        record = self._read(date_obj, entry, "archive_shards", _read_record)
+        value = self._read(date_obj, entry, read)
         if self.metrics is not None:
             self.metrics.record_recovery("shards_rebuilt", 1)
-        return record
+        return value
 
     def repair(self, config=None) -> RepairReport:
         """Quarantine and rebuild everything :meth:`verify_detailed` flags.
@@ -581,9 +566,10 @@ class ArchiveCollector:
     """Serves archived measurement days through the collector interface.
 
     Mirrors :class:`~repro.measurement.fast.FastCollector`: ``collect``
-    for random access, ``sweep`` for longitudinal iteration, and the
-    outage parameters the measurements were collected under (outages are
-    baked into each shard's measured set, so replay is exact).
+    for random access and ``sweep`` for longitudinal iteration.  Outages
+    are baked into each shard's measured set, so replay is exact; the
+    parameters they were collected under live in the manifest's
+    ``collector`` block, which self-healing rebuilds from.
     """
 
     def __init__(
@@ -646,23 +632,6 @@ class ArchiveCollector:
                     self._world = world
         return self._world
 
-    @property
-    def outage_dates(self) -> Tuple[_dt.date, ...]:
-        """Outage dates the archived measurements were collected under."""
-        return tuple(
-            as_date(text) for text in self._archive.manifest.collector["outage_dates"]
-        )
-
-    @property
-    def outage_coverage(self) -> float:
-        """Outage-day coverage the measurements were collected under."""
-        return float(self._archive.manifest.collector["outage_coverage"])
-
-    @property
-    def seed(self) -> int:
-        """The outage-sampling seed used at collection time."""
-        return int(self._archive.manifest.collector["seed"])
-
     def collect(self, date: DateLike) -> ArchivedSnapshot:
         """Load one archived day (random access)."""
         return ArchivedSnapshot(self.world, self._archive.load_day(date))
@@ -678,10 +647,3 @@ class ArchiveCollector:
         while day <= end_date:
             yield self.collect(day)
             day += _dt.timedelta(days=step)
-
-    def records(
-        self, date: DateLike, domain_indices: Optional[Sequence[int]] = None
-    ) -> List[DomainMeasurement]:
-        """Materialised records for one day (the resolving-path interface)."""
-        snapshot = self.collect(date)
-        return list(snapshot.measurements(domain_indices))

@@ -235,8 +235,10 @@ class DayStream:
 
     @classmethod
     def from_record(cls, record) -> "DayStream":
-        """Stream view of a materialised :class:`DayShardRecord`.
+        """Stream view of a decoded :class:`DayShardRecord`.
 
+        Positions are read through the record's per-position accessors,
+        so re-encoding a record read from a shard reproduces the file.
         The record must carry a summary (shard format v3).
         """
         if record.summary is None:
@@ -252,8 +254,8 @@ class DayStream:
             record.hosting_ids,
             record.dns_plan_ns,
             record.summary,
-            record.domains.__getitem__,
-            record.apex.__getitem__,
+            record._domain_at,
+            record._apex_at,
         )
 
     # ------------------------------------------------------------------

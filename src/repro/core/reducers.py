@@ -57,8 +57,8 @@ class RecentWindowSeries:
 def merge_full_sweep(summaries: Sequence["DaySummary"]) -> SweepSeries:
     """Fold chronological day summaries into the five-year series bundle.
 
-    ``tld_counts`` is copied: archive summaries are shared objects in
-    the archive's summary cache and must not alias the series.
+    ``tld_counts`` is copied, so the series never aliases a summary's
+    own dict.
     """
     series = SweepSeries()
     for summary in summaries:

@@ -60,7 +60,7 @@ class ExperimentResult:
     def comparison_rows(self) -> List[Dict[str, object]]:
         """measured-vs-paper rows for every shared scalar key.
 
-        Structured entries (dicts, e.g. the ``profile`` metrics block)
+        Structured entries (dicts, e.g. ``table2``'s per-issuer ``rates``)
         are not comparable against paper scalars and are skipped here;
         :meth:`render` prints them as their own section.
         """

@@ -38,7 +38,6 @@ FIG4_PROVIDERS = (
     "regru", "rucenter", "timeweb", "beget",
     "amazon", "sedo", "cloudflare", "serverel",
 )
-RECENT_WINDOW_START = _dt.date(2022, 2, 22)
 
 
 class ExperimentContext:

@@ -8,23 +8,20 @@ through the conflict window.
 
 from __future__ import annotations
 
-import datetime as _dt
-
 from ..core.countrydist import collect_country_shares
-from ..timeline import STUDY_END
+from ..timeline import RECENT_WINDOW_START, STUDY_END
 from .base import ExperimentResult
 from .context import ExperimentContext
 from .render import fmt_pct, sparkline
 
 __all__ = ["run"]
 
-_WINDOW_START = _dt.date(2022, 2, 22)
 _TRACKED = ("RU", "US", "DE", "NL", "SE", "FR")
 
 
 def run(context: ExperimentContext) -> ExperimentResult:
     """Per-country hosting shares, 2022-02-22 .. 2022-05-25, daily."""
-    snapshots = context.collector.sweep(_WINDOW_START, STUDY_END, 1)
+    snapshots = context.collector.sweep(RECENT_WINDOW_START, STUDY_END, 1)
     series = collect_country_shares(snapshots, kind="hosting")
 
     result = ExperimentResult(

@@ -86,10 +86,7 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; "
             f"known: {sorted(EXPERIMENTS)} + {sorted(EXTENSIONS)}"
         )
-    result = runner(context)
-    if getattr(context, "profile", False):
-        result.measured["profile"] = context.metrics.summary()
-    return result
+    return runner(context)
 
 
 def run_all(

@@ -12,8 +12,7 @@ forever.
 
 Hot paths hold an ``Optional[FaultPlan]``; when it is ``None`` the hook
 is a single ``is not None`` check, so the disabled pipeline pays
-nothing.  The plan is picklable (site specs and seed only); each copy
-accumulates its own injection log.
+nothing.
 """
 
 from __future__ import annotations
@@ -113,26 +112,23 @@ class FaultSpec:
         self.kind = kind
         self.rate = float(rate)
         #: Per-plan-instance safety cap, not part of the decision
-        #: function: a fresh copy of the plan starts with a fresh
-        #: budget.
+        #: function: a new plan instance starts with a fresh budget.
         self.max_injections = int(max_injections)
         self.stall_seconds = float(stall_seconds)
         #: Only keys containing this substring are eligible (lets tests
         #: target one work item or one attempt deterministically).
         self.match = match
 
-    def __getstate__(self):
-        return (self.kind, self.rate, self.max_injections,
-                self.stall_seconds, self.match)
-
-    def __setstate__(self, state) -> None:
-        (self.kind, self.rate, self.max_injections,
-         self.stall_seconds, self.match) = state
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultSpec):
             return NotImplemented
-        return self.__getstate__() == other.__getstate__()
+        return (
+            self.kind == other.kind
+            and self.rate == other.rate
+            and self.max_injections == other.max_injections
+            and self.stall_seconds == other.stall_seconds
+            and self.match == other.match
+        )
 
     def __repr__(self) -> str:
         return (
@@ -159,22 +155,10 @@ class FaultPlan:
                     f"(known: {', '.join(sorted(SITES))})"
                 )
         self.enabled = bool(enabled)
-        #: Injections fired in *this process*, in firing order.
+        #: Injections fired by this plan instance, in firing order.
         self.events: List[Tuple[str, str, str]] = []
         #: Events already mirrored into SweepMetrics (see
         #: :func:`sync_fault_metrics`).
-        self.reported = 0
-
-    # A pickled copy carries only the decision inputs: it logs its own
-    # injections and starts with a fresh budget.
-    def __getstate__(self):
-        return {"seed": self.seed, "sites": self.sites, "enabled": self.enabled}
-
-    def __setstate__(self, state) -> None:
-        self.seed = state["seed"]
-        self.sites = state["sites"]
-        self.enabled = state["enabled"]
-        self.events = []
         self.reported = 0
 
     # ------------------------------------------------------------------
@@ -182,7 +166,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def injected(self, site: Optional[str] = None) -> int:
-        """Injections fired in this process (optionally for one site)."""
+        """Injections fired by this plan (optionally for one site)."""
         if site is None:
             return len(self.events)
         return sum(1 for fired_site, _, _ in self.events if fired_site == site)

@@ -10,13 +10,13 @@ throughput.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, Sequence, Set
 
 import numpy as np
 
 from ..errors import MeasurementError
 from ..rng import derive_rng
-from ..timeline import DateLike, as_date
+from ..timeline import DateLike
 from ..sim.world import World, WorldDay
 from .records import DomainMeasurement
 
@@ -72,13 +72,6 @@ class DailySnapshot:
             domain_index=int(domain_index),
         )
 
-    def measurements(
-        self, indices: Optional[Sequence[int]] = None
-    ) -> Iterator[DomainMeasurement]:
-        """Materialised records for ``indices`` (default: all measured)."""
-        for index in self.measured if indices is None else indices:
-            yield self.measurement_for(int(index))
-
 
 class FastCollector:
     """Sweeps the world day by day, honouring measurement outages."""
@@ -103,21 +96,6 @@ class FastCollector:
     def world(self) -> World:
         """The world being measured."""
         return self._world
-
-    @property
-    def outage_dates(self) -> Tuple[_dt.date, ...]:
-        """The configured measurement-outage dates, sorted."""
-        return tuple(sorted(self._outages))
-
-    @property
-    def outage_coverage(self) -> float:
-        """Fraction of domains still measured on an outage day."""
-        return self._outage_coverage
-
-    @property
-    def seed(self) -> int:
-        """The outage-sampling seed."""
-        return self._seed
 
     def collect(self, date: DateLike) -> DailySnapshot:
         """Collect one day (random access)."""

@@ -105,15 +105,6 @@ class SweepMetrics:
         # copy, never a mix of per-field reads mid-update.
         self._lock = threading.RLock()
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "STUDY_DAYS",
     "CONFLICT_START",
     "SANCTIONS_EFFECTIVE",
+    "RECENT_WINDOW_START",
     "CERT_WINDOW_START",
     "CERT_WINDOW_END",
     "REVOCATION_VALIDITY_CUTOFF",
@@ -50,6 +51,11 @@ STUDY_DAYS = (STUDY_END - STUDY_START).days + 1
 CONFLICT_START = _dt.date(2022, 2, 24)
 #: Paper's boundary between the pre-sanctions and post-sanctions phases.
 SANCTIONS_EFFECTIVE = _dt.date(2022, 3, 26)
+
+#: First day of the daily conflict-window sweep (Figures 4 and 5, the
+#: per-country extension); an archive covers every day from here to
+#: :data:`STUDY_END`.
+RECENT_WINDOW_START = _dt.date(2022, 2, 22)
 
 #: Certificate issuance analysis window (Section 4.1).
 CERT_WINDOW_START = _dt.date(2022, 1, 1)

@@ -11,11 +11,11 @@ import textwrap
 import pytest
 
 from repro.archive import ArchiveBuilder, standard_plan_dates
-from repro.archive.builder import RECENT_DAILY_START, _segments, shard_filename
+from repro.archive.builder import _segments, shard_filename
 from repro.archive.manifest import Manifest
 from repro.errors import ArchiveError
 from repro.sim import ConflictScenarioConfig
-from repro.timeline import STUDY_END, STUDY_START
+from repro.timeline import RECENT_WINDOW_START, STUDY_END, STUDY_START
 
 START = dt.date(2022, 2, 20)
 MID = dt.date(2022, 2, 25)
@@ -37,7 +37,7 @@ class TestPlanHelpers:
         assert dates[0] == STUDY_START
         assert dates[-1] == STUDY_END
         # The conflict window is covered daily regardless of cadence.
-        day = RECENT_DAILY_START
+        day = RECENT_WINDOW_START
         while day <= STUDY_END:
             assert day in dates
             day += dt.timedelta(days=1)

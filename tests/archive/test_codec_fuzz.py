@@ -33,12 +33,12 @@ from repro.archive.codec import (
     zigzag,
 )
 from repro.archive.shard import (
-    DayShardRecord,
     _index_runs,
     _index_strings,
+    encode_shard,
     read_shard,
-    write_shard,
 )
+from repro.archive.stream import DayStream, write_shard_stream
 from repro.archive.summary import DaySummary
 from repro.errors import ArchiveError
 from repro.rng import derive_rng
@@ -221,9 +221,11 @@ class TestIndexWalk:
                 _index_runs(view, middle, len(runs))
 
 
-def canonical_record():
-    """A small hand-built day record (mirrors tests/archive/test_shard.py)."""
-    record = DayShardRecord(
+def canonical_stream():
+    """A small hand-built day (mirrors tests/archive/test_shard.py)."""
+    domains = ["alpha.ru", "xn--e1afmkfd.xn--p1ai", "gamma.ru"]
+    apex = [(3232235777,), (), (167772161, 167772162)]
+    return DayStream(
         date=dt.date(2022, 3, 4),
         epoch_start_day=1720,
         population_size=12,
@@ -234,21 +236,20 @@ def canonical_record():
             2: (("ns1.reg.ru", "ns2.reg.ru"), (101, 102)),
             5: (("alice.ns.cloudflare.com",), (250,)),
         },
-        domains=["alpha.ru", "xn--e1afmkfd.xn--p1ai", "gamma.ru"],
-        apex=[(3232235777,), (), (167772161, 167772162)],
+        summary=DaySummary(
+            dt.date(2022, 3, 4), 1720, 3,
+            (1, 1, 1), (2, 0, 1), (3, 0, 0),
+            {"ru": 2, "xn--p1ai": 1}, {13335: 1, 197695: 2}, (1, 0, 0), 4,
+        ),
+        domain_at=domains.__getitem__,
+        apex_at=apex.__getitem__,
     )
-    record.summary = DaySummary(
-        dt.date(2022, 3, 4), 1720, 3,
-        (1, 1, 1), (2, 0, 1), (3, 0, 0),
-        {"ru": 2, "xn--p1ai": 1}, {13335: 1, 197695: 2}, (1, 0, 0), 4,
-    )
-    return record
 
 
 @pytest.fixture(scope="module")
 def shard_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "canonical.shard"
-    write_shard(str(path), canonical_record())
+    write_shard_stream(str(path), canonical_stream())
     return path.read_bytes()
 
 
@@ -262,13 +263,14 @@ class TestShardMutationFuzz:
     """Exhaustive/seeded mutations of a real shard file.
 
     Every mutated file must either raise :class:`ArchiveError` or (for
-    the identity mutation only) decode to the canonical record — never
-    crash with another exception type and never decode differently.
+    the identity mutation only) decode to a record that re-encodes to
+    the canonical bytes — never crash with another exception type and
+    never decode differently.
     """
 
     def test_canonical_round_trips(self, tmp_path, shard_bytes):
         record = read_mutated(tmp_path, shard_bytes)
-        assert record == canonical_record()
+        assert encode_shard(record)[0] == shard_bytes
 
     def test_every_truncation_refused(self, tmp_path, shard_bytes):
         for length in range(len(shard_bytes)):
@@ -281,7 +283,8 @@ class TestShardMutationFuzz:
         # flip in the deflate stream's padding bits can leave the
         # decompressed payload byte-identical — zlib does not checksum
         # padding — so the enforceable guarantee is: ArchiveError, or a
-        # decode equal to the canonical record.  Never a different one.
+        # decode that re-encodes to the canonical bytes.  Never a
+        # different one.
         rng = derive_rng(20220304, "fuzz", "bitflip")
         survivors = 0
         for position in range(len(shard_bytes)):
@@ -292,7 +295,7 @@ class TestShardMutationFuzz:
                 record = read_mutated(tmp_path, bytes(mutated))
             except ArchiveError:
                 continue
-            assert record == canonical_record()
+            assert encode_shard(record)[0] == shard_bytes
             survivors += 1
         # Padding is a handful of bits per deflate stream (v3 has two:
         # summary + columns); essentially the whole file must be

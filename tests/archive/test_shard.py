@@ -3,7 +3,6 @@
 import datetime as dt
 import struct
 import sys
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,83 +13,110 @@ from repro.archive.shard import (
     SHARD_VERSION,
     DayShardRecord,
     _decode_payload,
+    encode_shard,
     read_shard,
     read_summary,
-    write_shard,
 )
-from repro.archive.stream import DayStream, _stream_pieces
+from repro.archive.stream import DayStream, _stream_pieces, write_shard_stream
 from repro.archive.summary import DaySummary
 from repro.dns.name import DomainName
 from repro.errors import ArchiveError
 from repro.measurement.fast import FastCollector
+from repro.measurement.records import DomainMeasurement
 
 _HEADER = struct.Struct("<8sHHIIIQ")
 
+DAY = dt.date(2022, 3, 4)
+MEASURED = [1, 4, 7]
+DNS_IDS = [2, 2, 5]
+PLANS = {
+    2: (("ns1.reg.ru", "ns2.reg.ru"), (101, 102)),
+    5: (("alice.ns.cloudflare.com",), (250,)),
+}
+DOMAINS = ["a.ru", "b.ru", "xn--e1afmkfd.xn--p1ai"]
+APEX = [(11,), (12, 13), ()]
 
-def record(**overrides):
-    """A small hand-built day shard (includes a punycode .рф domain)."""
-    defaults = dict(
-        date=dt.date(2022, 3, 4),
-        epoch_start_day=1720,
-        population_size=10,
-        measured=[1, 4, 7],
-        dns_ids=[2, 2, 5],
+
+def stream(**overrides):
+    """A small hand-built day (includes a punycode .рф domain)."""
+    columns = dict(
+        measured=MEASURED,
+        dns_ids=DNS_IDS,
         hosting_ids=[3, 1, 3],
-        dns_plan_ns={
-            2: (("ns1.reg.ru", "ns2.reg.ru"), (101, 102)),
-            5: (("alice.ns.cloudflare.com",), (250,)),
-        },
-        domains=["a.ru", "b.ru", "xn--e1afmkfd.xn--p1ai"],
-        apex=[(11,), (12, 13), ()],
+        domains=DOMAINS,
+        apex=APEX,
     )
-    defaults.update(overrides)
-    built = DayShardRecord(**defaults)
-    built.summary = DaySummary(
-        built.date, built.epoch_start_day, len(built.measured),
+    columns.update(overrides)
+    domains = columns.pop("domains")
+    apex = columns.pop("apex")
+    summary = DaySummary(
+        DAY, 1720, len(columns["measured"]),
         (1, 1, 1), (2, 1, 0), (3, 0, 0),
         {"ru": 2, "xn--p1ai": 1}, {13335: 1, 197695: 2}, (0, 1, 0), 2,
     )
-    return built
+    return DayStream(
+        DAY, 1720, 10, dns_plan_ns=PLANS, summary=summary,
+        domain_at=domains.__getitem__, apex_at=apex.__getitem__, **columns,
+    )
+
+
+def expected_measurement(position):
+    """The record at ``position`` of :func:`stream`, built by hand."""
+    names, addresses = PLANS[DNS_IDS[position]]
+    return DomainMeasurement(
+        DAY, DomainName.parse(DOMAINS[position]), names, addresses,
+        APEX[position], domain_index=MEASURED[position],
+    )
+
+
+def written(tmp_path, day=None):
+    """``(path, crc)`` of :func:`stream` (or ``day``) written to disk."""
+    path = str(tmp_path / "day.shard")
+    _, crc = write_shard_stream(path, stream() if day is None else day)
+    return path, crc
 
 
 class TestRecordValidation:
+    """A record exists only decoded, so the decoder does the validating."""
+
     def test_column_length_mismatch_rejected(self):
-        with pytest.raises(ArchiveError, match="dns_ids"):
-            record(dns_ids=[2, 2])
+        payload = encode_payload(stream())
+        column = b"\x03" + int32_column(DNS_IDS)
+        damaged = payload.replace(column, b"\x02" + int32_column(DNS_IDS[:2]), 1)
+        assert damaged != payload
+        with pytest.raises(ArchiveError, match="id columns"):
+            _decode_payload(DAY, 3, damaged)
 
-    def test_missing_plan_rejected(self):
+    def test_missing_plan_rejected(self, tmp_path):
+        path, _ = written(tmp_path, stream(dns_ids=[2, 2, 9]))
         with pytest.raises(ArchiveError, match="dns plans missing"):
-            record(dns_ids=[2, 2, 9])
-
-    def test_equality_is_content_based(self):
-        assert record() == record()
-        assert record() != record(hosting_ids=[3, 1, 4])
+            read_shard(path).measurement_at(0)
 
 
 class TestRoundTrip:
     def test_write_read_equal(self, tmp_path):
-        original = record()
         path = str(tmp_path / "day.shard")
-        file_bytes, crc = write_shard(path, original)
-        assert file_bytes == (tmp_path / "day.shard").stat().st_size
+        file_bytes, crc = write_shard_stream(path, stream())
+        blob = (tmp_path / "day.shard").read_bytes()
+        assert file_bytes == len(blob)
         loaded = read_shard(path, expected_crc=crc)
-        assert loaded == original
-        assert loaded.key() == original.key()
+        assert isinstance(loaded, DayShardRecord)
+        # Re-encoding the decoded record reproduces the file exactly.
+        assert encode_shard(loaded) == (blob, crc)
 
     def test_bytes_deterministic(self, tmp_path):
-        write_shard(str(tmp_path / "a.shard"), record())
-        write_shard(str(tmp_path / "b.shard"), record())
+        write_shard_stream(str(tmp_path / "a.shard"), stream())
+        write_shard_stream(str(tmp_path / "b.shard"), stream())
         assert (tmp_path / "a.shard").read_bytes() == (
             tmp_path / "b.shard"
         ).read_bytes()
 
     def test_no_temp_files_left(self, tmp_path):
-        write_shard(str(tmp_path / "day.shard"), record())
+        written(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["day.shard"]
 
     def test_punycode_domain_survives(self, tmp_path):
-        path = str(tmp_path / "day.shard")
-        write_shard(path, record())
+        path, _ = written(tmp_path)
         loaded = read_shard(path)
         measurement = loaded.measurement_for(7)
         assert measurement.domain == DomainName.parse("пример.рф")
@@ -101,10 +127,9 @@ class TestRoundTrip:
 
     def test_concurrent_first_materialisation(self, tmp_path):
         """Query threads sharing a cached record may all index it at once."""
-        path = str(tmp_path / "day.shard")
-        write_shard(path, record())
+        path, _ = written(tmp_path)
         positions = [0, 1, 2] * 8
-        expected = [record().measurement_at(p) for p in positions]
+        expected = [expected_measurement(p) for p in positions]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -117,15 +142,16 @@ class TestRoundTrip:
             sys.setswitchinterval(interval)
 
     def test_measurement_columns(self, tmp_path):
-        path = str(tmp_path / "day.shard")
-        write_shard(path, record())
+        path, _ = written(tmp_path)
         loaded = read_shard(path)
         first = loaded.measurement_at(0)
         assert first.domain == DomainName.parse("a.ru")
         assert first.ns_names == ("ns1.reg.ru", "ns2.reg.ru")
         assert first.ns_addresses == (101, 102)
         assert first.apex_addresses == (11,)
-        assert len(list(loaded.measurements())) == 3
+        assert [loaded.measurement_at(p) for p in range(3)] == [
+            expected_measurement(p) for p in range(3)
+        ]
         with pytest.raises(ArchiveError, match="not measured"):
             loaded.measurement_for(2)
 
@@ -134,48 +160,44 @@ class TestSummaryBlock:
     """The pre-aggregated summary block."""
 
     def test_summary_round_trips(self, tmp_path):
-        original = record()
-        path = str(tmp_path / "day.shard")
-        _, crc = write_shard(path, original)
-        assert read_shard(path, expected_crc=crc).summary == original.summary
+        path, crc = written(tmp_path)
+        assert read_shard(path, expected_crc=crc).summary == stream().summary
 
     def test_partial_read_returns_summary(self, tmp_path):
-        original = record()
         path = str(tmp_path / "day.shard")
-        file_bytes, crc = write_shard(path, original)
+        file_bytes, crc = write_shard_stream(path, stream())
         summary, bytes_read = read_summary(path, expected_crc=crc)
-        assert summary == original.summary
+        assert summary == stream().summary
         # The whole point: the per-domain columns are never read.
         assert bytes_read < file_bytes
 
     def test_v3_requires_summary(self, tmp_path):
-        bare = record()
+        path, _ = written(tmp_path)
+        bare = read_shard(path)
         bare.summary = None
         with pytest.raises(ArchiveError, match="requires a DaySummary"):
-            write_shard(str(tmp_path / "day.shard"), bare)
+            encode_shard(bare)
 
     def test_partial_read_checks_manifest_crc(self, tmp_path):
-        path = str(tmp_path / "day.shard")
-        _, crc = write_shard(path, record())
+        path, crc = written(tmp_path)
         with pytest.raises(ArchiveError, match="does not match the manifest"):
             read_summary(path, expected_crc=crc ^ 1)
 
     def test_corrupt_summary_block_detected(self, tmp_path):
-        path = tmp_path / "day.shard"
-        _, crc = write_shard(str(path), record())
-        blob = bytearray(path.read_bytes())
+        path, crc = written(tmp_path)
+        blob = bytearray(open(path, "rb").read())
         blob[45] ^= 0xFF  # inside the compressed summary block
-        path.write_bytes(bytes(blob))
+        open(path, "wb").write(bytes(blob))
         with pytest.raises(ArchiveError):
-            read_summary(str(path), expected_crc=crc)
+            read_summary(path, expected_crc=crc)
         with pytest.raises(ArchiveError):
-            read_shard(str(path), expected_crc=crc)
+            read_shard(path, expected_crc=crc)
 
 
 class TestCorruption:
     def test_flipped_payload_byte_detected(self, tmp_path):
         path = tmp_path / "day.shard"
-        write_shard(str(path), record())
+        written(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -184,14 +206,14 @@ class TestCorruption:
 
     def test_truncated_file_detected(self, tmp_path):
         path = tmp_path / "day.shard"
-        write_shard(str(path), record())
+        written(tmp_path)
         path.write_bytes(path.read_bytes()[: _HEADER.size - 2])
         with pytest.raises(ArchiveError, match="shorter than its header"):
             read_shard(str(path))
 
     def test_bad_magic_detected(self, tmp_path):
         path = tmp_path / "day.shard"
-        write_shard(str(path), record())
+        written(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[:8] = b"NOTASHRD"
         path.write_bytes(bytes(blob))
@@ -200,7 +222,7 @@ class TestCorruption:
 
     def test_future_version_refused(self, tmp_path):
         path = tmp_path / "day.shard"
-        write_shard(str(path), record())
+        written(tmp_path)
         blob = bytearray(path.read_bytes())
         _, _, flags, ordinal, count, crc, length = _HEADER.unpack_from(blob)
         blob[: _HEADER.size] = _HEADER.pack(
@@ -211,8 +233,7 @@ class TestCorruption:
             read_shard(str(path))
 
     def test_manifest_crc_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "day.shard")
-        _, crc = write_shard(path, record())
+        path, crc = written(tmp_path)
         with pytest.raises(ArchiveError, match="does not match the manifest"):
             read_shard(path, expected_crc=crc ^ 1)
 
@@ -225,9 +246,9 @@ def int32_column(values):
     return np.asarray(values, dtype="<i4").tobytes()
 
 
-def encode_payload(built):
-    """The uncompressed column payload the writer stores for ``built``."""
-    return b"".join(_stream_pieces(DayStream.from_record(built)))
+def encode_payload(day):
+    """The uncompressed column payload the writer stores for ``day``."""
+    return b"".join(_stream_pieces(day))
 
 
 def materialise(payload):
@@ -236,7 +257,7 @@ def materialise(payload):
     Damage anywhere in the payload must surface here already, not only
     when the damaged position itself is asked for.
     """
-    return _decode_payload(dt.date(2022, 3, 4), 3, payload).measurement_at(0)
+    return _decode_payload(DAY, 3, payload).measurement_at(0)
 
 
 class TestDecodedPayloadIntegrity:
@@ -248,29 +269,29 @@ class TestDecodedPayloadIntegrity:
     """
 
     def test_intact_payload_materialises(self):
-        payload = encode_payload(record())
-        assert materialise(payload) == record().measurement_at(0)
+        payload = encode_payload(stream())
+        assert materialise(payload) == expected_measurement(0)
 
     def test_trailing_byte_refused(self):
-        payload = encode_payload(record()) + b"\x00"
+        payload = encode_payload(stream()) + b"\x00"
         with pytest.raises(ArchiveError, match="trailing bytes"):
             materialise(payload)
 
     def test_truncated_domain_string_refused(self):
         # Three empty apex runs encode to one byte each: cutting four
         # bytes also clips the last domain string.
-        payload = encode_payload(record(apex=[()] * 3))[:-4]
+        payload = encode_payload(stream(apex=[()] * 3))[:-4]
         with pytest.raises(ArchiveError, match="truncated string"):
             materialise(payload)
 
     def test_truncated_apex_varint_refused(self):
-        wide = record(apex=[(11,), (12, 13), (3232235777,)])
+        wide = stream(apex=[(11,), (12, 13), (3232235777,)])
         payload = encode_payload(wide)[:-1]
         with pytest.raises(ArchiveError, match="truncated varint"):
             materialise(payload)
 
     def test_dns_id_missing_from_plan_table_refused(self):
-        payload = encode_payload(record())
+        payload = encode_payload(stream())
         damaged = payload.replace(
             int32_column([2, 2, 5]), int32_column([2, 2, 9]), 1
         )
@@ -279,7 +300,7 @@ class TestDecodedPayloadIntegrity:
             materialise(damaged)
 
     def test_invalid_utf8_domain_refused(self):
-        payload = encode_payload(record())
+        payload = encode_payload(stream())
         damaged = payload.replace(b"b.ru", b"b.\xd0u", 1)
         assert damaged != payload
         with pytest.raises(ArchiveError, match="invalid UTF-8"):
@@ -290,7 +311,7 @@ class TestDecodedPayloadIntegrity:
         # first byte would complete the dangling 0xd0 into a valid
         # character if the column were decoded as one unmasked region.
         long_name = "c" * 130 + ".ru"
-        payload = encode_payload(record(domains=["a.ru", "b.ru", long_name]))
+        payload = encode_payload(stream(domains=["a.ru", "b.ru", long_name]))
         damaged = payload.replace(b"b.ru", b"b.r\xd0", 1)
         assert damaged != payload
         with pytest.raises(ArchiveError, match="invalid UTF-8"):
@@ -298,7 +319,7 @@ class TestDecodedPayloadIntegrity:
 
     @pytest.mark.parametrize("measured", [[4, 1, 7], [1, 4, 4]])
     def test_non_ascending_measured_refused(self, measured):
-        payload = encode_payload(record())
+        payload = encode_payload(stream())
         damaged = payload.replace(
             int32_column([1, 4, 7]), int32_column(measured), 1
         )
@@ -312,14 +333,19 @@ class TestFromSnapshot:
 
     def test_snapshot_roundtrip(self, tmp_path, tiny_world):
         from repro.archive.kernel import summarize_snapshot
+        from repro.archive.stream import encode_stream
 
         snapshot = FastCollector(tiny_world).collect("2022-03-04")
         built = DayShardRecord.from_snapshot(snapshot)
         built.summary = summarize_snapshot(snapshot)
-        path = str(tmp_path / "day.shard")
-        write_shard(path, built)
-        loaded = read_shard(path)
-        assert loaded == built
+        blob, crc = encode_shard(built)
+        assert (blob, crc) == encode_stream(
+            DayStream.from_snapshot(snapshot, built.summary)
+        )
+        path = tmp_path / "day.shard"
+        path.write_bytes(blob)
+        loaded = read_shard(str(path), expected_crc=crc)
+        assert encode_shard(loaded) == (blob, crc)
         assert loaded.population_size == len(tiny_world.population)
         assert loaded.epoch_start_day == snapshot.epoch.start_day
         for domain_index in loaded.measured[:20]:
@@ -328,12 +354,14 @@ class TestFromSnapshot:
             )
 
     def test_caches_are_reused(self, tiny_world):
+        from repro.archive.kernel import summarize_snapshot
+
         apex_cache, plan_cache = {}, {}
-        first = DayShardRecord.from_snapshot(
-            FastCollector(tiny_world).collect("2022-03-04"), apex_cache, plan_cache
-        )
+        snapshot = FastCollector(tiny_world).collect("2022-03-04")
+        first = DayShardRecord.from_snapshot(snapshot, apex_cache, plan_cache)
         assert apex_cache and plan_cache
         again = DayShardRecord.from_snapshot(
             FastCollector(tiny_world).collect("2022-03-04"), apex_cache, plan_cache
         )
-        assert again == first
+        first.summary = again.summary = summarize_snapshot(snapshot)
+        assert encode_shard(again) == encode_shard(first)

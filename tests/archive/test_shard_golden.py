@@ -3,7 +3,7 @@
 The shard format is a contract: archives on disk, the scenario digests
 and the benchmark's build pin all assume that a day serialises to the
 same bytes in every release.  These two hashes pin it directly, one on
-a hand-built record and one on a real 1:5000 baseline build, so any
+a hand-built day and one on a real 1:5000 baseline build, so any
 change to the writer that moves a single byte fails here.
 """
 
@@ -13,9 +13,9 @@ import os
 import pathlib
 
 from repro.archive import ArchiveBuilder
-from repro.archive.shard import encode_shard
+from repro.archive.stream import encode_stream
 
-from .test_codec_fuzz import canonical_record
+from .test_codec_fuzz import canonical_stream
 
 CANONICAL_SHA256 = (
     "1d3bac0b6a6c40a4af2447315e359546a8fcc26ee6504742b5e876e29da46a4f"
@@ -39,7 +39,7 @@ def archive_digest(directory) -> str:
 
 
 def test_canonical_record_bytes():
-    blob, crc = encode_shard(canonical_record())
+    blob, crc = encode_stream(canonical_stream())
     assert len(blob) == CANONICAL_BYTES
     assert crc == CANONICAL_CRC
     assert hashlib.sha256(blob).hexdigest() == CANONICAL_SHA256

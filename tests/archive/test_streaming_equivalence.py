@@ -32,11 +32,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.archive import ArchiveBuilder, kernel, stream as stream_module
 from repro.archive.kernel import summarize_snapshot
 from repro.archive.manifest import Manifest
-from repro.archive.shard import DayShardRecord, read_shard
+from repro.archive.shard import encode_shard, read_shard
 from repro.archive.stream import DayStream, write_shard_stream
 from repro.archive.summary import DaySummary
 from repro.errors import ArchiveError
 from repro.measurement.fast import FastCollector
+
+from .test_shard import stream as fixed_stream
 
 FUZZ = settings(
     derandomize=True,
@@ -77,7 +79,7 @@ def archive_digest(directory) -> str:
 
 
 # ----------------------------------------------------------------------
-# Synthetic day records (hypothesis)
+# Synthetic days (hypothesis)
 # ----------------------------------------------------------------------
 
 _ascii_labels = st.text(alphabet="abcdefgh", min_size=1, max_size=8)
@@ -96,8 +98,8 @@ _apex_runs = st.frozensets(
 
 
 @st.composite
-def day_records(draw):
-    """A valid, summary-bearing DayShardRecord with random content."""
+def day_streams(draw):
+    """A valid, summary-bearing DayStream with random content."""
     count = draw(st.integers(min_value=0, max_value=24))
     population_size = count + draw(st.integers(min_value=1, max_value=12))
     measured = sorted(
@@ -121,11 +123,15 @@ def day_records(draw):
         )
         for plan_id in set(plan_ids)
     }
-    record = DayShardRecord(
-        date=dt.date(2022, 2, 1) + dt.timedelta(
-            days=draw(st.integers(min_value=0, max_value=120))
-        ),
-        epoch_start_day=draw(st.integers(min_value=0, max_value=3000)),
+    date = dt.date(2022, 2, 1) + dt.timedelta(
+        days=draw(st.integers(min_value=0, max_value=120))
+    )
+    epoch_start_day = draw(st.integers(min_value=0, max_value=3000))
+    domains = draw(st.lists(_domains, min_size=count, max_size=count))
+    apex = draw(st.lists(_apex_runs, min_size=count, max_size=count))
+    return DayStream(
+        date=date,
+        epoch_start_day=epoch_start_day,
         population_size=population_size,
         measured=measured,
         dns_ids=plan_ids,
@@ -137,51 +143,23 @@ def day_records(draw):
             )
         ),
         dns_plan_ns=plan_table,
-        domains=draw(
-            st.lists(_domains, min_size=count, max_size=count)
+        summary=DaySummary(
+            date, epoch_start_day, count,
+            (count, 0, 0), (0, count, 0), (0, 0, count),
+            {"ru": count}, {197695: count}, (0, 0, 0), 0,
         ),
-        apex=draw(st.lists(_apex_runs, min_size=count, max_size=count)),
+        domain_at=domains.__getitem__,
+        apex_at=apex.__getitem__,
     )
-    record.summary = DaySummary(
-        record.date, record.epoch_start_day, count,
-        (count, 0, 0), (0, count, 0), (0, 0, count),
-        {"ru": count}, {197695: count}, (0, 0, 0), 0,
-    )
-    return record
-
-
-def fixed_record() -> DayShardRecord:
-    """A small deterministic record for the non-property cases."""
-    record = DayShardRecord(
-        date=dt.date(2022, 3, 4),
-        epoch_start_day=1720,
-        population_size=10,
-        measured=[1, 4, 7],
-        dns_ids=[2, 2, 5],
-        hosting_ids=[3, 1, 3],
-        dns_plan_ns={
-            2: (("ns1.reg.ru", "ns2.reg.ru"), (101, 102)),
-            5: (("alice.ns.cloudflare.com",), (250,)),
-        },
-        domains=["a.ru", "b.ru", "xn--e1afmkfd.xn--p1ai"],
-        apex=[(11,), (12, 13), ()],
-    )
-    record.summary = DaySummary(
-        record.date, record.epoch_start_day, 3,
-        (1, 1, 1), (2, 1, 0), (3, 0, 0),
-        {"ru": 2, "xn--p1ai": 1}, {13335: 1, 197695: 2}, (0, 1, 0), 2,
-    )
-    return record
 
 
 class TestSyntheticStreams:
     """Property: the bytes are the same at any chunk size."""
 
     @FUZZ
-    @given(record=day_records(), chunk=st.integers(min_value=1, max_value=64))
-    def test_streamed_bytes_identical(self, record, chunk):
+    @given(stream=day_streams(), chunk=st.integers(min_value=1, max_value=64))
+    def test_streamed_bytes_identical(self, stream, chunk):
         with tempfile.TemporaryDirectory() as scratch:
-            stream = DayStream.from_record(record)
             small = written(os.path.join(scratch, "small.shard"), stream, chunk)
             whole = written(
                 os.path.join(scratch, "whole.shard"), stream, WHOLE_DAY
@@ -189,31 +167,32 @@ class TestSyntheticStreams:
             assert small == whole
 
     @FUZZ
-    @given(record=day_records(), chunk=st.integers(min_value=1, max_value=64))
-    def test_streamed_file_round_trips(self, record, chunk):
+    @given(stream=day_streams(), chunk=st.integers(min_value=1, max_value=64))
+    def test_streamed_file_round_trips(self, stream, chunk):
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "day.shard")
-            (_, crc), _ = written(path, DayStream.from_record(record), chunk)
+            (_, crc), blob = written(path, stream, chunk)
             loaded = read_shard(path, expected_crc=crc)
-            assert loaded == record
-            assert loaded.summary == record.summary
+            # Re-encoding the decoded record reproduces the file.
+            assert encode_shard(loaded) == (blob, crc)
+            assert loaded.summary == stream.summary
 
-    def test_stream_requires_summary(self):
-        record = fixed_record()
+    def test_stream_requires_summary(self, tmp_path):
+        path = str(tmp_path / "day.shard")
+        write_shard_stream(path, fixed_stream())
+        record = read_shard(path)
         record.summary = None
         with pytest.raises(ArchiveError, match="requires a DaySummary"):
             DayStream.from_record(record)
 
     def test_default_chunk_size_identical(self, tmp_path):
-        stream = DayStream.from_record(fixed_record())
+        stream = fixed_stream()
         default = write_shard_stream(str(tmp_path / "default.shard"), stream)
         single = written(tmp_path / "single.shard", stream, 1)
         assert single == (default, (tmp_path / "default.shard").read_bytes())
 
     def test_no_temp_files_left(self, tmp_path):
-        write_shard_stream(
-            str(tmp_path / "day.shard"), DayStream.from_record(fixed_record())
-        )
+        write_shard_stream(str(tmp_path / "day.shard"), fixed_stream())
         assert [p.name for p in tmp_path.iterdir()] == ["day.shard"]
 
 
@@ -304,7 +283,9 @@ class TestBuilderEquivalence:
         whole_archive = MeasurementArchive(whole)
         stream_archive = MeasurementArchive(streamed)
         for day in whole_archive.manifest.covered_dates():
-            assert stream_archive.load_day(day) == whole_archive.load_day(day)
+            assert encode_shard(stream_archive.load_day(day)) == (
+                encode_shard(whole_archive.load_day(day))
+            )
         assert stream_archive.load_summaries(START, END) == (
             whole_archive.load_summaries(START, END)
         )

@@ -10,13 +10,12 @@ import os
 
 import pytest
 
-from repro.archive.shard import encode_shard
-from repro.archive.stream import DayStream, write_shard_stream
+from repro.archive.stream import encode_stream, write_shard_stream
 from repro.errors import RecoveryError
 from repro.faults import CORRUPT, IO_ERROR, FaultPlan, FaultSpec
 from repro.ioutil import atomic_write_bytes, backoff_seconds
 
-from ..archive.test_codec_fuzz import canonical_record
+from ..archive.test_codec_fuzz import canonical_stream
 
 
 def no_temp_files(directory):
@@ -79,15 +78,15 @@ class TestStreamedShardWrite:
         plan = FaultPlan(
             2, {"shard.write.bytes": FaultSpec(CORRUPT, 1.0, match="#0")}
         )
-        record = canonical_record()
-        write_shard_stream(str(path), DayStream.from_record(record), faults=plan)
+        day = canonical_stream()
+        write_shard_stream(str(path), day, faults=plan)
         # One roll for attempt 0 (corrupted, caught by the read-back
         # verify), none left over for attempt 1, which lands.
         assert plan.events == [
             ("shard.write.bytes", "2022-03-04.shard#0", CORRUPT)
         ]
         assert plan.injected("shard.write.bytes") == 1
-        assert path.read_bytes() == encode_shard(record)[0]
+        assert path.read_bytes() == encode_stream(day)[0]
         assert no_temp_files(tmp_path)
 
     def test_mid_write_fault_retries_then_succeeds(self, tmp_path):
@@ -96,10 +95,10 @@ class TestStreamedShardWrite:
         plan = FaultPlan(
             1, {"shard.write": FaultSpec(IO_ERROR, 1.0, match="#0")}
         )
-        record = canonical_record()
-        write_shard_stream(str(path), DayStream.from_record(record), faults=plan)
+        day = canonical_stream()
+        write_shard_stream(str(path), day, faults=plan)
         assert plan.injected("shard.write") == 1
-        assert path.read_bytes() == encode_shard(record)[0]
+        assert path.read_bytes() == encode_stream(day)[0]
         assert no_temp_files(tmp_path)
 
 

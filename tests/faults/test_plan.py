@@ -4,8 +4,6 @@ These are pure-logic tests (no worlds, no processes) and run in tier-1;
 the self-healing integration suites live next door under ``-m faults``.
 """
 
-import pickle
-
 import pytest
 
 from repro.errors import FaultError
@@ -176,18 +174,6 @@ class TestValidationAndPickling:
     def test_bad_rate_refused(self):
         with pytest.raises(FaultError, match="rate"):
             FaultSpec(IO_ERROR, rate=1.5)
-
-    def test_pickle_round_trip_resets_process_state(self):
-        plan = FaultPlan(3, {"shard.write": FaultSpec(IO_ERROR, 1.0)})
-        with pytest.raises(TransientIOError):
-            plan.check("shard.write", "x#0")
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.seed == plan.seed
-        assert clone.sites == plan.sites
-        assert clone.enabled is plan.enabled
-        assert clone.events == [] and clone.reported == 0
-        # Fresh budget, same decisions.
-        assert decisions(clone) == decisions(FaultPlan(3, plan.sites))
 
 
 class TestDefaultPlanAndMetrics:

@@ -43,11 +43,6 @@ class TestCollect:
             tiny_world.apex_addresses(index, "2022-03-10")
         )
 
-    def test_measurements_iterator(self, collector):
-        snapshot = collector.collect("2020-06-01")
-        sample = list(snapshot.measurements(snapshot.measured[:5]))
-        assert len(sample) == 5
-
 
 class TestOutage:
     def test_outage_day_drops_coverage(self, collector, tiny_world):
