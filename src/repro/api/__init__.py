@@ -2,19 +2,22 @@
 
 One vocabulary for every consumer::
 
-    from repro.api import QuerySpec, execute_query
+    from repro.api import QuerySpec
 
-    result = execute_query(context, QuerySpec("experiment", experiment="fig1"))
+    result = context.api.query(QuerySpec("experiment", experiment="fig1"))
     print(result.to_json())
 
-``repro query`` (offline) and ``repro serve`` (HTTP) both route through
-:class:`~repro.api.facade.AnalysisFacade`, so the same spec produces
-byte-identical JSON on either path.
+``context.api`` is the context's :class:`~repro.api.facade.AnalysisFacade`,
+the one entry point: ``repro query`` (offline) and ``repro serve`` (HTTP)
+both route through it, so the same spec produces byte-identical JSON on
+either path.  A :class:`QueryResult` is only ever ``(kind, spec, data)``;
+an experiment query carries its artefact's payload as ``data``.
 """
 
 from .deadline import Deadline, check_deadline, current_deadline, deadline_scope
-from .facade import AnalysisFacade, execute_query
+from .facade import AnalysisFacade
 from .spec import (
+    QUERY_FIELDS,
     QUERY_KINDS,
     SCHEMA_VERSION,
     SERIES_NAMES,
@@ -25,11 +28,11 @@ from .spec import (
 __all__ = [
     "SCHEMA_VERSION",
     "QUERY_KINDS",
+    "QUERY_FIELDS",
     "SERIES_NAMES",
     "QuerySpec",
     "QueryResult",
     "AnalysisFacade",
-    "execute_query",
     "Deadline",
     "check_deadline",
     "current_deadline",

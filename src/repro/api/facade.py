@@ -31,7 +31,7 @@ from ..timeline import RECENT_WINDOW_START, STUDY_END, STUDY_START, as_date
 from .deadline import check_deadline
 from .spec import SCHEMA_VERSION, SERIES_NAMES, QueryResult, QuerySpec
 
-__all__ = ["AnalysisFacade", "execute_query"]
+__all__ = ["AnalysisFacade"]
 
 #: Default page size for day-level record slices (kept bounded so one
 #: request cannot materialise an entire population).
@@ -247,12 +247,10 @@ class AnalysisFacade:
 
     def _query_experiment(self, spec: QuerySpec) -> QueryResult:
         try:
-            result = self._run_experiment(spec.experiment)
+            artefact = self._run_experiment(spec.experiment)
         except KeyError as exc:
             raise QueryError(str(exc.args[0]) if exc.args else str(exc)) from exc
-        # Echo the caller's canonical spec (run_experiment builds its own).
-        result.spec = spec.to_dict()
-        return result
+        return QueryResult("experiment", spec.to_dict(), artefact.as_payload())
 
     def _run_experiment(self, experiment_id: str):
         from ..experiments.registry import run_experiment
@@ -465,8 +463,3 @@ def _slice_columns(data: Dict[str, object], keep: List[int]) -> Dict[str, object
         return value
 
     return {key: cut(value) for key, value in data.items()}
-
-
-def execute_query(context, spec: SpecLike) -> QueryResult:
-    """Run one query against a context through its facade."""
-    return context.api.query(spec)

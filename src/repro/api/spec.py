@@ -26,6 +26,7 @@ from ..timeline import as_date
 __all__ = [
     "SCHEMA_VERSION",
     "QUERY_KINDS",
+    "QUERY_FIELDS",
     "SERIES_NAMES",
     "MAX_RECORDS_LIMIT",
     "QuerySpec",
@@ -59,7 +60,7 @@ SERIES_NAMES = (
 MAX_RECORDS_LIMIT = 1000
 
 #: Spec fields accepted from dicts/JSON/query strings, in canonical order.
-_FIELDS = (
+QUERY_FIELDS = (
     "kind", "experiment", "series", "start", "end",
     "date", "tld", "offset", "limit", "scenario",
 )
@@ -111,7 +112,7 @@ def jsonify(value: object) -> object:
 class QuerySpec:
     """One validated, canonicalised query against the analysis layer."""
 
-    __slots__ = _FIELDS
+    __slots__ = QUERY_FIELDS
 
     def __init__(
         self,
@@ -218,12 +219,12 @@ class QuerySpec:
         """Build a spec from a plain dict, rejecting unknown fields."""
         if not isinstance(payload, dict):
             raise QueryError(f"query spec must be an object, got {type(payload).__name__}")
-        unknown = set(payload) - set(_FIELDS)
+        unknown = set(payload) - set(QUERY_FIELDS)
         if unknown:
             raise QueryError(f"unknown query field(s): {', '.join(sorted(unknown))}")
         if "kind" not in payload:
             raise QueryError("query spec needs a 'kind'")
-        return cls(**{key: payload[key] for key in _FIELDS if key in payload})
+        return cls(**{key: payload[key] for key in QUERY_FIELDS if key in payload})
 
     @classmethod
     def from_json(cls, text: str) -> "QuerySpec":
@@ -242,7 +243,7 @@ class QuerySpec:
         """Canonical dict: normalised values, None fields omitted."""
         return {
             field: getattr(self, field)
-            for field in _FIELDS
+            for field in QUERY_FIELDS
             if getattr(self, field) is not None
         }
 
@@ -263,53 +264,23 @@ class QuerySpec:
 
 
 class QueryResult:
-    """The versioned envelope every query returns.
+    """The versioned envelope every query returns: ``(kind, spec, data)``.
 
-    A result either wraps an :class:`~repro.experiments.base.ExperimentResult`
-    artefact (experiment queries) or carries an explicit ``data`` payload
-    (series/headline/records/catalog queries).  Attribute access falls
-    through to the wrapped artefact, so legacy consumers of
-    ``ExperimentResult`` (``render()``, ``measured``, ``write_csv()``…)
-    keep working unchanged on the uniform return type.
+    ``data`` is the computed payload; :meth:`to_json` stamps it with
+    :data:`SCHEMA_VERSION` and the caller's canonical spec.
     """
 
     def __init__(
-        self,
-        kind: str,
-        spec: Optional[Dict[str, object]] = None,
-        data: Optional[Dict[str, object]] = None,
-        artefact=None,
+        self, kind: str, spec: Dict[str, object], data: Dict[str, object]
     ) -> None:
-        if (data is None) == (artefact is None):
-            raise QueryError("QueryResult needs exactly one of data/artefact")
         self.kind = kind
-        self.spec = dict(spec) if spec is not None else {"kind": kind}
-        self.schema_version = SCHEMA_VERSION
-        self._data = data
-        self._artefact = artefact
-
-    @classmethod
-    def from_experiment(cls, artefact) -> "QueryResult":
-        """Wrap one experiment artefact in the uniform envelope."""
-        spec = {"kind": "experiment", "experiment": artefact.experiment_id}
-        return cls("experiment", spec, artefact=artefact)
-
-    @property
-    def artefact(self):
-        """The wrapped experiment artefact, or None for data results."""
-        return self._artefact
-
-    @property
-    def data(self) -> Dict[str, object]:
-        """The JSON-safe payload (artefact payloads are built lazily)."""
-        if self._artefact is not None:
-            return self._artefact.as_payload()
-        return self._data
+        self.spec = spec
+        self.data = data
 
     def to_dict(self) -> Dict[str, object]:
         """The full envelope as a plain dict."""
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "spec": jsonify(self.spec),
             "data": jsonify(self.data),
@@ -324,15 +295,6 @@ class QueryResult:
         return json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":"),
             ensure_ascii=True,
-        )
-
-    def __getattr__(self, name: str):
-        artefact = self.__dict__.get("_artefact")
-        if artefact is not None:
-            return getattr(artefact, name)
-        raise AttributeError(
-            f"{type(self).__name__} has no attribute {name!r} "
-            "(and wraps no experiment artefact)"
         )
 
     def __repr__(self) -> str:

@@ -94,7 +94,10 @@ class DayStream:
     columns, NS plan table, summary) and the ``domains``/``apex``
     columns as per-position callables, so a writer can pull any
     ``[lo, hi)`` chunk without the rest of the day existing as Python
-    objects.  ``summary`` must be set before the day is written.
+    objects.  ``summary`` must be set before the day is written.  Every
+    ``dns_ids`` entry must name a plan in ``dns_plan_ns``; a stream that
+    disagrees with its own plan table raises :class:`ArchiveError` here,
+    before any byte of it is written.
 
     ``name_cache`` and ``apex_cache`` are the optional encoded caches
     (see :meth:`from_snapshot`); without them every position is encoded
@@ -141,6 +144,12 @@ class DayStream:
             int(plan_id): (tuple(names), tuple(int(a) for a in addresses))
             for plan_id, (names, addresses) in dns_plan_ns.items()
         }
+        planned = np.isin(self.dns_ids, np.fromiter(self.dns_plan_ns, np.int64))
+        if not planned.all():
+            missing = sorted(set(self.dns_ids[~planned].tolist()))
+            raise ArchiveError(
+                f"dns plans missing from the shard table: {missing}"
+            )
         self.summary = summary
         self.domain_at = domain_at
         self.apex_at = apex_at

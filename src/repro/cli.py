@@ -762,12 +762,6 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
     return 0
 
 
-_QUERY_FLAG_FIELDS = (
-    "kind", "experiment", "series", "start", "end",
-    "date", "tld", "offset", "limit", "scenario",
-)
-
-
 def _query_spec(args: argparse.Namespace):
     """A QuerySpec from the positional JSON or the individual flags.
 
@@ -777,13 +771,13 @@ def _query_spec(args: argparse.Namespace):
     ``repro --scenario depeering query --kind headline`` asks for the
     counterfactual world's numbers.
     """
-    from .api import QuerySpec
+    from .api import QUERY_FIELDS, QuerySpec
 
     if args.spec is not None:
         return QuerySpec.from_json(args.spec)
     payload = {
         field: getattr(args, field)
-        for field in _QUERY_FLAG_FIELDS
+        for field in QUERY_FIELDS
         if getattr(args, field) is not None
     }
     if "scenario" in payload:

@@ -57,13 +57,6 @@ class CountryShareSeries:
             raise AnalysisError("country share points must be chronological")
         self._points.append(point)
 
-    def countries_seen(self) -> List[str]:
-        """Every country observed in the series."""
-        seen = set()
-        for point in self._points:
-            seen.update(point.counts)
-        return sorted(seen)
-
     def share_series(self, country: str) -> List[float]:
         """Percentage series for one country."""
         return [point.share(country) for point in self._points]

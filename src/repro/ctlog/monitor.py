@@ -56,10 +56,6 @@ class CtMonitor:
         """Every matched entry seen so far (log order per log)."""
         return list(self._matched)
 
-    def entries_on(self, date: _dt.date) -> List[LogEntry]:
-        """Matched entries whose log timestamp equals ``date``."""
-        return [entry for entry in self._matched if entry.timestamp == date]
-
     def daily_issuer_matrix(self) -> Dict[str, Dict[_dt.date, int]]:
         """issuer organization -> {date: entries that day}.
 

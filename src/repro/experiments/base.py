@@ -9,9 +9,8 @@ comparison, and a plain-text rendering.
 from __future__ import annotations
 
 import csv
-import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from ..errors import AnalysisError
 from .render import format_table
@@ -78,7 +77,7 @@ class ExperimentResult:
         return rows
 
     def as_payload(self) -> Dict[str, object]:
-        """The machine-readable payload (what ``to_json`` serialises).
+        """The machine-readable payload.
 
         This is the stable per-experiment shape inside the versioned
         :class:`~repro.api.spec.QueryResult` envelope: identity fields
@@ -96,13 +95,6 @@ class ExperimentResult:
             "paper": jsonify(self.paper),
             "sections": list(self.sections),
         }
-
-    def to_json(self) -> str:
-        """Canonical JSON text of :meth:`as_payload`."""
-        return json.dumps(
-            self.as_payload(), sort_keys=True, separators=(",", ":"),
-            ensure_ascii=True,
-        )
 
     def write_csv(self, directory: Union[str, pathlib.Path]) -> List[pathlib.Path]:
         """Export the result as CSV files for downstream plotting.

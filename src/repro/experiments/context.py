@@ -19,8 +19,6 @@ import threading
 from typing import List, Optional, Union
 
 from ..core.reducers import SweepSeries
-from ..core.composition import CompositionSeries
-from ..core.topasn import AsnShareSeries
 from ..ctlog.monitor import CtMonitor
 from ..errors import AnalysisError
 from ..measurement.fast import FastCollector
@@ -184,18 +182,6 @@ class ExperimentContext:
         return [
             self.catalog.get(key).primary_asn for key in FIG4_PROVIDERS
         ]
-
-    def recent_asn_shares(self) -> AsnShareSeries:
-        """Figure 4's daily per-ASN shares."""
-        return self.api.recent_window().asn_shares
-
-    def recent_sanctioned_composition(self) -> CompositionSeries:
-        """Figure 5's daily sanctioned NS composition."""
-        return self.api.recent_window().sanctioned_composition
-
-    def recent_listed_counts(self) -> List[int]:
-        """Figure 5's black curve: domains listed as of each day."""
-        return self.api.recent_window().listed_counts
 
     # ------------------------------------------------------------------
     # PKI datasets (Figure 8, Tables 1-2, §4.3)

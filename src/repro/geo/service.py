@@ -10,7 +10,6 @@ optional publication lag to reproduce that footnote's artefact.
 from __future__ import annotations
 
 import bisect
-import datetime as _dt
 from typing import List, Optional, Tuple
 
 from ..errors import GeolocationError
@@ -67,9 +66,3 @@ class GeoService:
     def lookup(self, date: DateLike, address: int) -> Optional[str]:
         """Country of ``address`` as seen on ``date``."""
         return self.database_at(date).lookup(address)
-
-    def epoch_dates(self) -> List[_dt.date]:
-        """Effective dates of all published snapshots."""
-        from ..timeline import from_day_index
-
-        return [from_day_index(day) for day, _ in self._epochs]

@@ -4,7 +4,6 @@ from .fast import DailySnapshot, FastCollector
 from .metrics import PhaseStat, SweepMetrics
 from .records import DomainMeasurement
 from .resolving import ResolvingCollector
-from .seeds import ZoneTransferSeeder
 from .sweep import SweepEngine
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "ResolvingCollector",
     "SweepEngine",
     "SweepMetrics",
-    "ZoneTransferSeeder",
 ]

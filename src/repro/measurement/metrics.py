@@ -5,8 +5,8 @@ expensive phase (world build, full sweep, recent sweep, CT monitor, scan
 sweeps) runs under ``with metrics.phase("name") as stat:`` and records
 how many snapshots it processed; caches report hit/miss counters through
 :meth:`SweepMetrics.record_cache`.  ``repro run <id> --profile`` renders
-the registry, and :func:`repro.experiments.run_experiment` attaches the
-structured :meth:`summary` dict to ``ExperimentResult.measured``.
+the registry, and ``--profile-json PATH`` writes its structured
+:meth:`summary` dict.
 """
 
 from __future__ import annotations

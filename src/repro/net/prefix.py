@@ -153,17 +153,6 @@ class PrefixAllocator:
         self._cursor = aligned + size
         return block
 
-    def allocate_sized(self, min_addresses: int) -> Prefix:
-        """Allocate the smallest aligned block with >= ``min_addresses``."""
-        if min_addresses < 1:
-            raise AllocationError(f"need at least 1 address, got {min_addresses}")
-        length = 32
-        while length > 0 and (1 << (32 - length)) < min_addresses:
-            length -= 1
-        if (1 << (32 - length)) < min_addresses:
-            raise AllocationError(f"no IPv4 block holds {min_addresses} addresses")
-        return self.allocate(length)
-
 
 def summarize(prefixes: List[Prefix]) -> Optional[Prefix]:
     """Smallest single prefix covering all inputs, or None for empty input."""

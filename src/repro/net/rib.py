@@ -80,17 +80,6 @@ class RoutingTable:
                 return asn
         return None
 
-    def lookup_route(self, address: int) -> Optional[Route]:
-        """Like :meth:`lookup` but returns the matched :class:`Route`."""
-        if not is_valid_ipv4_int(address):
-            raise AddressError(f"not an IPv4 integer: {address!r}")
-        for length in sorted(self._by_length, reverse=True):
-            network = address & Prefix.mask_for(length)
-            asn = self._by_length[length].get(network)
-            if asn is not None:
-                return Route(Prefix(network, length), asn)
-        return None
-
     def lookup_many(self, addresses: Iterable[int]) -> List[Optional[int]]:
         """Vector form of :meth:`lookup` (preserves order)."""
         return [self.lookup(address) for address in addresses]

@@ -53,13 +53,6 @@ class ProviderCatalog:
         """Provider by key or None."""
         return self._by_key.get(key)
 
-    def by_asn(self, asn: int) -> Optional[Provider]:
-        """The provider owning ``asn``, if any."""
-        for provider in self._by_key.values():
-            if asn in provider.asns:
-                return provider
-        return None
-
     def as_registry(self) -> ASRegistry:
         """Build the AS metadata registry for every catalogued ASN.
 

@@ -64,11 +64,6 @@ class WhoisService:
             raise RegistryError(f"whois: no such domain {name}")
         return self._to_whois(record)
 
-    def try_lookup(self, name: DomainName) -> Optional[WhoisRecord]:
-        """Like :meth:`lookup` but returns None for unknown names."""
-        record = self._find(name)
-        return self._to_whois(record) if record is not None else None
-
     def is_newly_registered(self, name: DomainName, since: DateLike) -> bool:
         """True when ``name`` was first registered on/after ``since``."""
         record = self._find(name)

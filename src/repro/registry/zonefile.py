@@ -9,14 +9,13 @@ data.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
 import numpy as np
 
 from ..dns.name import DomainName
 from ..timeline import DateLike, as_date
 from .population import DomainPopulation
-from .tld import TLD_RF, TLD_RU
 
 __all__ = ["ZoneFileSnapshot", "ZoneFileService"]
 
@@ -41,11 +40,6 @@ class ZoneFileSnapshot:
     def names(self) -> List[DomainName]:
         """All registered names on this day."""
         return list(self)
-
-    def count_by_tld(self) -> Dict[str, int]:
-        """Registered-name counts per TLD."""
-        rf = int(self._population.is_rf[self.indices].sum())
-        return {TLD_RU: len(self.indices) - rf, TLD_RF: rf}
 
 
 class ZoneFileService:

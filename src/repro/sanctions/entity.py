@@ -60,9 +60,5 @@ class SanctionedEntity:
         """Earliest designation date across authorities."""
         return min(d.listed_on for d in self.designations)
 
-    def is_listed(self, date: DateLike) -> bool:
-        """True when at least one designation is in force on ``date``."""
-        return any(d.listed_on <= as_date(date) for d in self.designations)
-
     def __repr__(self) -> str:
         return f"SanctionedEntity({self.name!r}, {len(self.domains)} domains)"

@@ -12,7 +12,7 @@ import datetime as _dt
 from typing import Callable, Dict, Iterable, List
 
 from ..pki.certificate import Certificate
-from ..timeline import DateLike, as_date, iter_days
+from ..timeline import DateLike, iter_days
 from .tls import ScanRecord, TlsScanner
 
 __all__ = ["UniversalScanDataset"]
@@ -70,12 +70,3 @@ class UniversalScanDataset:
         return self.observed(
             lambda cert: cert.chain_contains_organization(organization)
         )
-
-    def seen_between(self, start: DateLike, end: DateLike) -> List[Certificate]:
-        """Certificates first observed within [start, end]."""
-        lo, hi = as_date(start), as_date(end)
-        return [
-            cert
-            for fp, cert in self._by_fingerprint.items()
-            if lo <= self._first_seen[fp] <= hi
-        ]

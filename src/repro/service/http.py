@@ -18,6 +18,8 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "HttpResponse",
+    "canonical_json",
+    "error_text",
     "read_request",
     "split_path",
 ]
@@ -36,6 +38,23 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+def canonical_json(payload: object) -> str:
+    """Sorted-key, compact JSON text: the form every JSON body takes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def error_text(status: int, message: str) -> str:
+    """The uniform JSON error envelope, as body text."""
+    from ..api.spec import SCHEMA_VERSION
+
+    return canonical_json(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "error": {"status": status, "message": message},
+        }
+    )
 
 
 class HttpError(Exception):
@@ -108,18 +127,10 @@ class HttpResponse:
         message: str,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> "HttpResponse":
-        """The uniform JSON error envelope."""
-        from ..api.spec import SCHEMA_VERSION
-
-        payload = json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "error": {"status": status, "message": message},
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        """The uniform JSON error envelope (see :func:`error_text`)."""
+        return cls.json(
+            status, error_text(status, message), extra_headers=extra_headers
         )
-        return cls.json(status, payload, extra_headers=extra_headers)
 
     def to_bytes(self) -> bytes:
         """The full HTTP/1.1 wire form (Connection: close)."""

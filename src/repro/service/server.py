@@ -50,7 +50,6 @@ context's sweep/cache metrics are exposed at ``GET /metrics``;
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 from collections import OrderedDict
@@ -59,7 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Set, Tuple
 
 from ..api.deadline import Deadline, deadline_scope
-from ..api.spec import SCHEMA_VERSION, QuerySpec, jsonify
+from ..api.spec import QUERY_FIELDS, SCHEMA_VERSION, QuerySpec, jsonify
 from ..errors import DeadlineExceeded, QueryError, ReproError
 from ..faults import TransientIOError, WorkerCrashed, sync_fault_metrics
 from ..live import (
@@ -72,7 +71,15 @@ from ..live import (
     encode_gap_frame,
     read_follow_status,
 )
-from .http import HttpError, HttpRequest, HttpResponse, read_request, split_path
+from .http import (
+    HttpError,
+    HttpRequest,
+    HttpResponse,
+    canonical_json,
+    error_text,
+    read_request,
+    split_path,
+)
 from .resilience import (
     ADMIT_DENY,
     ADMIT_PROBE,
@@ -117,17 +124,14 @@ STALE_HEADERS = {
     "Warning": '110 repro-query-service "stale response served while degraded"',
 }
 
-#: Spec fields accepted as query-string parameters on GET /v1/query.
-_PARAM_FIELDS = (
-    "kind", "experiment", "series", "start", "end",
-    "date", "tld", "offset", "limit",
-)
-
-#: GET /v2/query additionally accepts the scenario dimension.  /v1
-#: deliberately does not: legacy payloads have no scenario field, so
-#: they keep their exact pre-v2 cache keys (spec-side normalisation
-#: maps an absent scenario to baseline).
-_PARAM_FIELDS_V2 = _PARAM_FIELDS + ("scenario",)
+#: Spec fields accepted as query-string parameters on GET /vN/query.
+#: /v1 deliberately omits the scenario dimension: legacy payloads have
+#: no scenario field, so they keep their exact pre-v2 cache keys
+#: (spec-side normalisation maps an absent scenario to baseline).
+_QUERY_PARAMS = {
+    "v1": tuple(field for field in QUERY_FIELDS if field != "scenario"),
+    "v2": QUERY_FIELDS,
+}
 
 #: Breaker transition → metrics counter name.
 _BREAKER_COUNTERS = {
@@ -426,9 +430,7 @@ class QueryService:
             "events": [event.to_dict() for event in page],
             "follow": self._follow_status_doc(),
         }
-        return HttpResponse.json(
-            200, json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+        return HttpResponse.json(200, canonical_json(payload))
 
     @staticmethod
     def _is_sse_request(request: HttpRequest) -> bool:
@@ -636,38 +638,49 @@ class QueryService:
                     404, f"no such endpoint: {request.path}"
                 )
             deadline = self._request_deadline(request)
-            if segments[0] == "v2":
-                return await self._route_v2(request, segments[1:], deadline)
-            return await self._route_v1(request, segments[1:], deadline)
+            version, tail = segments[0], segments[1:]
+            if tail == ("query",):
+                return "query", await self._query_endpoint(
+                    request, version, deadline
+                )
+            if request.method != "GET":
+                return version, HttpResponse.error(
+                    405, f"{request.method} not allowed on {request.path}"
+                )
+            if version == "v2":
+                return await self._route_v2(request, tail, deadline)
+            return await self._route_v1(request, tail, deadline)
         except HttpError as exc:
             return "bad-request", HttpResponse.error(400, str(exc))
         except QueryError as exc:
             return "bad-request", HttpResponse.error(400, str(exc))
 
+    async def _query_endpoint(
+        self, request: HttpRequest, version: str, deadline: Deadline
+    ) -> HttpResponse:
+        """``/vN/query``: a spec from the POST body or the GET params."""
+        if request.method == "POST":
+            spec = QuerySpec.from_dict(self._object_body(request))
+        elif request.method == "GET":
+            params = request.params
+            spec = QuerySpec.from_dict(
+                {
+                    field: params[field]
+                    for field in _QUERY_PARAMS[version]
+                    if field in params
+                }
+            )
+        else:
+            return HttpResponse.error(
+                405, f"{request.method} not allowed on /{version}/query"
+            )
+        return await self._query_response(spec, deadline)
+
     async def _route_v1(
         self, request: HttpRequest, tail: Tuple[str, ...], deadline: Deadline
     ) -> Tuple[str, HttpResponse]:
+        """The GET-only ``/v1`` convenience routes."""
         params = request.params
-        if tail == ("query",):
-            if request.method == "POST":
-                spec = QuerySpec.from_dict(self._object_body(request))
-            elif request.method == "GET":
-                spec = QuerySpec.from_dict(
-                    {
-                        field: params[field]
-                        for field in _PARAM_FIELDS
-                        if field in params
-                    }
-                )
-            else:
-                return "query", HttpResponse.error(
-                    405, f"{request.method} not allowed on /v1/query"
-                )
-            return "query", await self._query_response(spec, deadline)
-        if request.method != "GET":
-            return "v1", HttpResponse.error(
-                405, f"{request.method} not allowed on {request.path}"
-            )
         if tail == ("events",):
             return "events", self._events_response(request)
         if tail == ("experiments",):
@@ -715,26 +728,6 @@ class QueryService:
         (result LRU, coalescing) keys on.
         """
         params = request.params
-        if tail == ("query",):
-            if request.method == "POST":
-                spec = QuerySpec.from_dict(self._object_body(request))
-            elif request.method == "GET":
-                spec = QuerySpec.from_dict(
-                    {
-                        field: params[field]
-                        for field in _PARAM_FIELDS_V2
-                        if field in params
-                    }
-                )
-            else:
-                return "query", HttpResponse.error(
-                    405, f"{request.method} not allowed on /v2/query"
-                )
-            return "query", await self._query_response(spec, deadline)
-        if request.method != "GET":
-            return "v2", HttpResponse.error(
-                405, f"{request.method} not allowed on {request.path}"
-            )
         if tail == ("scenarios",):
             return "scenarios", self._scenarios_response()
         if tail == ("diff",):
@@ -765,9 +758,7 @@ class QueryService:
             "default": "baseline",
             "scenarios": entries,
         }
-        return HttpResponse.json(
-            200, json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+        return HttpResponse.json(200, canonical_json(payload))
 
     @staticmethod
     def _object_body(request: HttpRequest) -> Dict[str, object]:
@@ -859,7 +850,7 @@ class QueryService:
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._inflight[key] = future
-        outcome = (503, self._error_text(503, "service shutting down"))
+        outcome = (503, error_text(503, "service shutting down"))
         try:
             try:
                 outcome = await self._run_compute(spec, key, deadline)
@@ -868,7 +859,7 @@ class QueryService:
                 # deadline check; nobody is left waiting on it.
                 outcome = (
                     504,
-                    self._error_text(
+                    error_text(
                         504,
                         f"deadline of {deadline.budget_ms} ms exceeded "
                         "before the computation finished",
@@ -878,9 +869,9 @@ class QueryService:
                 # Shutdown cancelled a computation still queued for the
                 # pool: answer a clean 503 instead of dropping the
                 # connection.
-                outcome = (503, self._error_text(503, "service shutting down"))
+                outcome = (503, error_text(503, "service shutting down"))
             except Exception as exc:  # defensive: _compute classifies its own
-                outcome = (500, self._error_text(500, f"internal error: {exc}"))
+                outcome = (500, error_text(500, f"internal error: {exc}"))
         finally:
             # Resolve waiters and clear the slot even if we were cancelled
             # mid-shutdown, so coalesced requests never hang.
@@ -945,15 +936,15 @@ class QueryService:
                     self._faults.check("service.compute", fault_key)
                 return 200, self._facade.query_json(spec)
         except DeadlineExceeded as exc:
-            return 504, self._error_text(504, str(exc))
+            return 504, error_text(504, str(exc))
         except QueryError as exc:
-            return 400, self._error_text(400, str(exc))
+            return 400, error_text(400, str(exc))
         except ReproError as exc:
-            return 500, self._error_text(500, str(exc))
+            return 500, error_text(500, str(exc))
         except (OSError, RuntimeError) as exc:
             # Injected service faults and real IO trouble surface here
             # as classified backend failures the breaker counts.
-            return 500, self._error_text(500, f"backend failure: {exc}")
+            return 500, error_text(500, f"backend failure: {exc}")
 
     def _note_breaker_transition(self, previous: str, state: str) -> None:
         self._metrics.record_counter(_BREAKER_COUNTERS[state])
@@ -988,17 +979,6 @@ class QueryService:
         return HttpResponse.error(
             503, "service shutting down",
             {"Retry-After": str(DEFAULT_RETRY_AFTER)},
-        )
-
-    @staticmethod
-    def _error_text(status: int, message: str) -> str:
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "error": {"status": status, "message": message},
-            },
-            sort_keys=True,
-            separators=(",", ":"),
         )
 
     # ------------------------------------------------------------------
@@ -1042,9 +1022,7 @@ class QueryService:
             ],
             "scenarios": self._facade.scenario_ids(),
         }
-        return HttpResponse.json(
-            200, json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+        return HttpResponse.json(200, canonical_json(payload))
 
     def _serving_state(self) -> str:
         """The ``live|ready|degraded`` state machine.
@@ -1081,9 +1059,7 @@ class QueryService:
                 ),
                 "done": follow.get("done", False),
             }
-        return HttpResponse.json(
-            200, json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+        return HttpResponse.json(200, canonical_json(payload))
 
     def _metrics_response(self) -> HttpResponse:
         sync_fault_metrics(self._faults, self._metrics)
@@ -1102,9 +1078,7 @@ class QueryService:
         follow = self._follow_status_doc()
         if follow is not None:
             payload["service"]["follow"] = follow
-        return HttpResponse.json(
-            200, json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+        return HttpResponse.json(200, canonical_json(payload))
 
 
 async def run_service(

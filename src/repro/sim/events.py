@@ -54,17 +54,6 @@ class DomainEventLog:
         self._fields.append(int(field))
         self._values.append(plan_id)
 
-    def add_many(
-        self,
-        day: DateLike,
-        domain_indices: Sequence[int],
-        field: Field,
-        plan_id: int,
-    ) -> None:
-        """Record the same reassignment for many domains on one day."""
-        for index in domain_indices:
-            self.add(day, int(index), field, plan_id)
-
     def finalize(self) -> None:
         """Freeze and sort the log; required before queries."""
         if self._finalized is not None:

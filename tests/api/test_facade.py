@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.api import QueryResult, QuerySpec, execute_query
+from repro.api import QueryResult, QuerySpec
 from repro.errors import QueryError
-from repro.experiments import ExperimentContext
+from repro.experiments import ExperimentContext, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +116,12 @@ class TestRecordsQueries:
 
 
 class TestExperimentQueries:
-    def test_experiment_result_delegates(self, context):
-        result = execute_query(
-            context, {"kind": "experiment", "experiment": "fig1"}
-        )
+    def test_experiment_query_carries_payload(self, context):
+        result = context.api.query({"kind": "experiment", "experiment": "fig1"})
         assert isinstance(result, QueryResult)
         assert result.kind == "experiment"
-        assert result.experiment_id == "fig1"
-        assert "fig1" in result.render()
+        assert result.data == run_experiment("fig1", context).as_payload()
+        assert not hasattr(result, "render")
         payload = json.loads(result.to_json())
         assert payload["spec"] == {"kind": "experiment", "experiment": "fig1"}
         assert payload["data"]["experiment_id"] == "fig1"

@@ -1,6 +1,7 @@
 """Tests for repro.api.spec: validation, canonicalisation, envelopes."""
 
 import datetime
+import inspect
 import json
 
 import pytest
@@ -132,49 +133,32 @@ class TestJsonify:
         assert jsonify({"n": FakeScalar()}) == {"n": 7}
 
 
-class _FakeArtefact:
-    experiment_id = "fig0"
-    measured = {"value": 1}
-
-    def as_payload(self):
-        return {"experiment_id": self.experiment_id, "value": 1}
-
-    def render(self):
-        return "rendered"
-
-
 class TestQueryResult:
     def test_exactly_one_payload_source(self):
-        with pytest.raises(QueryError):
-            QueryResult("headline")
-        with pytest.raises(QueryError):
-            QueryResult("headline", data={}, artefact=_FakeArtefact())
+        # The envelope carries its payload as ``data`` and nothing else.
+        parameters = inspect.signature(QueryResult).parameters
+        assert list(parameters) == ["kind", "spec", "data"]
 
     def test_envelope_shape_and_version(self):
-        result = QueryResult("headline", {"kind": "headline"}, data={"x": 1})
+        result = QueryResult("headline", {"kind": "headline"}, {"x": 1})
         envelope = result.to_dict()
         assert set(envelope) == {"schema_version", "kind", "spec", "data"}
         assert envelope["schema_version"] == SCHEMA_VERSION
         assert envelope["data"] == {"x": 1}
 
     def test_to_json_is_canonical(self):
-        result = QueryResult("headline", {"kind": "headline"}, data={"b": 2, "a": 1})
+        result = QueryResult("headline", {"kind": "headline"}, {"b": 2, "a": 1})
         text = result.to_json()
         assert text.index('"a"') < text.index('"b"')
         assert ": " not in text and text == json.dumps(
             json.loads(text), sort_keys=True, separators=(",", ":")
         )
 
-    def test_from_experiment_delegates(self):
-        result = QueryResult.from_experiment(_FakeArtefact())
-        assert result.kind == "experiment"
-        assert result.spec == {"kind": "experiment", "experiment": "fig0"}
-        assert result.render() == "rendered"
-        assert result.measured == {"value": 1}
-        assert result.data["experiment_id"] == "fig0"
-
     def test_data_result_has_no_delegation(self):
-        result = QueryResult("headline", data={"x": 1})
+        result = QueryResult("headline", {"kind": "headline"}, {"x": 1})
+        assert vars(result) == {
+            "kind": "headline", "spec": {"kind": "headline"}, "data": {"x": 1},
+        }
         with pytest.raises(AttributeError):
             result.render()
 

@@ -41,15 +41,14 @@ class TestBitIdenticalResults:
         sweep_series_equal(live_context.api.full_sweep(), archive_context.api.full_sweep())
 
     def test_recent_window_identical(self, live_context, archive_context):
-        live = list(live_context.recent_asn_shares())
-        archived = list(archive_context.recent_asn_shares())
+        live_window = live_context.api.recent_window()
+        archived_window = archive_context.api.recent_window()
+        live = list(live_window.asn_shares)
+        archived = list(archived_window.asn_shares)
         assert len(live) == len(archived)
         for x, y in zip(live, archived):
             assert (x.date, x.total, x.counts) == (y.date, y.total, y.counts)
-        assert (
-            live_context.recent_listed_counts()
-            == archive_context.recent_listed_counts()
-        )
+        assert live_window.listed_counts == archived_window.listed_counts
 
     def test_measurements_identical(self, live_context, archive_context):
         """Every record materialised from shard columns matches the world."""

@@ -87,10 +87,20 @@ class TestRecordValidation:
         with pytest.raises(ArchiveError, match="id columns"):
             _decode_payload(DAY, 3, damaged)
 
-    def test_missing_plan_rejected(self, tmp_path):
-        path, _ = written(tmp_path, stream(dns_ids=[2, 2, 9]))
+    def test_missing_plan_rejected(self):
+        payload = encode_payload(stream())
+        column = int32_column(DNS_IDS)
+        damaged = payload.replace(column, int32_column([2, 2, 9]), 1)
+        assert damaged != payload
         with pytest.raises(ArchiveError, match="dns plans missing"):
-            read_shard(path).measurement_at(0)
+            materialise(damaged)
+
+    def test_stream_disagreeing_with_its_plan_table_never_written(
+        self, tmp_path
+    ):
+        with pytest.raises(ArchiveError, match=r"dns plans missing.*\[9\]"):
+            written(tmp_path, stream(dns_ids=[2, 2, 9]))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTrip:

@@ -49,8 +49,3 @@ class TestCollect:
         assert series.net_change("RU") == pytest.approx(
             series.last().share("RU") - series.first().share("RU")
         )
-
-    def test_countries_seen(self, snapshots):
-        series = collect_country_shares(snapshots, kind="hosting")
-        seen = series.countries_seen()
-        assert {"RU", "US", "DE"} <= set(seen)

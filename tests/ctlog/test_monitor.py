@@ -35,13 +35,6 @@ class TestMatching:
         logs[0].add_chain(ca.issue(["b.ru"], "2022-01-02"), "2022-01-02")
         assert monitor.poll() == 1
 
-    def test_entries_on(self, setup):
-        ca, logs, monitor = setup
-        logs[0].add_chain(ca.issue(["a.ru"], "2022-01-01"), "2022-01-01")
-        logs[0].add_chain(ca.issue(["b.ru"], "2022-01-02"), "2022-01-02")
-        monitor.poll()
-        assert len(monitor.entries_on(dt.date(2022, 1, 1))) == 1
-
     def test_daily_issuer_matrix(self, setup):
         ca, logs, monitor = setup
         logs[0].add_chain(ca.issue(["a.ru"], "2022-01-01"), "2022-01-01")

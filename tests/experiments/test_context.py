@@ -26,11 +26,10 @@ class TestCaching:
 
     def test_recent_series_cached(self, tiny_world):
         context = ExperimentContext(world=tiny_world, cadence_days=60)
-        assert context.recent_asn_shares() is context.recent_asn_shares()
-        assert (
-            context.recent_sanctioned_composition()
-            is context.recent_sanctioned_composition()
-        )
+        first = context.api.recent_window()
+        second = context.api.recent_window()
+        assert first.asn_shares is second.asn_shares
+        assert first.sanctioned_composition is second.sanctioned_composition
 
     def test_all_series_same_length(self, tiny_world):
         context = ExperimentContext(world=tiny_world, cadence_days=60)

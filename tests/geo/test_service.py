@@ -1,7 +1,5 @@
 """Tests for repro.geo.service: date-versioned geolocation with lag."""
 
-import datetime as dt
-
 import pytest
 
 from repro.errors import GeolocationError
@@ -42,12 +40,6 @@ class TestContemporaneousLookup:
         service = GeoService()
         service.publish("2020-01-01", db("RU"))
         assert service.lookup("2019-01-01", 50) == "RU"
-
-    def test_epoch_dates(self):
-        service = GeoService()
-        service.publish("2020-01-01", db("RU"))
-        service.publish("2020-02-01", db("US"))
-        assert service.epoch_dates() == [dt.date(2020, 1, 1), dt.date(2020, 2, 1)]
 
 
 class TestLag:

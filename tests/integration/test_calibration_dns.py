@@ -101,7 +101,7 @@ class TestFig4HostingNetworks:
         assert 4.5 <= fig("fig4").measured["cloudflare_pct"] <= 8.5
 
     def test_sedo_collapses_serverel_rises(self, small_context):
-        series = small_context.recent_asn_shares()
+        series = small_context.api.recent_window().asn_shares
         sedo = small_context.world.catalog.get("sedo").primary_asn
         serverel = small_context.world.catalog.get("serverel").primary_asn
         assert series.first().share(sedo) > 2.0
@@ -121,7 +121,7 @@ class TestFig5Sanctioned:
         assert fig("fig5").measured["mar4_full_pct"] >= 90.0
 
     def test_netnod_transition_dates(self, small_context):
-        series = small_context.recent_sanctioned_composition()
+        series = small_context.api.recent_window().sanctioned_composition
         before = series.at(dt.date(2022, 3, 2)).share("part")
         after = series.at(dt.date(2022, 3, 4)).share("part")
         assert before > 25.0

@@ -96,16 +96,6 @@ class TestAllocator:
         with pytest.raises(AllocationError):
             allocator.allocate(8)
 
-    def test_allocate_sized(self):
-        allocator = PrefixAllocator(Prefix.parse("10.0.0.0/8"))
-        block = allocator.allocate_sized(300)
-        assert block.size == 512
-
-    def test_allocate_sized_rejects_zero(self):
-        allocator = PrefixAllocator(Prefix.parse("10.0.0.0/8"))
-        with pytest.raises(AllocationError):
-            allocator.allocate_sized(0)
-
     @given(st.lists(st.integers(min_value=20, max_value=28), min_size=1, max_size=30))
     def test_all_allocations_disjoint_and_inside_parent(self, lengths):
         parent = Prefix.parse("10.0.0.0/8")

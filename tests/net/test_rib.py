@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import AddressError
 from repro.net.ip import MAX_IPV4, parse_ipv4
 from repro.net.prefix import Prefix
-from repro.net.rib import Route, RoutingTable
+from repro.net.rib import RoutingTable
 
 
 def make_table(*entries):
@@ -41,11 +41,6 @@ class TestLookup:
     def test_bad_address_rejected(self):
         with pytest.raises(AddressError):
             make_table(("10.0.0.0/8", 1)).lookup(-5)
-
-    def test_lookup_route_returns_matched_prefix(self):
-        table = make_table(("10.0.0.0/8", 100), ("10.1.0.0/16", 200))
-        route = table.lookup_route(parse_ipv4("10.1.0.1"))
-        assert route == Route(Prefix.parse("10.1.0.0/16"), 200)
 
     def test_lookup_many_preserves_order(self):
         table = make_table(("10.0.0.0/8", 100))

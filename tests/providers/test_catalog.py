@@ -63,10 +63,6 @@ class TestCatalogMechanics:
     def test_try_get(self, catalog):
         assert catalog.try_get("nope") is None
 
-    def test_by_asn(self, catalog):
-        assert catalog.by_asn(13335).key == "cloudflare"
-        assert catalog.by_asn(999999) is None
-
     def test_asns_unique_except_rucenter_cloud(self, catalog):
         # rucenter_cloud is a *service* of RU-CENTER, so it shares AS48287;
         # every other ASN belongs to exactly one provider.

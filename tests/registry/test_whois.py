@@ -32,10 +32,6 @@ class TestLookup:
         with pytest.raises(RegistryError):
             whois.lookup(DomainName.parse("never-registered-zz.ru"))
 
-    def test_try_lookup_returns_none(self, setup):
-        _, whois = setup
-        assert whois.try_lookup(DomainName.parse("never-registered-zz.ru")) is None
-
 
 class TestNewlyRegistered:
     def test_old_domain_not_new(self, setup):

@@ -23,11 +23,6 @@ class TestSnapshot:
         assert len(names) == len(snapshot)
         assert all(name.tld in (TLD_RU, TLD_RF) for name in names)
 
-    def test_count_by_tld_sums_to_total(self, service):
-        snapshot = service.snapshot(STUDY_START)
-        counts = snapshot.count_by_tld()
-        assert counts[TLD_RU] + counts[TLD_RF] == len(snapshot)
-
     def test_snapshots_differ_over_time(self, service):
         early = set(map(str, service.snapshot(STUDY_START).names()))
         late = set(map(str, service.snapshot(STUDY_END).names()))

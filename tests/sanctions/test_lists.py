@@ -37,11 +37,6 @@ class TestEntity:
         corp = sanctions.entities()[1]
         assert corp.listed_on() == dt.date(2022, 3, 11)
 
-    def test_is_listed(self, sanctions):
-        corp = sanctions.entities()[1]
-        assert not corp.is_listed("2022-03-10")
-        assert corp.is_listed("2022-03-11")
-
 
 class TestList:
     def test_all_domains(self, sanctions):

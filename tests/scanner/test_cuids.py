@@ -61,11 +61,3 @@ class TestQueries:
                            "2022-03-01", "2022-03-29", step=7)
         observed = dataset.chained_to_organization("Russian Trusted Root CA")
         assert observed == [state_cert]
-
-    def test_seen_between(self, world):
-        view, le_cert, state_cert = world
-        dataset = UniversalScanDataset()
-        dataset.run_sweeps(TlsScanner(view, response_rate=1.0),
-                           "2022-03-01", "2022-03-29", step=7)
-        march_new = dataset.seen_between("2022-03-10", "2022-03-31")
-        assert march_new == [state_cert]

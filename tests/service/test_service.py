@@ -116,6 +116,79 @@ class TestEndpoints:
         assert payload["service"]["queue_limit"] == 32
 
 
+#: Every GET-only versioned route ``GET /`` lists -> a concrete path.
+GET_ONLY_ROUTES = {
+    "GET /v1/experiments": "/v1/experiments",
+    "GET /v1/experiments/<id>": "/v1/experiments/headline",
+    "GET /v1/series/<name>?start=&end=": "/v1/series/ns_composition",
+    "GET /v1/headline": "/v1/headline",
+    "GET /v1/records/<date>?tld=&offset=&limit=": "/v1/records/2022-03-04",
+    "GET /v1/events?since=&limit=": "/v1/events",
+    "GET /v1/events/stream (SSE; Last-Event-ID resume)": "/v1/events/stream",
+    "GET /v2/scenarios": "/v2/scenarios",
+    "GET /v2/diff?experiment=&scenario=": "/v2/diff",
+}
+
+#: (method, path, status, endpoint label, error message or None).
+METHOD_CASES = [
+    ("POST", path, 405, path.split("/")[1], f"POST not allowed on {path}")
+    for path in GET_ONLY_ROUTES.values()
+] + [
+    ("PUT", "/v1/query", 405, "query", "PUT not allowed on /v1/query"),
+    ("PUT", "/v2/query", 405, "query", "PUT not allowed on /v2/query"),
+    ("GET", "/v1/query?kind=headline", 200, "query", None),
+    ("POST", "/v1/query", 200, "query", None),
+    ("GET", "/v2/query?kind=headline", 200, "query", None),
+    ("POST", "/v2/query", 200, "query", None),
+]
+
+
+class TestMethodRouting:
+    @pytest.fixture(scope="class")
+    def svc(self, service_archive):
+        with ServiceThread(fresh_context(service_archive)) as svc:
+            yield svc
+
+    @staticmethod
+    def _endpoint_requests(svc, label):
+        _, _, body = svc.get("/metrics")
+        stat = json.loads(body)["metrics"]["endpoints"].get(label, {})
+        return stat.get("requests", 0), stat.get("errors", 0)
+
+    def test_root_lists_the_get_only_routes(self, svc):
+        _, _, body = svc.get("/")
+        listed = json.loads(body)["endpoints"]
+        versioned = {
+            entry for entry in listed
+            if entry.startswith(("GET /v1/", "GET /v2/"))
+        }
+        assert versioned == set(GET_ONLY_ROUTES)
+        assert {"GET|POST /v1/query", "GET|POST /v2/query"} <= set(listed)
+
+    @pytest.mark.parametrize(
+        "method, path, status, label, message", METHOD_CASES,
+        ids=[f"{case[0]} {case[1]}" for case in METHOD_CASES],
+    )
+    def test_method_routing(self, svc, method, path, status, label, message):
+        body = b'{"kind":"headline"}' if method != "GET" else None
+        before = self._endpoint_requests(svc, label)
+        request = urllib.request.Request(svc.url(path), data=body, method=method)
+        try:
+            with urllib.request.urlopen(request, timeout=60) as response:
+                got, payload = response.status, response.read()
+        except urllib.error.HTTPError as error:
+            got, payload = error.code, error.read()
+        assert got == status
+        envelope = json.loads(payload)
+        if message is None:
+            assert envelope["kind"] == "headline"
+        else:
+            assert envelope["error"] == {"status": status, "message": message}
+        requests, errors = self._endpoint_requests(svc, label)
+        assert requests == before[0] + 1
+        assert errors == before[1] + (status >= 400)
+
+
 class TestCoalescing:
     def test_parallel_identical_requests_share_one_archive_read(
         self, service_archive

@@ -81,13 +81,6 @@ class TestLifecycle:
     def test_event_days(self, log):
         assert list(log.event_days()) == [10, 15, 20]
 
-    def test_add_many(self):
-        events = DomainEventLog()
-        events.add_many(5, [1, 2, 3], Field.DNS, 7)
-        events.finalize()
-        state = np.zeros(4, dtype=np.int32)
-        assert (events.state_at(state, Field.DNS, 5)[1:] == 7).all()
-
     def test_finalize_idempotent(self, log):
         log.finalize()
         assert len(log) == 4
