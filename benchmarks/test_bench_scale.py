@@ -11,10 +11,16 @@ Per rung, ``benchmarks/output/BENCH_scale.json`` records population,
 build seconds (world construction included), archive bytes, peak RSS,
 cold summary-query latency, and the cold records page: a freshly opened
 archive loads one day and materialises its last 20 records, which
-indexes the whole day (median over the archived days).  Rungs of 1:50
-and smaller run three times and record the median build and page times
-with their samples, since one sample of a seconds-long rung swings more
-than the effects it is used to show.  Two regression gates run over the
+indexes the whole day (median over the archived days).  The cold start
+is what a freshly started server pays for its first records page: open
+an :class:`~repro.experiments.ExperimentContext` over the rung's
+archive and time its first ``.ru`` records query through
+``context.api.query_json``.  Rungs of 1:50 and smaller run three times
+and record the median build and page times with their samples, since
+one sample of a seconds-long rung swings more than the effects it is
+used to show.  The record carries the host's cores, Python and numpy
+versions, the commit and the source digest, under the names
+perfbench's env block gives them.  Two regression gates run over the
 ladder:
 
 * **sublinear memory** — peak RSS must grow strictly slower than the
@@ -42,7 +48,11 @@ import textwrap
 from repro.archive.stream import CHUNK_DOMAINS
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
+ROOT_DIR = pathlib.Path(__file__).parent.parent
+SRC_DIR = ROOT_DIR / "src"
+
+#: The keys of perfbench's env block the ladder record is stamped with.
+ENV_KEYS = ("cores", "python", "numpy", "commit", "src_sha256")
 
 #: The daily window each rung archives (3 conflict-window days).
 WINDOW_START = "2022-02-24"
@@ -90,6 +100,7 @@ _RUNG_SCRIPT = textwrap.dedent(
     import time
 
     from repro.archive import ArchiveBuilder, MeasurementArchive
+    from repro.experiments import ExperimentContext
     from repro.measurement.metrics import SweepMetrics, current_rss_bytes
     from repro.scenario import ScenarioSpec
 
@@ -129,6 +140,14 @@ _RUNG_SCRIPT = textwrap.dedent(
             record.measurement_at(position)
         page_ms.append((time.perf_counter() - started) * 1e3)
 
+    # Cold start: a freshly opened context serves its first records page.
+    started = time.perf_counter()
+    context = ExperimentContext(config=config, archive=directory)
+    context.api.query_json({
+        "kind": "records", "date": window_start, "tld": "ru", "limit": page,
+    })
+    cold_start_ms = (time.perf_counter() - started) * 1e3
+
     print(json.dumps({
         "divisor": divisor,
         "population": population,
@@ -138,9 +157,20 @@ _RUNG_SCRIPT = textwrap.dedent(
         "peak_rss_bytes": peak_rss_bytes,
         "cold_query_seconds": round(cold_query_seconds, 6),
         "cold_records_page_ms": round(statistics.median(page_ms), 3),
+        "cold_start_records_page_ms": round(cold_start_ms, 3),
     }))
     """
 )
+
+
+def environment() -> dict:
+    """The host and source tree the ladder ran on, as perfbench names them."""
+    if str(ROOT_DIR) not in sys.path:
+        sys.path.insert(0, str(ROOT_DIR))
+    from perfbench.common import env_block
+
+    block = env_block("scale-ladder", 0, None)
+    return {key: block[key] for key in ENV_KEYS}
 
 
 def run_rung(divisor: int, directory: str) -> dict:
@@ -168,7 +198,9 @@ def measure_rung(divisor: int, directory: pathlib.Path) -> dict:
     samples = SMALL_RUNG_SAMPLES if divisor >= SMALL_RUNG_MIN_DIVISOR else 1
     runs = [run_rung(divisor, str(directory / str(n))) for n in range(samples)]
     record = dict(runs[0])
-    for key in ("build_seconds", "cold_records_page_ms"):
+    for key in (
+        "build_seconds", "cold_records_page_ms", "cold_start_records_page_ms"
+    ):
         values = [run[key] for run in runs]
         record[key] = statistics.median(values)
         record[f"{key}_samples"] = values
@@ -228,6 +260,7 @@ def test_bench_scale_ladder(tmp_path):
             "days": WINDOW_DAYS,
         },
         "chunk_domains": CHUNK_DOMAINS,
+        "env": environment(),
         "rungs": records,
         "rss_growth": growth,
         "ceiling_mib": MAX_RSS_MIB,

@@ -364,19 +364,36 @@ class AnalysisFacade:
         return data
 
     def _records_data(self, spec: QuerySpec) -> Dict[str, object]:
+        """One page of a day's per-domain records, optionally one TLD's.
+
+        An archive-backed context answers from the day's
+        :class:`~repro.archive.shard.DayShardRecord` alone: the shard
+        holds every field of a record, and its name index gives the TLD
+        filter, so no world is built.  The archive was matched to the
+        context's scenario by its manifest fingerprint when it was
+        opened.  A live context collects the day and filters on the
+        world's ``tld`` column.
+        """
         date = as_date(spec.date)
         check_deadline("records_collect")
-        snapshot = self._context.collector.collect(date)
-        matched = snapshot.measured
-        if spec.tld is not None:
-            tlds = self._context.world.population.tld
-            matched = matched[tlds[matched] == spec.tld.encode("utf-8")]
+        archive = self._context.archive
+        if archive is not None:
+            day = archive.load_day(date)
+            matched = day.measured
+            if spec.tld is not None:
+                matched = matched[day.tld_mask(spec.tld)]
+        else:
+            day = self._context.collector.collect(date)
+            matched = day.measured
+            if spec.tld is not None:
+                tlds = self._context.world.population.tld
+                matched = matched[tlds[matched] == spec.tld.encode("utf-8")]
         offset = spec.offset or 0
         limit = DEFAULT_RECORDS_LIMIT if spec.limit is None else spec.limit
         page = matched[offset : offset + limit].tolist()
         records = []
         for index in page:
-            measurement = snapshot.measurement_for(index)
+            measurement = day.measurement_for(index)
             records.append(
                 {
                     "index": index,
@@ -395,7 +412,7 @@ class AnalysisFacade:
             )
         return {
             "date": date.isoformat(),
-            "measured_total": int(len(snapshot.measured)),
+            "measured_total": int(len(day.measured)),
             "matched_total": len(matched),
             "offset": offset,
             "limit": limit,

@@ -14,6 +14,9 @@ Bit-identical results are structural, not incidental: an
 back over the population and borrows the epoch label tables from a
 world rebuilt from the same scenario config, which is precisely the
 state the live :class:`~repro.measurement.fast.FastCollector` computes.
+Records pages need none of that: the facade reads the day's
+:class:`DayShardRecord` through :meth:`MeasurementArchive.load_day` and
+builds no world.
 
 The archive is **self-healing** when opened with its scenario config: a
 shard that fails its CRC (or any other integrity check) is quarantined
@@ -46,7 +49,6 @@ from ..faults import TransientIOError
 from ..ioutil import backoff_seconds
 from ..measurement.fast import DailySnapshot
 from ..measurement.metrics import SweepMetrics
-from ..measurement.records import DomainMeasurement
 from ..timeline import DateLike, as_date
 from ..sim.world import World
 from .manifest import Manifest
@@ -512,9 +514,12 @@ class ArchivedSnapshot(DailySnapshot):
 
     Plan-id columns are scattered back over the full population (only
     positions named by ``measured`` are ever read), and the epoch label
-    tables come from the companion world.  Per-domain record
-    materialisation is overridden to read the shard's own measurement
-    columns, so sampling does not touch the world's slow path.
+    tables come from the companion world, which the constructor checks
+    the shard against.
+
+    Only the queries that classify domains (movement, whois, and the
+    experiments built on them) take this form and build the world.
+    Records pages read the :class:`DayShardRecord` itself.
     """
 
     __slots__ = ("_record",)
@@ -556,10 +561,6 @@ class ArchivedSnapshot(DailySnapshot):
     def shard(self) -> DayShardRecord:
         """The underlying day-shard record."""
         return self._record
-
-    def measurement_for(self, domain_index: int) -> DomainMeasurement:
-        """Materialise one record from the shard's stored columns."""
-        return self._record.measurement_for(int(domain_index))
 
 
 class ArchiveCollector:

@@ -128,8 +128,8 @@ class ExperimentContext:
 
         Live contexts touch it during construction (the collector needs
         it), so they pay for it up front exactly as before; an
-        archive-backed context defers it until a query actually needs
-        per-domain state — summary-served queries never do.
+        archive-backed context defers it until a query classifies
+        domains — summary-served queries and records pages never do.
         """
         if self._world is None:
             with self._world_lock:

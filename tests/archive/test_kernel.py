@@ -25,6 +25,7 @@ from repro.archive import (
 from repro.archive.shard import read_shard, read_summary
 from repro.errors import ArchiveError
 from repro.experiments import ExperimentContext
+from repro.experiments import context as context_module
 from repro.scenario import ScenarioSpec
 
 #: Must match tests/archive/conftest.py's session fixtures.
@@ -123,14 +124,55 @@ class TestLazyWorld:
         # Not a single shard's domain-level columns were decoded either.
         assert not context.archive._cache
 
-    def test_records_query_builds_world_on_demand(
-        self, archive_config, built_archive
+    def test_records_query_leaves_world_unbuilt(
+        self, archive_config, built_archive, monkeypatch
     ):
+        """Records pages read the shard alone, under every TLD spelling.
+
+        Only a query that classifies domains builds the world: here
+        Figure 6's movement analysis, which builds it exactly once.
+        """
+        builds = []
+        build = context_module.build_scenario
+        monkeypatch.setattr(
+            context_module,
+            "build_scenario",
+            lambda config: builds.append(config) or build(config),
+        )
         context = ExperimentContext(
             config=archive_config, cadence_days=CADENCE, archive=built_archive
         )
-        context.api.query({"kind": "records", "date": "2022-03-04", "limit": 1})
+        for tld in ("ru", "рф", ".рф", "РФ", "xn--p1ai", "com", None):
+            spec = {"kind": "records", "date": "2022-03-04", "limit": 5}
+            if tld is not None:
+                spec["tld"] = tld
+            context.api.query(spec)
+        assert context._world is None
+        assert builds == []
+        context.api.query({"kind": "experiment", "experiment": "fig6"})
+        context.api.query({"kind": "experiment", "experiment": "fig6"})
         assert context._world is not None
+        assert len(builds) == 1
+
+
+class TestShardTldMask:
+    """A shard's name suffixes give the same TLD as the world's column."""
+
+    def test_mask_matches_world_tld_column(self, archive_context):
+        world = archive_context.world
+        tlds = sorted({tld.decode("ascii") for tld in world.population.tld})
+        absent = ["zz", "u", "p1ai"]
+        assert not set(absent) & set(tlds)
+        archive = archive_context.archive
+        for day in archive.manifest.covered_dates():
+            record = archive.load_day(day)
+            column = world.population.tld[record.measured]
+            for tld in tlds + absent:
+                np.testing.assert_array_equal(
+                    record.tld_mask(tld),
+                    column == tld.encode("ascii"),
+                    err_msg=f"{day} {tld}",
+                )
 
 
 class TestV2Refused:
