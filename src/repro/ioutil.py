@@ -1,4 +1,4 @@
-"""Crash-safe file IO shared by the archive writers.
+"""Crash-safe file IO shared by the archive writers, and canonical JSON.
 
 Every durable file the pipeline produces (day shards, manifests) goes
 through :func:`atomic_write_bytes`: bytes land in a same-directory temp
@@ -9,20 +9,29 @@ ones) are retried with bounded exponential backoff, and when a fault
 plan is active every write is read back and compared before the rename
 — which is what turns injected byte corruption into a retry instead of
 a poisoned archive.
+
+:func:`canonical_json` is the one text form of every JSON body the
+service writes and of every live-feed frame.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Optional
 
 from .errors import ArchiveError, RecoveryError
 
-__all__ = ["atomic_write_bytes", "backoff_seconds"]
+__all__ = ["atomic_write_bytes", "backoff_seconds", "canonical_json"]
 
 #: Longest single retry sleep, seconds (keeps tests and CI snappy).
 _BACKOFF_CAP = 0.25
+
+
+def canonical_json(payload: object) -> str:
+    """Sorted-key, compact JSON text: the form every JSON body takes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def backoff_seconds(attempt: int, base: float) -> float:

@@ -14,6 +14,8 @@ import json
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from ..ioutil import canonical_json
+
 __all__ = [
     "HttpError",
     "HttpRequest",
@@ -38,11 +40,6 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-
-def canonical_json(payload: object) -> str:
-    """Sorted-key, compact JSON text: the form every JSON body takes."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def error_text(status: int, message: str) -> str:
