@@ -141,6 +141,7 @@ class DomainPopulation:
             expected = cfg.daily_birth_rate * target_active
             for _ in range(int(rng.poisson(expected))):
                 append(day)
+        names.release()
         return labels, tlds, created, deleted, registrars
 
     # ------------------------------------------------------------------

@@ -100,8 +100,31 @@ class Pulse:
         )
 
 
+#: One membership column: which domains sit on a source set's plans.
+#: Keyed by ``(field, sources)``; holds the plan-id lookup table of the
+#: sources and the per-domain column it gave.
+_Members = Dict[Tuple[Field, Tuple[str, ...]], Tuple[np.ndarray, np.ndarray]]
+
+
 class FlowEngine:
-    """Executes flows and pulses into concrete per-domain events."""
+    """Executes flows and pulses into concrete per-domain events.
+
+    The forward pass keeps its per-domain masks up to date rather than
+    rebuilding them, so a move costs two population-length boolean
+    passes plus work in proportion to the domains it moves:
+
+    * ``active`` (registered and not excluded) flips only the domains
+      born or deleted since the previous event day, found in
+      ``created``/``deleted`` sorted once;
+    * each distinct ``(field, sources)`` set keeps a boolean column of
+      the domains on one of its plans.  It is built on its first move,
+      set at the picks after every move on its field, and dropped after
+      its last flow or pulse day.
+
+    The candidates, ``active & column``, are the same sorted indices a
+    fresh ``np.isin`` over the current assignment gives, so every draw is
+    the same.
+    """
 
     def __init__(
         self,
@@ -146,7 +169,7 @@ class FlowEngine:
                 raise ScenarioError(f"{field.name} base assignment holds an unknown plan id")
         created = self._population.created
         deleted = self._population.deleted
-        eligible_base = (
+        eligible = (
             ~exclude if exclude is not None
             else np.ones(len(self._population), dtype=bool)
         )
@@ -158,27 +181,55 @@ class FlowEngine:
         pulses_by_day: Dict[int, List[Pulse]] = {}
         for pulse in pulses:
             pulses_by_day.setdefault(pulse.day, []).append(pulse)
-
         event_days = sorted(set(flows_by_day) | set(pulses_by_day))
+
+        # Each source set's membership column goes after its last day.
+        last_day: Dict[Tuple[Field, Tuple[str, ...]], int] = {}
         for day in event_days:
-            active = (created <= day) & (day < deleted) & eligible_base
-            active_count = int(active.sum())
-            if active_count == 0:
-                continue
-            for flow in flows_by_day.get(day, []):
-                expected = flow.total_pp / 100.0 * active_count / flow.duration
-                moves = int(self._rng.poisson(expected))
-                if moves == 0:
-                    continue
-                self._move(
-                    events, state, active, flow.field, flow.sources, flow.dest,
-                    day, count=moves,
-                )
-            for pulse in pulses_by_day.get(day, []):
-                self._move(
-                    events, state, active, pulse.field, pulse.sources, pulse.dest,
-                    day, fraction=pulse.fraction, count=pulse.count,
-                )
+            for move in flows_by_day.get(day, []) + pulses_by_day.get(day, []):
+                last_day[(move.field, move.sources)] = day
+        retiring: Dict[int, List[Tuple[Field, Tuple[str, ...]]]] = {}
+        for key, day in last_day.items():
+            retiring.setdefault(day, []).append(key)
+
+        births = np.argsort(created, kind="stable")
+        birth_days = created[births]
+        deaths = np.argsort(deleted, kind="stable")
+        death_days = deleted[deaths]
+        born = died = 0
+        active = np.zeros(len(self._population), dtype=bool)
+        active_count = 0
+        members: _Members = {}
+        for day in event_days:
+            # ``active`` becomes (created <= day) & (day < deleted) & eligible.
+            upto = int(np.searchsorted(birth_days, day, side="right"))
+            newborn = births[born:upto]
+            newborn = newborn[eligible[newborn] & (day < deleted[newborn])]
+            active[newborn] = True
+            active_count += len(newborn)
+            born = upto
+            upto = int(np.searchsorted(death_days, day, side="right"))
+            dying = deaths[died:upto]
+            active_count -= int(np.count_nonzero(active[dying]))
+            active[dying] = False
+            died = upto
+            if active_count:
+                for flow in flows_by_day.get(day, []):
+                    expected = flow.total_pp / 100.0 * active_count / flow.duration
+                    moves = int(self._rng.poisson(expected))
+                    if moves == 0:
+                        continue
+                    self._move(
+                        events, state, active, members, flow.field, flow.sources,
+                        flow.dest, day, count=moves,
+                    )
+                for pulse in pulses_by_day.get(day, []):
+                    self._move(
+                        events, state, active, members, pulse.field, pulse.sources,
+                        pulse.dest, day, fraction=pulse.fraction, count=pulse.count,
+                    )
+            for key in retiring.get(day, []):
+                members.pop(key, None)
         return events, state
 
     def _move(
@@ -186,22 +237,23 @@ class FlowEngine:
         events: DomainEventLog,
         state: Dict[Field, np.ndarray],
         active: np.ndarray,
+        members: _Members,
         field: Field,
-        sources: Sequence[str],
+        sources: Tuple[str, ...],
         dest: str,
         day: int,
         fraction: Optional[float] = None,
         count: Optional[int] = None,
     ) -> None:
-        source_ids = self._resolve(field, sources)
-        dest_id = int(self._plan_ids[field][dest]) if dest in self._plan_ids[field] else None
+        column = members.get((field, sources))
+        if column is None:
+            is_source = np.zeros(self._plan_count[field], dtype=bool)
+            is_source[self._resolve(field, sources)] = True
+            column = members[(field, sources)] = (is_source, is_source[state[field]])
+        dest_id = self._plan_ids[field].get(dest)
         if dest_id is None:
             raise ScenarioError(f"unknown plan key {dest!r}")
-        # A boolean table over plan ids picks the same sorted candidates as
-        # ``np.isin(state[field], source_ids)`` in one gather.
-        is_source = np.zeros(self._plan_count[field], dtype=bool)
-        is_source[source_ids] = True
-        candidates = np.flatnonzero(active & is_source[state[field]])
+        candidates = np.flatnonzero(active & column[1])
         if len(candidates) == 0:
             return
         if fraction is not None:
@@ -215,3 +267,6 @@ class FlowEngine:
         for index in picks:
             events.add(day, int(index), field, dest_id)
         state[field][picks] = dest_id
+        for (member_field, _), (is_source, member) in members.items():
+            if member_field == field:
+                member[picks] = is_source[dest_id]

@@ -35,8 +35,8 @@ RESULT_LINE = json.dumps({
 })
 
 ROW_KEYS = {
-    "commit", "src_sha256", "label", "workload", "seconds", "cores",
-    "python", "numpy", "correct", "attempted", "failed", "metrics",
+    "commit", "src_sha256", "label", "workload", "workload_seed", "seconds",
+    "cores", "python", "numpy", "correct", "attempted", "failed", "metrics",
 }
 
 
@@ -76,6 +76,16 @@ def test_rows_append_and_commit_overrides(tmp_path):
             "abc1234", "change", "build"
         )
         assert row["src_sha256"] == "e00a2513"
+
+
+def test_row_carries_the_workload_seed(tmp_path):
+    env = json.loads(ENV_LINE)
+    env["env"]["workload_seed"] = 7
+    text = json.dumps(env) + "\n" + RESULT_LINE + "\n"
+    result, output = run(tmp_path, text, "--label", "change", "--seconds", "40")
+    assert result.returncode == 0, result.stderr
+    (row,) = [json.loads(line) for line in output.read_text().splitlines()]
+    assert row["workload_seed"] == 7
 
 
 def test_result_line_without_env_line_is_refused(tmp_path):
