@@ -8,8 +8,11 @@ streaming shard writer inside a fresh subprocess, so every rung reports
 an honest, isolated peak RSS.
 
 Per rung, ``benchmarks/output/BENCH_scale.json`` records population,
-build seconds (world construction included), archive bytes, peak RSS,
-cold summary-query latency, and the cold records page: a freshly opened
+build seconds (world construction included), archive bytes, peak RSS
+split by layer (``world_rss_bytes``, the RSS when the world build ends,
+before the first day; the rest of ``peak_rss_bytes`` is the day loop)
+and per domain (``peak_bytes_per_domain``), cold summary-query latency,
+and the cold records page: a freshly opened
 archive loads one day and materialises its last 20 records, which
 indexes the whole day (median over the archived days).  The cold start
 is what a freshly started server pays for its first records page: open
@@ -96,6 +99,7 @@ _RUNG_SCRIPT = textwrap.dedent(
     import statistics
     import sys
     import time
+    from contextlib import contextmanager
 
     from repro.archive import ArchiveBuilder, MeasurementArchive
     from repro.experiments import ExperimentContext
@@ -106,7 +110,18 @@ _RUNG_SCRIPT = textwrap.dedent(
         int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4],
         int(sys.argv[5]),
     )
-    metrics = SweepMetrics()
+    class RungMetrics(SweepMetrics):
+        # Also samples RSS as the world build phase ends.
+        world_rss_bytes = 0
+
+        @contextmanager
+        def phase(self, name):
+            with super().phase(name) as stat:
+                yield stat
+            if name == "world_build":
+                self.world_rss_bytes = self.sample_rss()
+
+    metrics = RungMetrics()
     config = ScenarioSpec.resolve("baseline").with_config(
         scale=float(divisor), with_pki=False
     ).compile()
@@ -153,6 +168,7 @@ _RUNG_SCRIPT = textwrap.dedent(
         "build_seconds": round(build_seconds, 3),
         "archive_bytes": report.bytes_written,
         "peak_rss_bytes": peak_rss_bytes,
+        "world_rss_bytes": metrics.world_rss_bytes,
         "cold_query_seconds": round(cold_query_seconds, 6),
         "cold_records_page_ms": round(statistics.median(page_ms), 3),
         "cold_start_records_page_ms": round(cold_start_ms, 3),
@@ -182,7 +198,7 @@ def run_rung(divisor: int, directory: str) -> dict:
 
 
 def measure_rung(divisor: int, directory: pathlib.Path) -> dict:
-    """One rung's record: the median of its samples, peak RSS the max."""
+    """One rung's record: the median of its samples, the RSS fields the max."""
     samples = SMALL_RUNG_SAMPLES if divisor >= SMALL_RUNG_MIN_DIVISOR else 1
     runs = [run_rung(divisor, str(directory / str(n))) for n in range(samples)]
     record = dict(runs[0])
@@ -192,7 +208,11 @@ def measure_rung(divisor: int, directory: pathlib.Path) -> dict:
         values = [run[key] for run in runs]
         record[key] = statistics.median(values)
         record[f"{key}_samples"] = values
-    record["peak_rss_bytes"] = max(run["peak_rss_bytes"] for run in runs)
+    for key in ("peak_rss_bytes", "world_rss_bytes"):
+        record[key] = max(run[key] for run in runs)
+    record["peak_bytes_per_domain"] = round(
+        record["peak_rss_bytes"] / record["population"], 1
+    )
     return record
 
 
@@ -204,6 +224,7 @@ def test_bench_scale_ladder(tmp_path):
         record = measure_rung(divisor, tmp_path / f"rung-{divisor}")
         assert record["archived_days"] == WINDOW_DAYS
         assert record["archive_bytes"] > 0
+        assert 0 < record["world_rss_bytes"] <= record["peak_rss_bytes"]
         peak_mib = record["peak_rss_bytes"] / (1024 * 1024)
         assert peak_mib <= MAX_RSS_MIB, (
             f"rung 1:{divisor} peaked at {peak_mib:.0f} MiB "

@@ -176,74 +176,57 @@ def read_int32_ndarray(view: memoryview, offset: int) -> Tuple[np.ndarray, int]:
 # payload's CRC is accumulated independently from zero while chunks
 # stream out, and once the length is known the header+summary prefix CRC
 # is combined with it as if the two messages had been one.  This is
-# zlib's crc32_combine (GF(2) matrix exponentiation over the CRC-32
-# polynomial), which CPython's zlib module does not expose.
+# zlib's crc32_combine (multiplication modulo the CRC-32 polynomial by
+# x^(8 * length)), which CPython's zlib module does not expose.
 
 #: CRC-32 polynomial, reflected form.
 _CRC32_POLY = 0xEDB88320
 
 
-def _gf2_matrix_times(matrix: Sequence[int], vector: int) -> int:
-    """Multiply a GF(2) 32x32 matrix (list of column ints) by a vector."""
-    result = 0
-    index = 0
-    while vector:
-        if vector & 1:
-            result ^= matrix[index]
-        vector >>= 1
-        index += 1
-    return result
+def _multmodp(a: int, b: int) -> int:
+    """``a * b`` modulo the CRC-32 polynomial (reflected: bit 31 is x^0)."""
+    m = 1 << 31
+    p = 0
+    while True:
+        if a & m:
+            p ^= b
+            if not a & (m - 1):
+                return p
+        m >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
 
 
-def _gf2_matrix_square(square: List[int], matrix: Sequence[int]) -> None:
-    """``square = matrix * matrix`` over GF(2)."""
-    for n in range(32):
-        square[n] = _gf2_matrix_times(matrix, matrix[n])
+def _x2n_table() -> List[int]:
+    """x^(2^k) modulo the polynomial for k in 0..31 (x^(2^32) is x again)."""
+    table = [1 << 30]  # x^1
+    for _ in range(31):
+        table.append(_multmodp(table[-1], table[-1]))
+    return table
+
+
+_X2N_TABLE = _x2n_table()
 
 
 def crc32_combine(crc1: int, crc2: int, length2: int) -> int:
     """CRC-32 of ``A + B`` given ``crc32(A)``, ``crc32(B)``, ``len(B)``.
 
     Equivalent to ``zlib.crc32(B, zlib.crc32(A))`` without needing the
-    bytes of either message: ``crc1`` is advanced through ``length2``
-    zero bytes by repeated matrix squaring (O(log length2) GF(2)
-    products), then xor-ed with ``crc2``.
+    bytes of either message: ``crc1`` is multiplied by x^(8 * length2)
+    modulo the polynomial, built from the powers x^(2^k) of one table
+    (O(log length2) products), then xor-ed with ``crc2``.
     """
     if length2 < 0:
         raise ArchiveError(f"crc32_combine length must be >= 0: {length2}")
     if length2 == 0:
         return crc1 & 0xFFFFFFFF
-    crc1 &= 0xFFFFFFFF
-    crc2 &= 0xFFFFFFFF
-
-    # Operator for one zero bit: the polynomial in row 0, then a shift
-    # matrix (bit n of the CRC moves to bit n-1).
-    odd = [0] * 32
-    odd[0] = _CRC32_POLY
-    row = 1
-    for n in range(1, 32):
-        odd[n] = row
-        row <<= 1
-    even = [0] * 32
-    _gf2_matrix_square(even, odd)   # two zero bits
-    _gf2_matrix_square(odd, even)   # four zero bits
-
-    # Apply length2 zero *bytes*: each squaring doubles the zero count
-    # (the first loop iteration's square makes even = one zero byte).
-    while True:
-        _gf2_matrix_square(even, odd)
+    power = 1 << 31  # x^0
+    k = 3  # length2 counts bytes: x^(8 * length2) = x^(2^3 * length2)
+    while length2:
         if length2 & 1:
-            crc1 = _gf2_matrix_times(even, crc1)
+            power = _multmodp(_X2N_TABLE[k & 31], power)
         length2 >>= 1
-        if not length2:
-            break
-        _gf2_matrix_square(odd, even)
-        if length2 & 1:
-            crc1 = _gf2_matrix_times(odd, crc1)
-        length2 >>= 1
-        if not length2:
-            break
-    return (crc1 ^ crc2) & 0xFFFFFFFF
+        k += 1
+    return (_multmodp(power, crc1 & 0xFFFFFFFF) ^ crc2) & 0xFFFFFFFF
 
 
 def write_string(buffer: bytearray, text: str) -> None:

@@ -177,7 +177,10 @@ class DayStream:
         Numeric columns and the NS plan table are built up front;
         domain names and apex tuples are per-position lookups against
         the world, so nothing per-domain outlives the chunk being
-        encoded.  ``summary`` is the day's
+        encoded.  A name is read from the population's columns
+        (:meth:`~repro.registry.population.DomainPopulation.name`), so
+        the build caches no :class:`~repro.registry.domain.DomainRecord`.
+        ``summary`` is the day's
         :func:`~repro.archive.kernel.summarize_snapshot`, computed by
         the caller.
 
@@ -220,7 +223,7 @@ class DayStream:
             dns_plan_ns[plan_id] = entry
 
         def domain_at(position: int) -> str:
-            return str(world.population.record(int(measured[position])).name)
+            return str(world.population.name(int(measured[position])))
 
         def apex_at(position: int) -> Tuple[int, ...]:
             return tuple(sorted(world.apex_addresses_for_plan(

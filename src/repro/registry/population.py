@@ -70,8 +70,11 @@ class DomainPopulation:
     straight from them.  Nothing reads most records while a world is
     built, so :meth:`record` builds each :class:`DomainRecord`, with its
     validated, IDNA-encoded :class:`DomainName`, on first read and
-    caches it.  Iteration and :meth:`by_name` go through :meth:`record`,
-    so every name anyone reads is still checked.
+    caches it.  A reader that needs only the name (an archive build
+    writing a day) calls :meth:`name`, which builds the same checked
+    :class:`DomainName` from the columns and keeps nothing.  Iteration
+    and :meth:`by_name` go through :meth:`record`, so every name anyone
+    reads is still checked.
     """
 
     def __init__(self, config: PopulationConfig) -> None:
@@ -155,13 +158,19 @@ class DomainPopulation:
         return map(self.record, range(len(self._records)))
 
     def record(self, index: int) -> DomainRecord:
-        """The record with the given index (built on first read, then cached)."""
+        """The record with the given index (built on first read, then cached).
+
+        For readers that need the registrar, registrant or lifetime, and
+        for ones that read the same record again (whois, zone files,
+        movement sampling).  A reader that needs only the name calls
+        :meth:`name` instead, so the record is never built.
+        """
         record = self._records[index]
         if record is None:
             # Two threads racing here build equal records; one is kept.
             index = range(len(self._records))[index]
             record = DomainRecord(
-                DomainName((self._labels[index], self.tld[index].decode("ascii"))),
+                self.name(index),
                 index,
                 int(self.created[index]),
                 int(self.deleted[index]),
@@ -170,6 +179,15 @@ class DomainPopulation:
             )
             self._records[index] = record
         return record
+
+    def name(self, index: int) -> DomainName:
+        """The name of the record with the given index, built and not kept.
+
+        Read straight from the label and TLD columns; each call
+        validates and IDNA-encodes again, and equals
+        ``record(index).name``.
+        """
+        return DomainName((self._labels[index], self.tld[index].decode("ascii")))
 
     def by_name(self, name: DomainName) -> DomainRecord:
         """Find a record by domain name.

@@ -276,9 +276,15 @@ class World:
     def apex_addresses_for_plan(
         self, domain_index: int, plan_id: int
     ) -> Tuple[int, ...]:
-        """Apex addresses for a known hosting plan id."""
+        """Apex addresses for a known hosting plan id.
+
+        The domain's name comes from the population's columns
+        (:meth:`~repro.registry.population.DomainPopulation.name`), so
+        no :class:`~repro.registry.domain.DomainRecord` is built or
+        cached for it.
+        """
         plan = self.hosting_plans.plan(plan_id)
-        name = self.population.record(domain_index).name
+        name = self.population.name(domain_index)
         return tuple(
             self.address_plan.hosting_address(provider_key, name, asn)
             for provider_key, asn in plan.components

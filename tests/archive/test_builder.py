@@ -105,6 +105,27 @@ class TestIncrementalBuild:
             assert (directory / entry.file).stat().st_size == entry.bytes
 
 
+class TestNoDomainRecords:
+    def test_build_constructs_no_domain_records(self, tmp_path, archive_config, monkeypatch):
+        # The build reads names from the population's columns; a
+        # DomainRecord built here would be cached for the world's life.
+        from repro.registry.domain import DomainRecord
+
+        built = []
+        original = DomainRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DomainRecord, "__init__", counting_init)
+        report = ArchiveBuilder(str(tmp_path / "arch"), archive_config).build(
+            MID, MID + dt.timedelta(days=2)
+        )
+        assert len(report.written) == 3
+        assert len(built) == 0
+
+
 class TestResumeByteIdentity:
     """Interrupted-then-continued builds converge on identical bytes."""
 

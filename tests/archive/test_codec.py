@@ -129,8 +129,72 @@ class TestString:
             read_string(memoryview(bytes([2, 0x41, 0xD0])), 0)
 
 
+def _gf2_matrix_times(matrix, vector):
+    """Multiply a GF(2) 32x32 matrix (list of column ints) by a vector."""
+    result = 0
+    index = 0
+    while vector:
+        if vector & 1:
+            result ^= matrix[index]
+        vector >>= 1
+        index += 1
+    return result
+
+
+def _gf2_matrix_square(square, matrix):
+    """``square = matrix * matrix`` over GF(2)."""
+    for n in range(32):
+        square[n] = _gf2_matrix_times(matrix, matrix[n])
+
+
+def reference_crc32_combine(crc1, crc2, length2):
+    """The older zlib crc32_combine: GF(2) matrix squaring per call."""
+    if length2 == 0:
+        return crc1 & 0xFFFFFFFF
+    crc1 &= 0xFFFFFFFF
+    crc2 &= 0xFFFFFFFF
+    # Operator for one zero bit: the polynomial in row 0, then a shift
+    # matrix (bit n of the CRC moves to bit n-1).
+    odd = [0xEDB88320] + [1 << n for n in range(31)]
+    even = [0] * 32
+    _gf2_matrix_square(even, odd)   # two zero bits
+    _gf2_matrix_square(odd, even)   # four zero bits
+    # Each squaring doubles the zero count (the first loop iteration's
+    # square makes even = one zero byte).
+    while True:
+        _gf2_matrix_square(even, odd)
+        if length2 & 1:
+            crc1 = _gf2_matrix_times(even, crc1)
+        length2 >>= 1
+        if not length2:
+            break
+        _gf2_matrix_square(odd, even)
+        if length2 & 1:
+            crc1 = _gf2_matrix_times(odd, crc1)
+        length2 >>= 1
+        if not length2:
+            break
+    return (crc1 ^ crc2) & 0xFFFFFFFF
+
+
 class TestCrc32Combine:
     """crc32_combine(crc(a), crc(b), len(b)) == crc(a || b), exactly."""
+
+    def test_matches_matrix_reference_up_to_2_pow_40(self):
+        rng = derive_rng(12, "crc-combine-reference")
+        lengths = [1, 2, 3, 7, 8, 255, 256, 2**31 - 1, 2**31, 2**32, 2**40]
+        lengths += [int(v) for v in rng.integers(1, 2**40 + 1, size=200)]
+        for length in lengths:
+            crc1, crc2 = (int(v) for v in rng.integers(0, 2**32, size=2))
+            assert crc32_combine(crc1, crc2, length) == reference_crc32_combine(
+                crc1, crc2, length
+            ), length
+
+    def test_reference_matches_sequential_crc(self):
+        a, b = b"head" * 100, bytes(range(256)) * 3
+        assert reference_crc32_combine(
+            zlib.crc32(a), zlib.crc32(b), len(b)
+        ) == zlib.crc32(b, zlib.crc32(a))
 
     @pytest.mark.parametrize(
         "a,b",

@@ -163,6 +163,25 @@ class TestColumns:
         assert sum(rec is not None for rec in population._records) == 2
         assert list(population)[3] is first
 
+    def test_name_equals_record_name(self, pinned):
+        names = [pinned.name(index) for index in range(len(pinned))]
+        assert names == [rec.name for rec in pinned]
+        # Both TLDs are covered, and every .рф label is punycode.
+        assert pinned.is_rf.any() and not pinned.is_rf.all()
+        assert all(
+            name.labels[0].startswith("xn--")
+            for name, rf in zip(names, pinned.is_rf)
+            if rf
+        )
+
+    def test_name_keeps_nothing(self):
+        population = DomainPopulation(PopulationConfig(seed=2, initial_count=50))
+        assert population.name(3) == population.name(3)
+        assert population.name(-1) == population.record(len(population) - 1).name
+        assert population._records == [None] * (len(population) - 1) + [
+            population.record(-1)
+        ]
+
     def test_unicode_reserved_name_encoded(self, pinned):
         rec = pinned.record(107)
         assert rec.name == DomainName.parse("пример.рф")
