@@ -4,7 +4,8 @@ Measures the three costs the archive trades between — building the
 standard archive from scratch (cold), regenerating Figure 1 by live
 simulation, and regenerating it by replaying the archive (warm) — and
 records each as its own honest number in
-``benchmarks/output/archive_speedup.json``.
+``benchmarks/output/archive_speedup.json``, stamped with the host and
+source tree it ran on (``env``).
 
 The headline ratio is ``speedup_vs_live``: warm replay vs recomputing
 the figure by live simulation, both measured end to end on a fresh
@@ -19,6 +20,8 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+
+from _util import environment
 
 from repro.archive import ArchiveBuilder
 from repro.experiments import ExperimentContext, run_experiment
@@ -84,6 +87,7 @@ def test_bench_archive_warm_vs_cold(benchmark, tmp_path):
         "live_seconds": round(live_seconds, 3),
         "warm_seconds": round(warm_seconds, 3),
         "speedup_vs_live": round(speedup_vs_live, 2),
+        "env": environment(),
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "archive_speedup.json").write_text(

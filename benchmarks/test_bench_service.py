@@ -18,6 +18,8 @@ import threading
 import time
 import urllib.request
 
+from _util import environment
+
 from repro.archive import ArchiveBuilder
 from repro.experiments import ExperimentContext
 from repro.loadgen import percentile
@@ -144,6 +146,7 @@ def test_bench_service_cold_vs_warm(benchmark, tmp_path):
         "cold_latency_ms": _latency_ms(cold_latencies),
         "warm_latency_ms": _latency_ms(warm_latencies),
         "warm_over_cold_speedup": round(speedup, 1),
+        "env": environment(),
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "service_speedup.json").write_text(

@@ -18,6 +18,8 @@ Every day goes through the one streaming writer
 (:func:`~repro.archive.stream.write_shard_stream`), so a build's
 transient memory stays bounded by the writer's chunk at any scale; the
 reducer's encoded caches are the part that grows with the population.
+Consecutive days' writes overlap (:data:`DAYS_IN_FLIGHT`): day N's
+compressor thread finishes while day N+1 is collected and fed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .store import MeasurementArchive
 from .stream import DayStream, write_shard_stream
 
 __all__ = [
+    "DAYS_IN_FLIGHT",
     "ShardInfo",
     "ArchiveShardReducer",
     "BuildReport",
@@ -81,6 +84,25 @@ class ShardInfo:
         return f"ShardInfo({self.date}, {self.bytes}B)"
 
 
+#: Shard writes a build keeps started but not finished at once.  Day
+#: N's compressor thread deflates its last pieces while day N+1 is
+#: collected, summarized and fed, so two days compress on two cores;
+#: one deflate stream cannot be split without changing its bytes.
+DAYS_IN_FLIGHT = 2
+
+
+class _DayWrite:
+    """A day whose shard write is started: its handle and calling-thread time."""
+
+    __slots__ = ("snapshot", "records", "write", "seconds")
+
+    def __init__(self, snapshot, records: int, write, seconds: float) -> None:
+        self.snapshot = snapshot
+        self.records = records
+        self.write = write
+        self.seconds = seconds
+
+
 class ArchiveShardReducer:
     """Day reducer that persists each snapshot as one day shard.
 
@@ -94,6 +116,10 @@ class ArchiveShardReducer:
     lifetime, so the caches also carry across its ``build()`` calls.
     They grow with the measured domains and the distinct ``(domain,
     plan)`` pairs the builder has seen.
+
+    The engine hands it whole runs (:meth:`reduce_run`), which overlap
+    up to :data:`DAYS_IN_FLIGHT` days' writes; :meth:`reduce_day`
+    returns a day's :class:`ShardInfo` only once its shard is on disk.
     """
 
     def __init__(
@@ -109,12 +135,67 @@ class ArchiveShardReducer:
         self._name_cache: Dict[int, bytes] = {}
         self._apex_cache: Dict[int, bytes] = {}
         self._plan_cache: Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
+        #: Started, unfinished writes by date, oldest first.
+        self._in_flight: Dict[_dt.date, _DayWrite] = {}
+
+    def reduce_run(self, snapshots) -> List[ShardInfo]:
+        """Write every day of one engine run; the infos in date order.
+
+        Each day's write starts as soon as its snapshot arrives, and
+        once :data:`DAYS_IN_FLIGHT` writes are in flight the oldest is
+        finished by :meth:`reduce_day`, so day N deflates while day
+        N+1 is collected, summarized and fed.  Under a fault plan each
+        day is written whole by its own :meth:`reduce_day`, so the
+        plan's events and injection budget stay in date order.  When an
+        exception leaves, every write in flight is finished first: a
+        retried run must not meet its own temp files.
+        """
+        depth = 1 if self.faults is not None else DAYS_IN_FLIGHT
+        infos: List[ShardInfo] = []
+        try:
+            for snapshot in snapshots:
+                self._in_flight[snapshot.date] = self._start(snapshot)
+                if len(self._in_flight) >= depth:
+                    infos.append(self.reduce_day(self._oldest()))
+            while self._in_flight:
+                infos.append(self.reduce_day(self._oldest()))
+        except BaseException:
+            while self._in_flight:
+                try:
+                    self.reduce_day(self._oldest())
+                except Exception:
+                    pass  # the first error is the one that leaves
+            raise
+        return infos
 
     def reduce_day(self, snapshot) -> ShardInfo:
-        """Columnarise and write one day; returns the manifest metadata."""
+        """Write one day (finish it, if :meth:`reduce_run` started it).
+
+        Returns the manifest metadata once the shard is on disk.  Its
+        ``write_seconds`` is the day's time on the calling thread:
+        summarize, feed and the wait for its compressor, never the
+        time it deflated beside another day.
+        """
+        day = self._in_flight.pop(snapshot.date, None) or self._start(snapshot)
         started = time.perf_counter()
-        name = shard_filename(snapshot.date)
-        path = os.path.join(self.directory, name)
+        file_bytes, crc = day.write.result()
+        if self.metrics is not None:
+            self.metrics.sample_rss()
+        return ShardInfo(
+            snapshot.date,
+            shard_filename(snapshot.date),
+            file_bytes,
+            day.records,
+            crc,
+            day.seconds + time.perf_counter() - started,
+        )
+
+    def _oldest(self):
+        return next(iter(self._in_flight.values())).snapshot
+
+    def _start(self, snapshot) -> _DayWrite:
+        """Summarize one day and start its write (the start half)."""
+        started = time.perf_counter()
         # Pre-aggregate the day once at build time (shard format v3):
         # readers answer the coarse longitudinal queries from this block
         # without decoding the columns or building a world.
@@ -123,16 +204,12 @@ class ArchiveShardReducer:
             snapshot, summary, self._apex_cache, self._plan_cache,
             self._name_cache,
         )
-        file_bytes, crc = write_shard_stream(path, stream, faults=self.faults)
-        if self.metrics is not None:
-            self.metrics.sample_rss()
-        return ShardInfo(
-            snapshot.date,
-            name,
-            file_bytes,
-            len(stream),
-            crc,
-            time.perf_counter() - started,
+        write = write_shard_stream(
+            os.path.join(self.directory, shard_filename(snapshot.date)),
+            stream, faults=self.faults, wait=False,
+        )
+        return _DayWrite(
+            snapshot, len(stream), write, time.perf_counter() - started
         )
 
 
@@ -334,6 +411,19 @@ class ArchiveBuilder:
             adopted.append(date)
         return adopted
 
+    def _remove_temp_files(self, dates: Sequence[_dt.date]) -> None:
+        """Delete the temp files a killed build left for ``dates``.
+
+        A process killed with shard writes in flight leaves each one's
+        ``<shard>.tmp.<pid>``; the day is written again under this
+        process's pid, so the old temp file would stay for good.
+        """
+        names = {shard_filename(date) for date in dates}
+        for name in os.listdir(self.directory):
+            shard, temp, _ = name.partition(".tmp.")
+            if temp and shard in names:
+                os.unlink(os.path.join(self.directory, name))
+
     def build(self, start: DateLike, end: DateLike, step: int = 1) -> BuildReport:
         """Archive every ``step``-th day in [start, end] not yet covered."""
         wanted = _date_grid(start, end, step)
@@ -354,6 +444,7 @@ class ArchiveBuilder:
             return BuildReport([], skipped, 0, 0, adopted)
         engine = self._ensure_engine()
         os.makedirs(self.directory, exist_ok=True)
+        self._remove_temp_files(missing)
         written: List[_dt.date] = []
         bytes_written = 0
         segments = _segments(missing)

@@ -24,13 +24,17 @@ shard file:
   the payload CRC as it goes, and hands each piece through a queue of
   :data:`QUEUE_DEPTH` to one compressor thread, which owns the
   ``zlib.compressobj`` and the file writes (zlib releases the GIL, so
-  compression runs beside the encoding).  The thread is joined before
-  the write returns and any exception it raised is re-raised in the
-  caller.  Because the v3 header CRC folds the header in *first*, and
-  the header stores the payload length that is only known at the end,
-  the write finishes with :func:`~repro.archive.codec.crc32_combine`
-  and patches the real header over its placeholder before the atomic
-  rename.
+  compression runs beside the encoding).  A write has two halves.  The
+  *start* half runs on the calling thread and ends once the last piece
+  is queued; the *finish* half joins the thread (re-raising any
+  exception it raised), then — because the v3 header CRC folds the
+  header in *first*, and the header stores the payload length that is
+  only known at the end — combines the CRCs with
+  :func:`~repro.archive.codec.crc32_combine`, patches the real header
+  over its placeholder and renames the temp file into place.  By
+  default the call runs both halves; with ``wait=False`` it returns a
+  :class:`ShardWrite` between them, so a builder can collect and feed
+  the next day while this one's compressor finishes.
 
 :func:`encode_stream` runs the same pipeline into an in-memory buffer
 (:func:`repro.archive.shard.encode_shard` and the scenario digests use
@@ -71,6 +75,7 @@ __all__ = [
     "CHUNK_DOMAINS",
     "QUEUE_DEPTH",
     "DayStream",
+    "ShardWrite",
     "encode_stream",
     "write_shard_stream",
 ]
@@ -418,26 +423,29 @@ def _compress_pieces(
             errors.append(exc)
 
 
-def _encode_into(
+def _start_encode(
     handle: BinaryIO, stream: DayStream, faults=None, key: str = ""
-) -> Tuple[int, int]:
-    """Write ``stream``'s shard to the seekable ``handle``.
+) -> Callable[[], Tuple[int, int]]:
+    """Start writing ``stream``'s shard to the seekable ``handle``.
 
-    Returns ``(file_bytes, crc32)``.
-
-    The header goes down as a placeholder, then the compressed summary
-    block, then the payload pieces through one compressor thread (see
-    the module docstring).  The header CRC covers zeroed-header ||
-    summary || payload; the first two are known only once the payload
-    length is final, so their CRC is combined with the independently
-    streamed payload CRC and the real header is written over the
-    placeholder once the thread is joined.
+    The start half of one encode, on the calling thread: the header goes
+    down as a placeholder, then the compressed summary block, then every
+    payload piece is fed to one compressor thread (see the module
+    docstring) while the payload CRC is folded.  The returned
+    ``finish()`` is the rest: it joins the thread, re-raises the first
+    exception the thread raised and returns ``(file_bytes, crc32)``.
+    The header CRC covers zeroed-header || summary || payload; the
+    first two are known only once the payload length is final, so their
+    CRC is combined with the independently streamed payload CRC and the
+    real header is written over the placeholder once the thread is
+    joined.
 
     With a fault plan, ``shard.write.bytes`` is rolled once under
     ``key`` (it may flip a bit of the summary block, which the caller's
     read-back verify catches) before the mid-write ``shard.write``
     check, the same order :func:`repro.ioutil.atomic_write_bytes` uses.
-    Both happen before the thread starts.
+    Both happen before the thread starts.  If feeding fails, the thread
+    is joined before the error leaves.
     """
     summary = encode_summary(stream.summary)
     summary_blob = zlib.compress(summary, _ZLIB_LEVEL)
@@ -477,60 +485,84 @@ def _encode_into(
             payload_length += len(piece)
             payload_crc = zlib.crc32(piece, payload_crc)
             pieces.put(piece)
-    finally:
+    except BaseException:
         pieces.put(None)
         compressor.join()
-    if errors:
-        raise errors[0]
-    file_bytes = handle.tell()
-    crc = crc32_combine(
-        zlib.crc32(summary, zlib.crc32(header(0, payload_length))),
-        payload_crc,
-        payload_length,
-    )
-    handle.seek(0)
-    handle.write(header(crc, payload_length))
-    return file_bytes, crc
+        raise
+    pieces.put(None)
+
+    def finish() -> Tuple[int, int]:
+        compressor.join()
+        if errors:
+            raise errors[0]
+        file_bytes = handle.tell()
+        crc = crc32_combine(
+            zlib.crc32(summary, zlib.crc32(header(0, payload_length))),
+            payload_crc,
+            payload_length,
+        )
+        handle.seek(0)
+        handle.write(header(crc, payload_length))
+        return file_bytes, crc
+
+    return finish
 
 
 def encode_stream(stream: DayStream) -> Tuple[bytes, int]:
     """``stream``'s shard as in-memory bytes; returns ``(blob, crc32)``."""
     buffer = io.BytesIO()
-    _, crc = _encode_into(buffer, stream)
+    _, crc = _start_encode(buffer, stream)()
     return buffer.getvalue(), crc
 
 
-def write_shard_stream(
-    path: str,
-    stream: DayStream,
-    faults=None,
-    retries: int = 6,
-    backoff: float = 0.01,
-) -> Tuple[int, int]:
-    """Stream one day to ``path`` atomically; returns ``(file_bytes, crc32)``.
+class ShardWrite:
+    """A shard write whose start half has run; :meth:`result` finishes it.
 
-    Chunks are compressed as they are produced (on the compressor
-    thread, which is joined before each attempt ends) and written to a
-    same-directory temp file, which ``os.replace`` renames over the
-    final name, so an interrupted or faulted write never leaves a torn
-    shard behind a name that passes existence checks.
+    Returned by ``write_shard_stream(..., wait=False)``.  The compressor
+    thread may still be deflating the day's last pieces, so the caller
+    can get on with the next day meanwhile.  Every write must be
+    finished: until :meth:`result` has run, its thread is live and its
+    temp file exists.
+    """
 
-    Fault discipline mirrors :func:`repro.ioutil.atomic_write_bytes`:
-    the per-attempt key ``"<basename>#<attempt>"`` re-rolls every
-    decision, ``shard.write.bytes`` is rolled once per attempt,
-    ``shard.write`` fires mid-file, and when a plan is active the temp
-    file is re-verified (a full CRC-checked read) before the rename.
-    The read-back verify is the one step that is not bounded-memory; it
-    only runs under fault injection.
+    __slots__ = ("_steps", "_outcome")
+
+    def __init__(self, steps) -> None:
+        self._steps = steps
+        self._outcome: Optional[Tuple[int, int]] = None
+        next(steps)
+
+    def result(self) -> Tuple[int, int]:
+        """Finish the write (retrying it whole if needed); ``(file_bytes, crc32)``."""
+        if self._outcome is None:
+            try:
+                next(self._steps)
+            except StopIteration as done:
+                self._outcome = done.value
+        return self._outcome
+
+
+def _write_steps(path, stream, faults, retries, backoff):
+    """The attempts of one :func:`write_shard_stream`, as a generator.
+
+    It pauses once, when the first attempt's start half is done (every
+    piece fed to its compressor thread); resuming it joins the thread
+    and finishes the attempt, and any retry then runs whole.  Returns
+    ``(file_bytes, crc32)``.
     """
     name = os.path.basename(path)
     temp_path = f"{path}.tmp.{os.getpid()}"
+    paused = False
     for attempt in range(retries + 1):
         key = f"{name}#{attempt}"
         try:
             try:
                 with open(temp_path, "wb") as handle:
-                    file_bytes, crc = _encode_into(handle, stream, faults, key)
+                    finish = _start_encode(handle, stream, faults, key)
+                    if not paused:
+                        paused = True
+                        yield
+                    file_bytes, crc = finish()
                 if faults is not None:
                     # Read-back verify: a corrupted block in the temp
                     # file fails its CRC here, while the final name
@@ -553,3 +585,36 @@ def write_shard_stream(
                 ) from exc
             time.sleep(backoff_seconds(attempt, backoff))
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+def write_shard_stream(
+    path: str,
+    stream: DayStream,
+    faults=None,
+    retries: int = 6,
+    backoff: float = 0.01,
+    wait: bool = True,
+):
+    """Stream one day to ``path`` atomically; returns ``(file_bytes, crc32)``.
+
+    Chunks are compressed as they are produced (on the compressor
+    thread, which is joined before each attempt ends) and written to a
+    same-directory temp file, which ``os.replace`` renames over the
+    final name, so an interrupted or faulted write never leaves a torn
+    shard behind a name that passes existence checks.
+
+    With ``wait=False`` the call returns a :class:`ShardWrite` as soon
+    as the first attempt has fed its last piece; the compressor thread
+    deflates on, and ``result()`` finishes the write.  The split leaves
+    every byte, fault roll and retry as they are.
+
+    Fault discipline mirrors :func:`repro.ioutil.atomic_write_bytes`:
+    the per-attempt key ``"<basename>#<attempt>"`` re-rolls every
+    decision, ``shard.write.bytes`` is rolled once per attempt,
+    ``shard.write`` fires mid-file, and when a plan is active the temp
+    file is re-verified (a full CRC-checked read) before the rename.
+    The read-back verify is the one step that is not bounded-memory; it
+    only runs under fault injection.
+    """
+    write = ShardWrite(_write_steps(path, stream, faults, retries, backoff))
+    return write.result() if wait else write

@@ -4,7 +4,10 @@ A longitudinal sweep visits every ``step``-th day of its date range in
 one pass; each day is evaluated in-process by a day reducer — any
 object with ``reduce_day(snapshot)``, for the analysis sweeps
 :class:`~repro.archive.kernel.SummaryReducer` — and the records come
-back in date order.  :meth:`repro.sim.world.World.sweep` derives each
+back in date order.  A reducer that also has ``reduce_run(snapshots)``
+is handed the whole run's snapshot iterator instead, and returns the
+run's records in date order itself; the archive reducer uses it to
+overlap consecutive days' shard writes.  :meth:`repro.sim.world.World.sweep` derives each
 day's state from the event log deterministically, and outage
 subsampling is keyed per-date (``derive_rng(seed, "outage", date)``),
 so a sweep starting mid-range yields the same views as the
@@ -84,7 +87,11 @@ class SweepEngine:
                         "sweep.chunk", f"{start_date.isoformat()}#{attempt}"
                     )
                 snapshots = self._collector.sweep(start_date, end_date, step)
-                records = [reducer.reduce_day(snapshot) for snapshot in snapshots]
+                reduce_run = getattr(reducer, "reduce_run", None)
+                if reduce_run is not None:
+                    records = reduce_run(snapshots)
+                else:
+                    records = [reducer.reduce_day(snapshot) for snapshot in snapshots]
                 break
             except _RUN_FAILURES as exc:
                 if attempt >= self.max_chunk_retries:

@@ -7,15 +7,23 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
+import repro.archive.builder as builder_module
+import repro.archive.stream as stream_module
 from repro.archive import ArchiveBuilder, standard_plan_dates
-from repro.archive.builder import _segments, shard_filename
+from repro.archive.builder import ArchiveShardReducer, _segments, shard_filename
 from repro.archive.manifest import Manifest
-from repro.errors import ArchiveError
+from repro.archive.shard import probe_shard
+from repro.errors import ArchiveError, RecoveryError
+from repro.faults import default_plan
+from repro.measurement.metrics import SweepMetrics
 from repro.sim import ConflictScenarioConfig
 from repro.timeline import RECENT_WINDOW_START, STUDY_END, STUDY_START
+from tests.archive.test_stream_writer import PayloadFailingHandle
 
 START = dt.date(2022, 2, 20)
 MID = dt.date(2022, 2, 25)
@@ -286,3 +294,121 @@ class TestRefusals:
             builder.build(START, END, step=0)
         with pytest.raises(ArchiveError):
             builder.build_standard(cadence_days=0)
+
+
+def two_segment_build(builder):
+    """Build START..END as two segments: MID first, then the days around it."""
+    builder.build(MID, MID)
+    return builder.build(START, END)
+
+
+def serial(monkeypatch):
+    """Make the engine reduce day by day: each write ends in its own reduce_day."""
+    monkeypatch.delattr(ArchiveShardReducer, "reduce_run")
+
+
+class TestOverlappedWrites:
+    """Consecutive days' writes overlap, and change no byte or event."""
+
+    def test_overlapped_build_equals_serial_build(
+        self, tmp_path, archive_config, monkeypatch
+    ):
+        order = []
+        start_write = builder_module.write_shard_stream
+        reduce_day = ArchiveShardReducer.reduce_day
+
+        def logged_start(path, stream, **kwargs):
+            order.append(("start", stream.date))
+            return start_write(path, stream, **kwargs)
+
+        def logged_finish(self, snapshot):
+            info = reduce_day(self, snapshot)
+            order.append(("finish", snapshot.date))
+            return info
+
+        monkeypatch.setattr(builder_module, "write_shard_stream", logged_start)
+        monkeypatch.setattr(ArchiveShardReducer, "reduce_day", logged_finish)
+        overlapped = str(tmp_path / "overlapped")
+        report = two_segment_build(ArchiveBuilder(overlapped, archive_config))
+        assert report.segments == 2
+        assert len(report.written) == (END - START).days
+        # Day N+1's write starts before day N's finishes.
+        assert order[2:6] == [
+            ("start", START), ("start", START + dt.timedelta(days=1)),
+            ("finish", START), ("start", START + dt.timedelta(days=2)),
+        ]
+
+        serial(monkeypatch)
+        order.clear()
+        one_by_one = str(tmp_path / "serial")
+        two_segment_build(ArchiveBuilder(one_by_one, archive_config))
+        assert order[2:6] == [
+            ("start", START), ("finish", START),
+            ("start", START + dt.timedelta(days=1)),
+            ("finish", START + dt.timedelta(days=1)),
+        ]
+        assert archive_digest(overlapped) == archive_digest(one_by_one)
+
+    def test_failing_compressor_fails_the_build_cleanly(
+        self, tmp_path, archive_config, monkeypatch
+    ):
+        reference = str(tmp_path / "reference")
+        ArchiveBuilder(reference, archive_config).build(START, END)
+        doomed = shard_filename(END - dt.timedelta(days=2))
+
+        def failing_open(path, mode):
+            handle = open(path, mode)
+            if os.path.basename(path).startswith(doomed):
+                return PayloadFailingHandle(handle)
+            return handle
+
+        monkeypatch.setattr(stream_module, "open", failing_open, raising=False)
+        monkeypatch.setattr(stream_module, "backoff_seconds", lambda *_: 0.0)
+        directory = str(tmp_path / "arch")
+        builder = ArchiveBuilder(directory, archive_config)
+        threads_before = threading.active_count()
+        with pytest.raises(RecoveryError, match=doomed):
+            two_segment_build(builder)
+        assert threading.active_count() == threads_before
+        assert [name for name in os.listdir(directory) if ".tmp." in name] == []
+        # The first segment was saved; every day it lists is on disk whole.
+        manifest = Manifest.load(directory)
+        assert len(manifest.days) == (MID - START).days + 1
+        for date, entry in manifest.days.items():
+            probe = probe_shard(os.path.join(directory, entry.file))
+            assert (probe.date, probe.crc32) == (date, entry.crc32)
+
+        monkeypatch.undo()
+        builder.build(START, END)
+        assert archive_digest(directory) == archive_digest(reference)
+
+    def test_fault_plan_events_follow_the_serial_order(
+        self, tmp_path, archive_config, monkeypatch
+    ):
+        def events(directory):
+            plan = default_plan(5, rate=0.3)
+            ArchiveBuilder(directory, archive_config, faults=plan).build(
+                START, END
+            )
+            return plan.events
+
+        overlapped = events(str(tmp_path / "overlapped"))
+        assert {"shard.write", "shard.write.bytes"} <= {
+            site for site, _, _ in overlapped
+        }
+        serial(monkeypatch)
+        assert overlapped == events(str(tmp_path / "serial"))
+
+
+class TestWriteSeconds:
+    def test_archive_write_fits_in_the_build(self, tmp_path, archive_config):
+        # Overlapped days must not count their shared time twice.
+        metrics = SweepMetrics()
+        builder = ArchiveBuilder(str(tmp_path / "arch"), archive_config, metrics)
+        builder._ensure_engine()
+        started = time.perf_counter()
+        builder.build(START, END)
+        wall = time.perf_counter() - started
+        write = metrics.get_phase("archive_write").wall_seconds
+        assert 0.0 < write <= metrics.get_phase("archive_build").wall_seconds
+        assert write <= wall
