@@ -8,7 +8,9 @@ streaming shard writer inside a fresh subprocess, so every rung reports
 an honest, isolated peak RSS.
 
 Per rung, ``benchmarks/output/BENCH_scale.json`` records population,
-build seconds (world construction included), archive bytes, peak RSS
+build seconds (world construction included) and, of those, the world
+build's own seconds (``world_build_seconds``, the builder's
+``world_build`` phase), archive bytes, peak RSS
 split by layer (``world_rss_bytes``, the RSS when the world build ends,
 before the first day; the rest of ``peak_rss_bytes`` is the day loop)
 and per domain (``peak_bytes_per_domain``), cold summary-query latency,
@@ -19,7 +21,8 @@ is what a freshly started server pays for its first records page: open
 an :class:`~repro.experiments.ExperimentContext` over the rung's
 archive and time its first ``.ru`` records query through
 ``context.api.query_json``.  Rungs of 1:50 and smaller run three times
-and record the median build and page times with their samples, since
+and record the median build, world-build and page times with their
+samples, since
 one sample of a seconds-long rung swings more than the effects it is
 used to show.  The record carries the host's cores, Python and numpy
 versions, the commit and the source digest, under the names
@@ -129,6 +132,7 @@ _RUNG_SCRIPT = textwrap.dedent(
     builder = ArchiveBuilder(directory, config, metrics=metrics)
     report = builder.build(window_start, window_end)
     build_seconds = time.perf_counter() - started
+    world_build_seconds = metrics.get_phase("world_build").wall_seconds
     metrics.sample_rss()
 
     archive = MeasurementArchive(directory)
@@ -166,6 +170,7 @@ _RUNG_SCRIPT = textwrap.dedent(
         "population": population,
         "archived_days": len(report.written),
         "build_seconds": round(build_seconds, 3),
+        "world_build_seconds": round(world_build_seconds, 3),
         "archive_bytes": report.bytes_written,
         "peak_rss_bytes": peak_rss_bytes,
         "world_rss_bytes": metrics.world_rss_bytes,
@@ -203,7 +208,8 @@ def measure_rung(divisor: int, directory: pathlib.Path) -> dict:
     runs = [run_rung(divisor, str(directory / str(n))) for n in range(samples)]
     record = dict(runs[0])
     for key in (
-        "build_seconds", "cold_records_page_ms", "cold_start_records_page_ms"
+        "build_seconds", "world_build_seconds", "cold_records_page_ms",
+        "cold_start_records_page_ms",
     ):
         values = [run[key] for run in runs]
         record[key] = statistics.median(values)
@@ -225,6 +231,13 @@ def test_bench_scale_ladder(tmp_path):
         assert record["archived_days"] == WINDOW_DAYS
         assert record["archive_bytes"] > 0
         assert 0 < record["world_rss_bytes"] <= record["peak_rss_bytes"]
+        # Each sample's world build is part of that sample's build.
+        assert all(
+            0 < world <= build
+            for world, build in zip(
+                record["world_build_seconds_samples"], record["build_seconds_samples"]
+            )
+        )
         peak_mib = record["peak_rss_bytes"] / (1024 * 1024)
         assert peak_mib <= MAX_RSS_MIB, (
             f"rung 1:{divisor} peaked at {peak_mib:.0f} MiB "

@@ -12,9 +12,13 @@ before/after claim cites committed rows rather than hand-typed numbers::
 
 Each row records ``commit``, ``src_sha256``, ``label`` (``parent`` or
 ``change``), ``workload``, ``workload_seed``, ``seconds``, ``cores``,
-``python``, ``numpy``, ``correct``, ``attempted``, ``failed`` and
-``metrics`` (name -> value); rows appended before ``workload_seed`` was
-recorded lack it.  Environment fields come from the run's ``env`` block;
+``python``, ``numpy``, ``correct``, ``attempted``, ``failed``,
+``metrics`` (name -> value) and ``raw``: the unpaced figures the run's
+details carry beside its paced metrics, as medians over the run's
+samples (``world_build_s`` and ``day_loop_s`` for ``build``,
+``raw_p50_ms`` for ``query-scan``), so a paced claim has its unpaced
+partner in the same row.  Rows appended before ``workload_seed`` or
+``raw`` was recorded lack it.  Environment fields come from the run's ``env`` block;
 input without one is refused.  ``--commit`` overrides the block's
 commit, which a run from a checkout without git history lacks.
 perfbench records the checkout's HEAD as ``commit``, so a change
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 from typing import Dict, List, Optional
 
@@ -42,6 +47,22 @@ def _json_object(line: str) -> Optional[Dict]:
     except ValueError:
         return None
     return value if isinstance(value, dict) else None
+
+
+def _raw(details: Dict) -> Dict[str, float]:
+    """The unpaced medians in a run's details: build times, query latency."""
+    found = {
+        "world_build_s": details.get("world_build_s"),
+        "day_loop_s": details.get("day_loop_s"),
+        "raw_p50_ms": (details.get("fixed") or {}).get("raw_p50_ms"),
+    }
+    raw = {}
+    for name, value in found.items():
+        if isinstance(value, list) and value:
+            raw[name] = statistics.median(value)
+        elif isinstance(value, (int, float)):
+            raw[name] = float(value)
+    return raw
 
 
 def history_row(
@@ -75,6 +96,7 @@ def history_row(
         "metrics": {
             name: metric["value"] for name, metric in result["metrics"].items()
         },
+        "raw": _raw(details.get("details") or {}),
     }
 
 

@@ -5,7 +5,7 @@ the paper relies on to map measured IP addresses to hosting networks.
 """
 
 from .asn import ASInfo, ASRegistry
-from .ip import MAX_IPV4, format_ipv4, format_many, is_valid_ipv4_int, parse_ipv4, parse_many
+from .ip import MAX_IPV4, format_ipv4, is_valid_ipv4_int, parse_ipv4
 from .prefix import Prefix, PrefixAllocator, summarize
 from .rib import Route, RoutingTable
 
@@ -14,10 +14,8 @@ __all__ = [
     "ASRegistry",
     "MAX_IPV4",
     "format_ipv4",
-    "format_many",
     "is_valid_ipv4_int",
     "parse_ipv4",
-    "parse_many",
     "Prefix",
     "PrefixAllocator",
     "summarize",

@@ -8,8 +8,6 @@ would also work, but object-per-address is too heavy for columnar use.)
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from ..errors import AddressError
 
 __all__ = [
@@ -17,8 +15,6 @@ __all__ = [
     "parse_ipv4",
     "format_ipv4",
     "is_valid_ipv4_int",
-    "parse_many",
-    "format_many",
 ]
 
 #: Largest representable IPv4 address as an integer (255.255.255.255).
@@ -58,12 +54,3 @@ def is_valid_ipv4_int(value: object) -> bool:
     """True when ``value`` is an int in the 32-bit unsigned range."""
     return isinstance(value, int) and 0 <= value <= MAX_IPV4
 
-
-def parse_many(texts: Iterable[str]) -> List[int]:
-    """Parse an iterable of dotted quads."""
-    return [parse_ipv4(text) for text in texts]
-
-
-def format_many(values: Iterable[int]) -> List[str]:
-    """Format an iterable of integer addresses."""
-    return [format_ipv4(value) for value in values]

@@ -10,7 +10,6 @@ from .tld import (
     TLD_RU,
     TLD_SU,
     is_russian_tld,
-    is_study_domain,
 )
 from .whois import WhoisRecord, WhoisService
 from .zonefile import ZoneFileService, ZoneFileSnapshot
@@ -27,7 +26,6 @@ __all__ = [
     "TLD_RU",
     "TLD_SU",
     "is_russian_tld",
-    "is_study_domain",
     "WhoisRecord",
     "WhoisService",
     "ZoneFileService",

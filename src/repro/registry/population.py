@@ -10,7 +10,8 @@ so the unique-to-concurrent ratio lands near the paper's ~2.3x.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from ..errors import RegistryError
 from ..rng import derive_rng
 from ..timeline import STUDY_DAYS, DateLike, day_index
 from .domain import NEVER, DomainRecord
-from .names import NameFactory
+from .names import NameFactory, WordDraws
 from .tld import TLD_RF, TLD_RU
 
 __all__ = ["PopulationConfig", "DomainPopulation"]
@@ -97,54 +98,67 @@ class DomainPopulation:
     def _generate(
         self,
     ) -> Tuple[List[str], List[str], List[int], List[int], List[int]]:
-        """The label, TLD, created, deleted and registrar-index columns."""
+        """The label, TLD, created, deleted and registrar-index columns.
+
+        Per domain the population generator draws ``random()`` (the
+        TLD), ``exponential`` (the lifetime) and ``integers`` (the
+        registrar), in that order; the initial cohort draws its age
+        first, and each study day draws its birth count.  The ``random``
+        and ``integers`` draws are replayed over raw words
+        (:class:`~repro.registry.names.WordDraws`), so they equal numpy's
+        per-call draws while numpy's own ``exponential``/``poisson``
+        calls interleave on the same generator.  The labels come from a
+        separate generator, drawn as one column once every TLD is known.
+        """
         cfg = self.config
         rng = derive_rng(cfg.seed, "registry", "population")
-        names = NameFactory(derive_rng(cfg.seed, "registry", "names"))
-        labels: List[str] = []
-        tlds: List[str] = []
+        draws = WordDraws(rng)
+        random, integers = draws.random, draws.integers
+        exponential = rng.exponential
         created: List[int] = []
         deleted: List[int] = []
         registrars: List[int] = []
+        cyrillic: List[bool] = []
+        rf_share = cfg.rf_share
         lifetime_scale = 1.0 / max(cfg.daily_death_rate, 1e-9)
-
-        def append(created_day: int) -> None:
-            is_rf = rng.random() < cfg.rf_share
-            tlds.append(TLD_RF if is_rf else TLD_RU)
-            labels.append(names.next_cyrillic() if is_rf else names.next_ascii())
-            deleted_day = created_day + 1 + int(rng.exponential(lifetime_scale))
-            if deleted_day > cfg.horizon_days + 365:
-                deleted_day = NEVER
-            created.append(created_day)
-            deleted.append(deleted_day)
-            registrars.append(int(rng.integers(0, len(cfg.registrars))))
+        last_day = cfg.horizon_days + 365
+        registrar_count = len(cfg.registrars)
 
         # Reserved names first: stable, pre-study, never deleted.
-        for label, tld in cfg.reserved_names:
-            registrars.append(len(labels) % len(cfg.registrars))
-            labels.append(label)
-            tlds.append(tld)
-            created.append(-2000)
-            deleted.append(NEVER)
+        reserved = len(cfg.reserved_names)
+        created.extend([-2000] * reserved)
+        deleted.extend([NEVER] * reserved)
+        registrars.extend(index % registrar_count for index in range(reserved))
 
-        # Initial cohort: registered before the study window opened.
-        for _ in range(cfg.initial_count):
-            age = int(rng.exponential(900.0)) + 1
-            append(-age)
+        def draw(created_days: Iterable[int]) -> None:
+            for created_day in created_days:
+                cyrillic.append(random() < rf_share)
+                deleted_day = created_day + 1 + int(exponential(lifetime_scale))
+                created.append(created_day)
+                deleted.append(NEVER if deleted_day > last_day else deleted_day)
+                registrars.append(integers(registrar_count))
+
+        # Initial cohort: registered before the study window opened (each
+        # age is drawn just before that domain's own draws).
+        draw(-(int(exponential(900.0)) + 1) for _ in range(cfg.initial_count))
         # Their deletion days were drawn relative to creation; resurrect any
         # that died before day 0 (they must be active when the study opens).
         for index, deleted_day in enumerate(deleted):
             if deleted_day <= 0:
-                deleted[index] = 1 + int(rng.exponential(lifetime_scale))
+                deleted[index] = 1 + int(exponential(lifetime_scale))
 
         # Daily births against a slow exponential growth target.
         net = cfg.daily_birth_rate - cfg.daily_death_rate
         for day in range(cfg.horizon_days):
             target_active = cfg.initial_count * math.exp(net * day)
             expected = cfg.daily_birth_rate * target_active
-            for _ in range(int(rng.poisson(expected))):
-                append(day)
-        names.release()
+            draw(repeat(day, int(rng.poisson(expected))))
+
+        names = NameFactory(derive_rng(cfg.seed, "registry", "names"))
+        labels = [label for label, _ in cfg.reserved_names] + names.labels(cyrillic)
+        tlds = [tld for _, tld in cfg.reserved_names] + [
+            TLD_RF if rf else TLD_RU for rf in cyrillic
+        ]
         return labels, tlds, created, deleted, registrars
 
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..dns.idna import to_ascii
-from ..dns.name import DomainName
 
 __all__ = [
     "TLD_RU",
@@ -19,7 +18,6 @@ __all__ = [
     "TLD_SU",
     "STUDY_TLDS",
     "RUSSIAN_TLDS",
-    "is_study_domain",
     "is_russian_tld",
 ]
 
@@ -34,11 +32,6 @@ TLD_SU = "su"
 STUDY_TLDS = frozenset({TLD_RU, TLD_RF})
 #: TLDs counted as Russian in the NS TLD-dependency analysis.
 RUSSIAN_TLDS = frozenset({TLD_RU, TLD_RF, TLD_SU})
-
-
-def is_study_domain(name: DomainName) -> bool:
-    """True when ``name`` is registered under ``.ru`` or ``.рф``."""
-    return name.tld in STUDY_TLDS
 
 
 def is_russian_tld(tld: Optional[str]) -> bool:

@@ -54,6 +54,18 @@ class DomainEventLog:
         self._fields.append(int(field))
         self._values.append(plan_id)
 
+    def add_many(
+        self, day: DateLike, domain_indices: np.ndarray, field: Field, plan_id: int
+    ) -> None:
+        """Record one reassignment per domain, in the order given."""
+        if self._finalized is not None:
+            raise ScenarioError("event log already finalized")
+        count = len(domain_indices)
+        self._days.extend([day_index(day)] * count)
+        self._domains.extend(np.asarray(domain_indices).tolist())
+        self._fields.extend([int(field)] * count)
+        self._values.extend([plan_id] * count)
+
     def finalize(self) -> None:
         """Freeze and sort the log; required before queries."""
         if self._finalized is not None:

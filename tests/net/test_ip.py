@@ -7,10 +7,8 @@ from repro.errors import AddressError
 from repro.net.ip import (
     MAX_IPV4,
     format_ipv4,
-    format_many,
     is_valid_ipv4_int,
     parse_ipv4,
-    parse_many,
 )
 
 
@@ -50,10 +48,6 @@ class TestRoundtrip:
     @given(st.integers(min_value=0, max_value=MAX_IPV4))
     def test_format_parse_roundtrip(self, value):
         assert parse_ipv4(format_ipv4(value)) == value
-
-    def test_many(self):
-        values = [0, 1, MAX_IPV4]
-        assert parse_many(format_many(values)) == values
 
 
 class TestValidation:

@@ -1,26 +1,10 @@
 """Tests for repro.registry.tld."""
 
-from repro.dns.name import DomainName
 from repro.registry.tld import (
     RUSSIAN_TLDS,
     STUDY_TLDS,
     is_russian_tld,
-    is_study_domain,
 )
-
-
-class TestStudyDomains:
-    def test_ru(self):
-        assert is_study_domain(DomainName.parse("example.ru"))
-
-    def test_rf_unicode(self):
-        assert is_study_domain(DomainName.parse("пример.рф"))
-
-    def test_com_excluded(self):
-        assert not is_study_domain(DomainName.parse("example.com"))
-
-    def test_su_not_in_study(self):
-        assert not is_study_domain(DomainName.parse("example.su"))
 
 
 class TestRussianTlds:

@@ -86,6 +86,38 @@ class TestLifecycle:
         assert len(log) == 4
 
 
+class TestAddMany:
+    """One bulk append per move equals one ``add`` per pick, in pick order."""
+
+    MOVES = [
+        (30, np.array([7, 2, 9], dtype=np.int64), Field.DNS, 4),
+        ("2017-07-01", np.array([], dtype=np.int64), Field.HOSTING, 1),
+        (12, np.array([2, 5], dtype=np.intp), Field.HOSTING, 2),
+        (30, np.array([3], dtype=np.int64), Field.HOSTING, 0),
+        (12, np.array([9, 7], dtype=np.int64), Field.DNS, 6),
+    ]
+
+    def test_finalized_arrays_equal_per_pick_adds(self):
+        bulk, single = DomainEventLog(), DomainEventLog()
+        for day, picks, field, plan in self.MOVES:
+            bulk.add_many(day, picks, field, plan)
+            for index in picks:
+                single.add(day, int(index), field, plan)
+        assert len(bulk) == len(single) == 8
+        bulk.finalize()
+        single.finalize()
+        for ours, theirs in zip(bulk._arrays(), single._arrays()):
+            assert ours.dtype == theirs.dtype
+            assert ours.tolist() == theirs.tolist()
+        base = np.zeros(10, dtype=np.int32)
+        for field in Field:
+            assert (bulk.state_at(base, field, 40) == single.state_at(base, field, 40)).all()
+
+    def test_add_many_after_finalize_rejected(self, log):
+        with pytest.raises(ScenarioError):
+            log.add_many(30, np.array([1]), Field.DNS, 2)
+
+
 class TestInfraEvent:
     def test_fields(self):
         event = InfraEvent(

@@ -37,6 +37,7 @@ RESULT_LINE = json.dumps({
 ROW_KEYS = {
     "commit", "src_sha256", "label", "workload", "workload_seed", "seconds",
     "cores", "python", "numpy", "correct", "attempted", "failed", "metrics",
+    "raw",
 }
 
 
@@ -60,6 +61,7 @@ def test_row_from_env_and_result_lines(tmp_path):
     assert (row["cores"], row["python"], row["numpy"]) == (2, "3.11.7", "2.4.6")
     assert (row["correct"], row["attempted"], row["failed"]) == (True, 186, 0)
     assert row["metrics"] == {"p50_ms": 127.4, "throughput_per_s": 156333.9}
+    assert row["raw"] == {}  # the canned details carry no unpaced figures
 
 
 def test_rows_append_and_commit_overrides(tmp_path):
@@ -105,3 +107,29 @@ def test_input_without_result_line_is_refused(tmp_path):
     assert result.returncode == 2
     assert "no perfbench result line" in result.stderr
     assert not output.exists()
+
+
+def test_row_carries_unpaced_build_medians(tmp_path):
+    env = json.loads(ENV_LINE)
+    env["details"].update(
+        world_build_s=[0.41, 0.39, 0.52],
+        paced_world_build_s=[0.30, 0.31, 0.33],
+        day_loop_s=[6.2, 6.6],
+    )
+    text = json.dumps(env) + "\n" + RESULT_LINE + "\n"
+    result, output = run(tmp_path, text, "--label", "change", "--seconds", "40")
+    assert result.returncode == 0, result.stderr
+    (row,) = [json.loads(line) for line in output.read_text().splitlines()]
+    assert row["raw"] == {"world_build_s": 0.41, "day_loop_s": 6.4}
+
+
+def test_row_carries_unpaced_query_p50(tmp_path):
+    env = json.loads(ENV_LINE)
+    env["env"]["workload"] = "query-scan"
+    env["details"] = {"fixed": {"raw_p50_ms": 9.25, "p50_ms": 8.1}, "setups_s": [0.4]}
+    text = json.dumps(env) + "\n" + RESULT_LINE + "\n"
+    result, output = run(tmp_path, text, "--label", "parent", "--seconds", "40")
+    assert result.returncode == 0, result.stderr
+    (row,) = [json.loads(line) for line in output.read_text().splitlines()]
+    assert row["workload"] == "query-scan"
+    assert row["raw"] == {"raw_p50_ms": 9.25}

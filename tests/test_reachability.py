@@ -68,16 +68,15 @@ KEEPERS = {
     "ScenarioManifest.between": "how tests and docs read a scenario's events by date",
     "DayClock.tick": "advances the clock in the DNS cache tests",
     "QueryClient.follow_events": "the client's SSE reader, documented in docs/live.md",
+    "NameFactory.next_ascii": "one label of NameFactory.labels; test_names.py checks it against per-call numpy draws",
+    "NameFactory.next_cyrillic": "one label of NameFactory.labels; test_names.py checks it against per-call numpy draws",
     # Not yet audited.
     "Prefix.subnets": _LEFTOVER,
     "summarize": _LEFTOVER,
-    "parse_many": _LEFTOVER,
-    "format_many": _LEFTOVER,
     "label_name": _LEFTOVER,
     "fmt_count": _LEFTOVER,
     "country_name": _LEFTOVER,
     "is_russian": _LEFTOVER,
-    "is_study_domain": _LEFTOVER,
     "transition_matrix": _LEFTOVER,
 }
 
