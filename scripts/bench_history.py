@@ -17,8 +17,11 @@ Each row records ``commit``, ``src_sha256``, ``label`` (``parent`` or
 details carry beside its paced metrics, as medians over the run's
 samples (``world_build_s`` and ``day_loop_s`` for ``build``,
 ``raw_p50_ms`` for ``query-scan``), so a paced claim has its unpaced
-partner in the same row.  Rows appended before ``workload_seed`` or
-``raw`` was recorded lack it.  Environment fields come from the run's ``env`` block;
+partner in the same row.  A ``build`` row's ``raw`` also holds
+``first_day_s``: the median over the run's builds of each build's first
+unpaced day, where a fresh builder fills its encoded caches.  Rows
+appended before ``workload_seed``, ``raw`` or ``first_day_s`` was
+recorded lack it.  Environment fields come from the run's ``env`` block;
 input without one is refused.  ``--commit`` overrides the block's
 commit, which a run from a checkout without git history lacks.
 perfbench records the checkout's HEAD as ``commit``, so a change
@@ -49,12 +52,29 @@ def _json_object(line: str) -> Optional[Dict]:
     return value if isinstance(value, dict) else None
 
 
+def _first_days(details: Dict) -> List[float]:
+    """Each build's first unpaced day, found by the builds' day counts."""
+    day_s = details.get("day_s")
+    builds = details.get("builds")
+    if not isinstance(day_s, list) or not isinstance(builds, list):
+        return []
+    firsts = []
+    start = 0
+    for build in builds:
+        days = build.get("days", 0)
+        if days and start < len(day_s):
+            firsts.append(day_s[start])
+        start += days
+    return firsts
+
+
 def _raw(details: Dict) -> Dict[str, float]:
     """The unpaced medians in a run's details: build times, query latency."""
     found = {
         "world_build_s": details.get("world_build_s"),
         "day_loop_s": details.get("day_loop_s"),
         "raw_p50_ms": (details.get("fixed") or {}).get("raw_p50_ms"),
+        "first_day_s": _first_days(details),
     }
     raw = {}
     for name, value in found.items():

@@ -19,7 +19,8 @@ Every day goes through the one streaming writer
 transient memory stays bounded by the writer's chunk at any scale; the
 reducer's encoded caches are the part that grows with the population.
 Consecutive days' writes overlap (:data:`DAYS_IN_FLIGHT`): day N's
-compressor thread finishes while day N+1 is collected and fed.
+compressor thread finishes while days N+1 and N+2 are collected and
+fed.
 """
 
 from __future__ import annotations
@@ -85,19 +86,28 @@ class ShardInfo:
 
 
 #: Shard writes a build keeps started but not finished at once.  Day
-#: N's compressor thread deflates its last pieces while day N+1 is
-#: collected, summarized and fed, so two days compress on two cores;
-#: one deflate stream cannot be split without changing its bytes.
-DAYS_IN_FLIGHT = 2
+#: N's compressor thread deflates its last pieces while days N+1 and
+#: N+2 are collected, summarized and fed, so days compress on two cores;
+#: one deflate stream cannot be split without changing its bytes.  A
+#: third day in flight gives a day's deflate two days' calling-thread
+#: work to hide behind: over alternating in-process 93-day 1:250 builds
+#: on 2 cores it cut the day loop's wall time at equal CPU time (see
+#: CHANGES.md), for about a megabyte more peak memory.
+DAYS_IN_FLIGHT = 3
 
 
 class _DayWrite:
-    """A day whose shard write is started: its handle and calling-thread time."""
+    """A day whose shard write is started: its handle and calling-thread time.
 
-    __slots__ = ("snapshot", "records", "write", "seconds")
+    It keeps the day's date, not its snapshot, so a day in flight holds
+    no whole-population columns; :meth:`ArchiveShardReducer.reduce_day`
+    reads only ``date``, so it accepts one in a snapshot's place.
+    """
 
-    def __init__(self, snapshot, records: int, write, seconds: float) -> None:
-        self.snapshot = snapshot
+    __slots__ = ("date", "records", "write", "seconds")
+
+    def __init__(self, date: _dt.date, records: int, write, seconds: float) -> None:
+        self.date = date
         self.records = records
         self.write = write
         self.seconds = seconds
@@ -143,9 +153,9 @@ class ArchiveShardReducer:
 
         Each day's write starts as soon as its snapshot arrives, and
         once :data:`DAYS_IN_FLIGHT` writes are in flight the oldest is
-        finished by :meth:`reduce_day`, so day N deflates while day
-        N+1 is collected, summarized and fed.  Under a fault plan each
-        day is written whole by its own :meth:`reduce_day`, so the
+        finished by :meth:`reduce_day`, so day N deflates while the
+        next days are collected, summarized and fed.  Under a fault plan
+        each day is written whole by its own :meth:`reduce_day`, so the
         plan's events and injection budget stay in date order.  When an
         exception leaves, every write in flight is finished first: a
         retried run must not meet its own temp files.
@@ -171,10 +181,11 @@ class ArchiveShardReducer:
     def reduce_day(self, snapshot) -> ShardInfo:
         """Write one day (finish it, if :meth:`reduce_run` started it).
 
-        Returns the manifest metadata once the shard is on disk.  Its
-        ``write_seconds`` is the day's time on the calling thread:
-        summarize, feed and the wait for its compressor, never the
-        time it deflated beside another day.
+        A started day is found by ``snapshot.date``, so :meth:`reduce_run`
+        passes its :class:`_DayWrite`.  Returns the manifest metadata
+        once the shard is on disk.  Its ``write_seconds`` is the day's
+        time on the calling thread: summarize, feed and the wait for its
+        compressor, never the time it deflated beside another day.
         """
         day = self._in_flight.pop(snapshot.date, None) or self._start(snapshot)
         started = time.perf_counter()
@@ -190,8 +201,8 @@ class ArchiveShardReducer:
             day.seconds + time.perf_counter() - started,
         )
 
-    def _oldest(self):
-        return next(iter(self._in_flight.values())).snapshot
+    def _oldest(self) -> _DayWrite:
+        return next(iter(self._in_flight.values()))
 
     def _start(self, snapshot) -> _DayWrite:
         """Summarize one day and start its write (the start half)."""
@@ -209,7 +220,7 @@ class ArchiveShardReducer:
             stream, faults=self.faults, wait=False,
         )
         return _DayWrite(
-            snapshot, len(stream), write, time.perf_counter() - started
+            snapshot.date, len(stream), write, time.perf_counter() - started
         )
 
 

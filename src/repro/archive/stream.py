@@ -8,17 +8,18 @@ shard file:
 
 * :class:`DayStream` presents one day's shard content *lazily* — the
   numeric columns and NS plan table up front (they are small and the
-  payload prefix needs them), the domain and apex columns as
-  position-addressed lookups that a writer pulls in ``[lo, hi)``
-  chunks of :data:`CHUNK_DOMAINS`;
+  payload prefix needs them), the domain and apex columns as lookups
+  of a list of positions that a writer pulls in ``[lo, hi)`` chunks of
+  :data:`CHUNK_DOMAINS`;
 * a stream built by :meth:`DayStream.from_snapshot` may carry two
   *encoded caches* that outlive the day: each domain's
   ``write_string`` bytes keyed by its population index, and each
   ``write_delta_run`` apex run keyed by ``(domain_index, hosting_id)``.
   A name never changes and an apex run is a function of that pair, so
-  a chunk is a ``b"".join`` of cache hits and only a miss reaches the
-  world.  The caches grow with the distinct measured domains and
-  ``(domain, plan)`` pairs a builder has seen;
+  a chunk is a ``b"".join`` of cache hits and only the misses reach
+  the world, all of a chunk's in one call.  The caches grow with the
+  distinct measured domains and ``(domain, plan)`` pairs a builder has
+  seen;
 * :func:`write_shard_stream` produces the prefix slices, then the
   domain chunks, then the apex chunks on the calling thread, folding
   the payload CRC as it goes, and hands each piece through a queue of
@@ -63,6 +64,7 @@ from ..ioutil import backoff_seconds
 from .codec import (
     crc32_combine,
     int32_bytes,
+    read_string,
     write_delta_run,
     write_string,
     write_svarint,
@@ -97,12 +99,14 @@ class DayStream:
 
     Carries the small per-day state up front (date, epoch, numeric
     columns, NS plan table, summary) and the ``domains``/``apex``
-    columns as per-position callables, so a writer can pull any
-    ``[lo, hi)`` chunk without the rest of the day existing as Python
-    objects.  ``summary`` must be set before the day is written.  Every
-    ``dns_ids`` entry must name a plan in ``dns_plan_ns``; a stream that
-    disagrees with its own plan table raises :class:`ArchiveError` here,
-    before any byte of it is written.
+    columns as callables from a list of positions to the list of their
+    values (``domains_at`` gives A-label names, ``apexes_at`` sorted
+    address tuples), so a writer can pull any ``[lo, hi)`` chunk, or
+    only its cache misses, without the rest of the day existing as
+    Python objects.  ``summary`` must be set before the day is written.
+    Every ``dns_ids`` entry must name a plan in ``dns_plan_ns``; a
+    stream that disagrees with its own plan table raises
+    :class:`ArchiveError` here, before any byte of it is written.
 
     ``name_cache`` and ``apex_cache`` are the optional encoded caches
     (see :meth:`from_snapshot`); without them every position is encoded
@@ -118,8 +122,8 @@ class DayStream:
         "hosting_ids",
         "dns_plan_ns",
         "summary",
-        "domain_at",
-        "apex_at",
+        "domains_at",
+        "apexes_at",
         "name_cache",
         "apex_cache",
     )
@@ -134,8 +138,8 @@ class DayStream:
         hosting_ids,
         dns_plan_ns: Dict[int, Tuple[Tuple[str, ...], Tuple[int, ...]]],
         summary: Optional[DaySummary],
-        domain_at: Callable[[int], str],
-        apex_at: Callable[[int], Tuple[int, ...]],
+        domains_at: Callable[[List[int]], List[str]],
+        apexes_at: Callable[[List[int]], List[Tuple[int, ...]]],
         name_cache: Optional[Dict[int, bytes]] = None,
         apex_cache: Optional[Dict[int, bytes]] = None,
     ) -> None:
@@ -156,8 +160,8 @@ class DayStream:
                 f"dns plans missing from the shard table: {missing}"
             )
         self.summary = summary
-        self.domain_at = domain_at
-        self.apex_at = apex_at
+        self.domains_at = domains_at
+        self.apexes_at = apexes_at
         self.name_cache = name_cache
         self.apex_cache = apex_cache
 
@@ -180,11 +184,14 @@ class DayStream:
         """Stream view of one live :class:`DailySnapshot`.
 
         Numeric columns and the NS plan table are built up front;
-        domain names and apex tuples are per-position lookups against
-        the world, so nothing per-domain outlives the chunk being
-        encoded.  A name is read from the population's columns
-        (:meth:`~repro.registry.population.DomainPopulation.name`), so
-        the build caches no :class:`~repro.registry.domain.DomainRecord`.
+        domain names and apex tuples are looked up in the world a list
+        of positions at a time, so nothing per-domain outlives the chunk
+        being encoded.  Names are read as text from the population's
+        columns (:meth:`~repro.registry.population.DomainPopulation.name_texts`)
+        and apex runs come from
+        :meth:`~repro.sim.world.World.apex_addresses_for_plans`, so the
+        build makes no :class:`~repro.registry.domain.DomainRecord` or
+        :class:`~repro.dns.name.DomainName` per domain.
         ``summary`` is the day's
         :func:`~repro.archive.kernel.summarize_snapshot`, computed by
         the caller.
@@ -227,13 +234,16 @@ class DayStream:
                 plan_cache[key] = entry
             dns_plan_ns[plan_id] = entry
 
-        def domain_at(position: int) -> str:
-            return str(world.population.name(int(measured[position])))
+        def domains_at(positions: List[int]) -> List[str]:
+            return world.population.name_texts(measured[positions].tolist())
 
-        def apex_at(position: int) -> Tuple[int, ...]:
-            return tuple(sorted(world.apex_addresses_for_plan(
-                int(measured[position]), int(hosting_ids[position])
-            )))
+        def apexes_at(positions: List[int]) -> List[Tuple[int, ...]]:
+            indices = measured[positions].tolist()
+            runs = world.apex_addresses_for_plans(
+                indices, hosting_ids[positions].tolist(),
+                _cached_names(name_cache, indices),
+            )
+            return [tuple(sorted(run)) for run in runs]
 
         return cls(
             snapshot.date,
@@ -244,8 +254,8 @@ class DayStream:
             hosting_ids,
             dns_plan_ns,
             summary,
-            domain_at,
-            apex_at,
+            domains_at,
+            apexes_at,
             name_cache,
             apex_cache,
         )
@@ -271,8 +281,8 @@ class DayStream:
             record.hosting_ids,
             record.dns_plan_ns,
             record.summary,
-            record._domain_at,
-            record._apex_at,
+            lambda positions: list(map(record._domain_at, positions)),
+            lambda positions: list(map(record._apex_at, positions)),
         )
 
     # ------------------------------------------------------------------
@@ -283,7 +293,7 @@ class DayStream:
         """Encoded domain-name column for positions ``[lo, hi)``."""
         return _encoded_chunk(
             self.name_cache, self.measured[lo:hi].tolist(), lo,
-            self.domain_at, write_string,
+            self.domains_at, write_string,
         )
 
     def apex_chunk(self, lo: int, hi: int) -> bytes:
@@ -291,11 +301,28 @@ class DayStream:
         return _encoded_chunk(
             self.apex_cache,
             _apex_keys(self.measured[lo:hi], self.hosting_ids[lo:hi]),
-            lo, self.apex_at, write_delta_run,
+            lo, self.apexes_at, write_delta_run,
         )
 
     def __repr__(self) -> str:
         return f"DayStream({self.date}, {len(self.measured)} measured)"
+
+
+def _cached_names(
+    name_cache: Optional[Dict[int, bytes]], indices: List[int]
+) -> Optional[List[str]]:
+    """The names of ``indices`` decoded from ``name_cache``, if all are there.
+
+    A stream's domain chunks are encoded before its apex chunks, so by
+    the time an apex run misses, its domain's name is normally cached
+    and need not be read and checked again.
+    """
+    if name_cache is None:
+        return None
+    pieces = list(map(name_cache.get, indices))
+    if None in pieces:
+        return None
+    return [read_string(piece, 0)[0] for piece in pieces]
 
 
 def _apex_keys(measured: np.ndarray, hosting_ids: np.ndarray) -> List[int]:
@@ -312,22 +339,25 @@ def _encoded_chunk(
     cache: Optional[Dict[int, bytes]],
     keys: List[int],
     lo: int,
-    value_at: Callable[[int], object],
+    values_at: Callable[[List[int]], List[object]],
     write: Callable[[bytearray, object], None],
 ) -> bytes:
     """Positions ``lo ..`` encoded by ``write``: cache hits, joined.
 
-    ``keys[i]`` names position ``lo + i`` in ``cache``; only a miss
-    calls ``value_at`` and encodes, and it is stored for the next day.
-    With no cache the chunk fills a throwaway one.
+    ``keys[i]`` names position ``lo + i`` in ``cache``.  The misses'
+    values come from one ``values_at`` call with their positions; each
+    is encoded and stored for the next day.  With no cache the chunk
+    fills a throwaway one.
     """
     if cache is None:
         cache = {}
     pieces = list(map(cache.get, keys))
-    for offset, piece in enumerate(pieces):
-        if piece is None:
+    missing = [offset for offset, piece in enumerate(pieces) if piece is None]
+    if missing:
+        values = values_at([lo + offset for offset in missing])
+        for offset, value in zip(missing, values):
             buffer = bytearray()
-            write(buffer, value_at(lo + offset))
+            write(buffer, value)
             pieces[offset] = cache[keys[offset]] = bytes(buffer)
     return b"".join(pieces)
 

@@ -8,18 +8,24 @@ operations on these label tuples.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional, Tuple
 
 from ..errors import InvalidDomainName, PunycodeError
 from .idna import decode_label, encode_label
 
-__all__ = ["DomainName", "ROOT"]
+__all__ = ["DomainName", "ROOT", "check_length", "checked_alabel"]
 
 _ALLOWED = set("abcdefghijklmnopqrstuvwxyz0123456789-_")
+#: Only labels the checks in :func:`_validate_alabel` accept: 1-63 allowed
+#: characters, no leading or trailing hyphen.  A match skips the checks.
+_VALID_ALABEL = re.compile(r"[a-z0-9_](?:[a-z0-9_-]{0,61}[a-z0-9_])?")
 
 
 def _validate_alabel(label: str) -> str:
     """Validate one already-encoded A-label."""
+    if _VALID_ALABEL.fullmatch(label):
+        return label
     if not label:
         raise InvalidDomainName("empty label")
     if len(label) > 63:
@@ -29,6 +35,24 @@ def _validate_alabel(label: str) -> str:
     if label.startswith("-") or label.endswith("-"):
         raise InvalidDomainName(f"label may not start or end with '-': {label!r}")
     return label
+
+
+def checked_alabel(label: str) -> str:
+    """``label`` as a validated A-label, checked as :class:`DomainName` checks it.
+
+    IDNA-encodes (a :class:`PunycodeError` becomes
+    :class:`InvalidDomainName`), then applies the A-label rules.
+    """
+    try:
+        return _validate_alabel(encode_label(label))
+    except PunycodeError as exc:
+        raise InvalidDomainName(str(exc)) from exc
+
+
+def check_length(labels: Tuple[str, ...]) -> None:
+    """Refuse encoded ``labels`` longer than 253 octets as a dotted name."""
+    if sum(len(lbl) + 1 for lbl in labels) > 254:  # 253 visible + trailing dot
+        raise InvalidDomainName(f"name longer than 253 octets: {labels!r}")
 
 
 class DomainName:
@@ -41,13 +65,8 @@ class DomainName:
     __slots__ = ("_labels",)
 
     def __init__(self, labels: Iterable[str]) -> None:
-        try:
-            encoded = tuple(_validate_alabel(encode_label(lbl)) for lbl in labels)
-        except PunycodeError as exc:
-            raise InvalidDomainName(str(exc)) from exc
-        total = sum(len(lbl) + 1 for lbl in encoded)
-        if total > 254:  # 253 visible chars + trailing dot
-            raise InvalidDomainName(f"name longer than 253 octets: {encoded!r}")
+        encoded = tuple(map(checked_alabel, labels))
+        check_length(encoded)
         object.__setattr__(self, "_labels", encoded)
 
     def __setattr__(self, name: str, value: object) -> None:

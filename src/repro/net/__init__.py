@@ -6,7 +6,7 @@ the paper relies on to map measured IP addresses to hosting networks.
 
 from .asn import ASInfo, ASRegistry
 from .ip import MAX_IPV4, format_ipv4, is_valid_ipv4_int, parse_ipv4
-from .prefix import Prefix, PrefixAllocator, summarize
+from .prefix import Prefix, PrefixAllocator
 from .rib import Route, RoutingTable
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "parse_ipv4",
     "Prefix",
     "PrefixAllocator",
-    "summarize",
     "Route",
     "RoutingTable",
 ]

@@ -7,7 +7,7 @@ catalog uses to build each provider's address plan deterministically.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator
 
 from ..errors import AddressError, AllocationError
 from .ip import MAX_IPV4, format_ipv4, parse_ipv4
@@ -81,16 +81,6 @@ class Prefix:
         """True when the two blocks share any address."""
         return self.first <= other.last and other.first <= self.last
 
-    def subnets(self, new_length: int) -> Iterator["Prefix"]:
-        """Yield the subnets of this prefix at ``new_length``."""
-        if new_length < self.length or new_length > 32:
-            raise AddressError(
-                f"cannot split /{self.length} into /{new_length}"
-            )
-        step = 1 << (32 - new_length)
-        for network in range(self.first, self.last + 1, step):
-            yield Prefix(network, new_length)
-
     def hosts(self) -> Iterator[int]:
         """Yield every address in the block (including network/broadcast).
 
@@ -152,18 +142,3 @@ class PrefixAllocator:
         block = Prefix(aligned, length)
         self._cursor = aligned + size
         return block
-
-
-def summarize(prefixes: List[Prefix]) -> Optional[Prefix]:
-    """Smallest single prefix covering all inputs, or None for empty input."""
-    if not prefixes:
-        return None
-    lo = min(p.first for p in prefixes)
-    hi = max(p.last for p in prefixes)
-    length = 32
-    while length > 0:
-        candidate = Prefix(lo & Prefix.mask_for(length), length)
-        if candidate.first <= lo and hi <= candidate.last:
-            return candidate
-        length -= 1
-    return Prefix(0, 0)

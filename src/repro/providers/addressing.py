@@ -14,7 +14,7 @@ RU-CENTER event is simulated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..dns.name import DomainName
 from ..errors import AllocationError, ScenarioError
@@ -25,9 +25,26 @@ from ..rng import stable_hash
 from .catalog import ProviderCatalog
 from .provider import NsHost
 
-__all__ = ["AddressPlan"]
+__all__ = ["AddressPlan", "HostingPool", "hosting_addresses"]
 
 _DEFAULT_BASE = "20.0.0.0/6"
+
+#: One resolved hosting component: ``(provider_key, pool first, pool size)``.
+HostingPool = Tuple[str, int, int]
+
+
+def hosting_addresses(pools: Sequence[HostingPool], domain: str) -> Tuple[int, ...]:
+    """Deterministic apex addresses of ``domain``, one per resolved pool.
+
+    Each is ``stable_hash("hosting", provider_key, domain)`` folded into
+    its pool, so shared-hosting collisions (two domains on one address)
+    are intentional and realistic.  ``domain`` is the dotted A-label
+    name; ``pools`` come from :meth:`AddressPlan.hosting_pools`.
+    """
+    return tuple([
+        first + stable_hash("hosting", provider_key, domain) % size
+        for provider_key, first, size in pools
+    ])
 
 
 class AddressPlan:
@@ -179,20 +196,21 @@ class AddressPlan:
     # Customer hosting addresses
     # ------------------------------------------------------------------
 
-    def hosting_address(
-        self,
-        provider_key: str,
-        domain: Union[str, DomainName],
-        asn: Optional[int] = None,
-    ) -> int:
-        """Deterministic apex address for ``domain`` at a provider.
+    def hosting_pools(
+        self, components: Sequence[Tuple[str, Optional[int]]]
+    ) -> Tuple[HostingPool, ...]:
+        """Resolve ``(provider_key, asn)`` components to their customer pools.
 
-        Shared-hosting collisions (two domains on one address) are
-        intentional and realistic.
+        An ``asn`` of ``None`` means the provider's primary ASN, which
+        only a provider that offers hosting may be asked for.  Resolve
+        once per hosting plan; :func:`hosting_addresses` then costs one
+        hash per component.
         """
-        provider = self.catalog.get(provider_key)
-        if not provider.offers_hosting and asn is None:
-            raise ScenarioError(f"{provider_key} does not offer hosting")
-        pool = self.hosting_pool(asn if asn is not None else provider.primary_asn)
-        offset = stable_hash("hosting", provider_key, str(domain)) % pool.size
-        return pool.first + offset
+        pools = []
+        for provider_key, asn in components:
+            provider = self.catalog.get(provider_key)
+            if not provider.offers_hosting and asn is None:
+                raise ScenarioError(f"{provider_key} does not offer hosting")
+            pool = self.hosting_pool(asn if asn is not None else provider.primary_asn)
+            pools.append((provider_key, pool.first, pool.size))
+        return tuple(pools)

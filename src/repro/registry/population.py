@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dns.idna import encode_label
-from ..dns.name import DomainName
+from ..dns.name import DomainName, check_length, checked_alabel
 from ..errors import RegistryError
 from ..rng import derive_rng
 from ..timeline import STUDY_DAYS, DateLike, day_index
@@ -71,9 +71,10 @@ class DomainPopulation:
     straight from them.  Nothing reads most records while a world is
     built, so :meth:`record` builds each :class:`DomainRecord`, with its
     validated, IDNA-encoded :class:`DomainName`, on first read and
-    caches it.  A reader that needs only the name (an archive build
-    writing a day) calls :meth:`name`, which builds the same checked
-    :class:`DomainName` from the columns and keeps nothing.  Iteration
+    caches it.  A reader that needs one name calls :meth:`name`, which
+    builds the same checked :class:`DomainName` from the columns and
+    keeps nothing; an archive build writing a day reads many at once as
+    text through :meth:`name_texts`, checked by the same rules.  Iteration
     and :meth:`by_name` go through :meth:`record`, so every name anyone
     reads is still checked.
     """
@@ -202,6 +203,27 @@ class DomainPopulation:
         ``record(index).name``.
         """
         return DomainName((self._labels[index], self.tld[index].decode("ascii")))
+
+    def name_texts(self, indices: Sequence[int]) -> List[str]:
+        """The dotted A-label names of the records at ``indices``, as text.
+
+        Each equals ``str(name(index))`` and is checked by the same
+        rules (:func:`~repro.dns.name.checked_alabel`, the 253-octet
+        limit), so an invalid label raises
+        :class:`~repro.errors.InvalidDomainName` here as well; but no
+        :class:`DomainName` is built, and each distinct TLD is checked
+        once per call.
+        """
+        labels = self._labels
+        tlds = self.tld[np.asarray(indices, dtype=np.int64)].tolist()
+        alabels = {tld: checked_alabel(tld.decode("ascii")) for tld in set(tlds)}
+        texts = []
+        for index, tld in zip(indices, tlds):
+            text = f"{checked_alabel(labels[index])}.{alabels[tld]}"
+            if len(text) > 253:  # what check_length refuses, counted cheaply
+                check_length(tuple(text.split(".")))
+            texts.append(text)
+        return texts
 
     def by_name(self, name: DomainName) -> DomainRecord:
         """Find a record by domain name.

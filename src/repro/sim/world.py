@@ -26,7 +26,7 @@ from ..geo.database import GeoDatabase, with_override
 from ..geo.service import GeoService
 from ..net.prefix import Prefix
 from ..net.rib import RoutingTable
-from ..providers.addressing import AddressPlan
+from ..providers.addressing import AddressPlan, HostingPool, hosting_addresses
 from ..providers.catalog import ProviderCatalog
 from ..registry.population import DomainPopulation
 from ..registry.whois import WhoisService
@@ -135,6 +135,9 @@ class World:
         self.zonefiles = ZoneFileService(population)
 
         self.geo_service = GeoService(lag_days=geo_lag_days)
+        #: Resolved customer pools per hosting plan id, filled on first use
+        #: (after every event has been applied to the address plan).
+        self._hosting_pools: Dict[int, Tuple[HostingPool, ...]] = {}
         self._epochs: List[InfraEpoch] = []
         self._epoch_days: List[int] = []
         self._build_epochs()
@@ -276,19 +279,37 @@ class World:
     def apex_addresses_for_plan(
         self, domain_index: int, plan_id: int
     ) -> Tuple[int, ...]:
-        """Apex addresses for a known hosting plan id.
+        """Apex addresses for a known hosting plan id (one per component)."""
+        return self.apex_addresses_for_plans([domain_index], [plan_id])[0]
 
-        The domain's name comes from the population's columns
-        (:meth:`~repro.registry.population.DomainPopulation.name`), so
-        no :class:`~repro.registry.domain.DomainRecord` is built or
-        cached for it.
+    def apex_addresses_for_plans(
+        self,
+        domain_indices: Sequence[int],
+        plan_ids: Sequence[int],
+        names: Optional[Sequence[str]] = None,
+    ) -> List[Tuple[int, ...]]:
+        """Apex addresses per domain, each under its paired hosting plan id.
+
+        Names are read as text from the population's columns
+        (:meth:`~repro.registry.population.DomainPopulation.name_texts`)
+        unless the caller already holds them as ``names``, so no
+        :class:`~repro.registry.domain.DomainRecord` or
+        :class:`~repro.dns.name.DomainName` is built; each plan's
+        components are resolved to pools once for the world's life, so a
+        domain costs one hash per component.
         """
-        plan = self.hosting_plans.plan(plan_id)
-        name = self.population.name(domain_index)
-        return tuple(
-            self.address_plan.hosting_address(provider_key, name, asn)
-            for provider_key, asn in plan.components
-        )
+        if names is None:
+            names = self.population.name_texts(domain_indices)
+        resolved = self._hosting_pools
+        runs = []
+        for name, plan_id in zip(names, plan_ids):
+            pools = resolved.get(plan_id)
+            if pools is None:
+                pools = resolved[plan_id] = self.address_plan.hosting_pools(
+                    self.hosting_plans.plan(plan_id).components
+                )
+            runs.append(hosting_addresses(pools, name))
+        return runs
 
     def ns_hostnames_for(self, domain_index: int, date: DateLike) -> Tuple[str, ...]:
         """NS host names the domain delegates to on ``date``."""

@@ -10,6 +10,7 @@ import textwrap
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.archive.builder as builder_module
@@ -18,10 +19,16 @@ from repro.archive import ArchiveBuilder, standard_plan_dates
 from repro.archive.builder import ArchiveShardReducer, _segments, shard_filename
 from repro.archive.manifest import Manifest
 from repro.archive.shard import probe_shard
-from repro.errors import ArchiveError, RecoveryError
+from repro.archive.stream import DayStream
+from repro.dns.name import DomainName
+from repro.errors import ArchiveError, InvalidDomainName, RecoveryError
 from repro.faults import default_plan
+from repro.measurement.fast import FastCollector
 from repro.measurement.metrics import SweepMetrics
+from repro.registry.population import DomainPopulation
+from repro.rng import stable_hash
 from repro.sim import ConflictScenarioConfig
+from repro.sim.conflict import build_world
 from repro.timeline import RECENT_WINDOW_START, STUDY_END, STUDY_START
 from tests.archive.test_stream_writer import PayloadFailingHandle
 
@@ -132,6 +139,103 @@ class TestNoDomainRecords:
         )
         assert len(report.written) == 3
         assert len(built) == 0
+
+
+@pytest.fixture(scope="module")
+def archive_world(archive_config):
+    return build_world(archive_config)
+
+
+def independent_run(world, domain_index, plan_id):
+    """One domain's sorted apex run, hashed component by component."""
+    name = str(world.population.name(domain_index))
+    addresses = []
+    for provider_key, asn in world.hosting_plans.plan(plan_id).components:
+        if asn is None:
+            asn = world.catalog.get(provider_key).primary_asn
+        pool = world.address_plan.hosting_pool(asn)
+        addresses.append(
+            stable_hash("hosting", provider_key, name) % pool.size + pool.first
+        )
+    return tuple(sorted(addresses))
+
+
+class TestChunkFill:
+    """Cache misses are filled a chunk at a time, from columns, not objects."""
+
+    def test_build_fills_misses_without_names(
+        self, tmp_path, archive_config, monkeypatch
+    ):
+        builder = ArchiveBuilder(str(tmp_path / "arch"), archive_config)
+        builder._ensure_engine()  # the world build itself parses names
+        calls = []
+        name, init = DomainPopulation.name, DomainName.__init__
+
+        def counting_name(self, index):
+            calls.append("DomainPopulation.name")
+            return name(self, index)
+
+        def counting_init(self, labels):
+            calls.append("DomainName")
+            init(self, labels)
+
+        monkeypatch.setattr(DomainPopulation, "name", counting_name)
+        monkeypatch.setattr(DomainName, "__init__", counting_init)
+        report = builder.build(MID, MID + dt.timedelta(days=2))
+        assert len(report.written) == 3
+        assert calls == []
+
+    def test_name_texts_equal_domain_names(self, archive_world):
+        population = archive_world.population
+        indices = list(range(len(population)))
+        texts = population.name_texts(indices)
+        assert texts == [str(population.name(index)) for index in indices]
+        assert any(text.endswith(".xn--p1ai") for text in texts)
+        assert any(text.startswith("xn--") for text in texts)
+        snapshot = FastCollector(archive_world).collect(MID)
+        stream = DayStream.from_snapshot(snapshot, None)
+        positions = list(range(len(stream)))
+        assert stream.domains_at(positions) == [
+            texts[index] for index in snapshot.measured.tolist()
+        ]
+
+    def test_apex_runs_hash_each_component(self, archive_world):
+        world = archive_world
+        indices = list(range(0, len(world.population), 7))
+        for plan_id in range(len(world.hosting_plans.plans())):
+            runs = world.apex_addresses_for_plans(indices, [plan_id] * len(indices))
+            assert [tuple(sorted(run)) for run in runs] == [
+                independent_run(world, index, plan_id) for index in indices
+            ]
+        snapshot = FastCollector(world).collect(MID)
+        stream = DayStream.from_snapshot(snapshot, None)
+        assert stream.apexes_at(list(range(len(stream)))) == [
+            independent_run(world, index, int(snapshot.hosting_ids[index]))
+            for index in snapshot.measured.tolist()
+        ]
+
+    @pytest.mark.parametrize(
+        "label",
+        ["-lead", "trail-", "two words", "x" * 64, "\u044f" * 60],
+        ids=["leading-hyphen", "trailing-hyphen", "space", "64-octets", "long-punycode"],
+    )
+    def test_invalid_label_refused_as_domain_name_refuses(
+        self, archive_world, label
+    ):
+        population = archive_world.population
+        index = int(np.flatnonzero(population.is_rf)[0])
+        kept = population._labels[index]
+        population._labels[index] = label
+        try:
+            with pytest.raises(InvalidDomainName) as expected:
+                DomainName((label, "xn--p1ai"))
+            with pytest.raises(InvalidDomainName) as filled:
+                population.name_texts([0, index])
+            assert str(filled.value) == str(expected.value)
+            with pytest.raises(InvalidDomainName):
+                archive_world.apex_addresses_for_plans([index], [0])
+        finally:
+            population._labels[index] = kept
 
 
 class TestResumeByteIdentity:
@@ -332,10 +436,13 @@ class TestOverlappedWrites:
         report = two_segment_build(ArchiveBuilder(overlapped, archive_config))
         assert report.segments == 2
         assert len(report.written) == (END - START).days
-        # Day N+1's write starts before day N's finishes.
-        assert order[2:6] == [
-            ("start", START), ("start", START + dt.timedelta(days=1)),
-            ("finish", START), ("start", START + dt.timedelta(days=2)),
+        # The next DAYS_IN_FLIGHT - 1 days' writes start before day N's
+        # finishes.
+        depth = builder_module.DAYS_IN_FLIGHT
+        days = [START + dt.timedelta(days=k) for k in range(depth + 1)]
+        assert order[2:depth + 4] == [
+            *(("start", day) for day in days[:depth]),
+            ("finish", START), ("start", days[depth]),
         ]
 
         serial(monkeypatch)

@@ -241,8 +241,8 @@ def canonical_stream():
             (1, 1, 1), (2, 0, 1), (3, 0, 0),
             {"ru": 2, "xn--p1ai": 1}, {13335: 1, 197695: 2}, (1, 0, 0), 4,
         ),
-        domain_at=domains.__getitem__,
-        apex_at=apex.__getitem__,
+        domains_at=lambda positions: [domains[p] for p in positions],
+        apexes_at=lambda positions: [apex[p] for p in positions],
     )
 
 

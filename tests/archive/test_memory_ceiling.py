@@ -54,8 +54,8 @@ def synthetic_stream(count: int = DAY_DOMAINS) -> DayStream:
         np.zeros(count, dtype=np.int32),
         {0: (("ns1.stream.ru", "ns2.stream.ru"), (1101, 1102))},
         summary,
-        lambda position: f"domain-{position:07d}.example.ru",
-        lambda position: (position, position + 7),
+        lambda positions: [f"domain-{p:07d}.example.ru" for p in positions],
+        lambda positions: [(p, p + 7) for p in positions],
     )
 
 

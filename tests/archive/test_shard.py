@@ -56,7 +56,9 @@ def stream(**overrides):
     )
     return DayStream(
         DAY, 1720, 10, dns_plan_ns=PLANS, summary=summary,
-        domain_at=domains.__getitem__, apex_at=apex.__getitem__, **columns,
+        domains_at=lambda positions: [domains[p] for p in positions],
+        apexes_at=lambda positions: [apex[p] for p in positions],
+        **columns,
     )
 
 

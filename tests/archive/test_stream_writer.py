@@ -48,8 +48,8 @@ def synthetic_stream(domain_at) -> DayStream:
         np.zeros(DAY_DOMAINS, dtype=np.int32),
         {0: (("ns1.stream.ru", "ns2.stream.ru"), (1101, 1102))},
         summary,
-        domain_at,
-        lambda position: (position, position + 7),
+        lambda positions: list(map(domain_at, positions)),
+        lambda positions: [(position, position + 7) for position in positions],
     )
 
 

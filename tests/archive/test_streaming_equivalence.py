@@ -148,8 +148,8 @@ def day_streams(draw):
             (count, 0, 0), (0, count, 0), (0, 0, count),
             {"ru": count}, {197695: count}, (0, 0, 0), 0,
         ),
-        domain_at=domains.__getitem__,
-        apex_at=apex.__getitem__,
+        domains_at=lambda positions: [domains[p] for p in positions],
+        apexes_at=lambda positions: [apex[p] for p in positions],
     )
 
 

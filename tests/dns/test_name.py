@@ -1,9 +1,9 @@
 """Tests for repro.dns.name: DomainName semantics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.dns.name import ROOT, DomainName
+from repro.dns.name import ROOT, DomainName, _validate_alabel
 from repro.errors import InvalidDomainName
 
 
@@ -128,3 +128,38 @@ def test_parse_str_roundtrip(labels):
     """Property: str() and parse() are inverses."""
     name = DomainName(labels)
     assert DomainName.parse(str(name)) == name
+
+
+def reference_alabel_errors(label):
+    """The A-label rules one by one: the message refused with, or None."""
+    if not label:
+        return "empty label"
+    if len(label) > 63:
+        return f"label longer than 63 octets: {label!r}"
+    if not set(label) <= set("abcdefghijklmnopqrstuvwxyz0123456789-_"):
+        return f"illegal character in label: {label!r}"
+    if label.startswith("-") or label.endswith("-"):
+        return f"label may not start or end with '-': {label!r}"
+    return None
+
+
+@given(
+    st.text(alphabet="az09_-.A я", max_size=66)
+    | st.from_regex(r"[a-z0-9_][a-z0-9_-]{58,64}[a-z0-9_]", fullmatch=True)
+)
+@example("a" * 63)
+@example("a" * 64)
+@example("_")
+@example("-")
+@example("a-")
+@example("-a")
+@example("")
+def test_alabel_fast_path_accepts_only_valid_labels(label):
+    """Property: the pattern fast path refuses exactly what the rules refuse."""
+    expected = reference_alabel_errors(label)
+    if expected is None:
+        assert _validate_alabel(label) == label
+    else:
+        with pytest.raises(InvalidDomainName) as refused:
+            _validate_alabel(label)
+        assert str(refused.value) == expected

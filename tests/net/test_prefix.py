@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import AddressError, AllocationError
 from repro.net.ip import parse_ipv4
-from repro.net.prefix import Prefix, PrefixAllocator, summarize
+from repro.net.prefix import Prefix, PrefixAllocator
 
 
 class TestPrefix:
@@ -47,14 +47,6 @@ class TestPrefix:
         c = Prefix.parse("11.0.0.0/8")
         assert a.overlaps(b)
         assert not a.overlaps(c)
-
-    def test_subnets(self):
-        subnets = list(Prefix.parse("10.0.0.0/30").subnets(31))
-        assert [str(s) for s in subnets] == ["10.0.0.0/31", "10.0.0.2/31"]
-
-    def test_subnets_wrong_direction_rejected(self):
-        with pytest.raises(AddressError):
-            list(Prefix.parse("10.0.0.0/24").subnets(23))
 
     def test_immutable(self):
         prefix = Prefix.parse("10.0.0.0/8")
@@ -105,21 +97,3 @@ class TestAllocator:
             assert parent.contains_prefix(a)
             for b in blocks[i + 1 :]:
                 assert not a.overlaps(b)
-
-
-class TestSummarize:
-    def test_empty(self):
-        assert summarize([]) is None
-
-    def test_single(self):
-        prefix = Prefix.parse("10.0.0.0/24")
-        assert summarize([prefix]) == prefix
-
-    def test_pair(self):
-        result = summarize([Prefix.parse("10.0.0.0/24"), Prefix.parse("10.0.1.0/24")])
-        assert result == Prefix.parse("10.0.0.0/23")
-
-    def test_covers_all_inputs(self):
-        prefixes = [Prefix.parse("10.0.0.0/24"), Prefix.parse("10.9.0.0/24")]
-        result = summarize(prefixes)
-        assert all(result.contains_prefix(p) for p in prefixes)

@@ -123,6 +123,21 @@ def test_row_carries_unpaced_build_medians(tmp_path):
     assert row["raw"] == {"world_build_s": 0.41, "day_loop_s": 6.4}
 
 
+def test_build_row_carries_each_builds_first_day(tmp_path):
+    env = json.loads(ENV_LINE)
+    env["details"] = {
+        "builds": [{"days": 3}, {"days": 2}, {"days": 3}],
+        "day_s": [0.52, 0.03, 0.04, 0.45, 0.02, 0.61, 0.05, 0.03],
+        "day_loop_s": [0.59, 0.47, 0.69],
+    }
+    text = json.dumps(env) + "\n" + RESULT_LINE + "\n"
+    result, output = run(tmp_path, text, "--label", "change", "--seconds", "40")
+    assert result.returncode == 0, result.stderr
+    (row,) = [json.loads(line) for line in output.read_text().splitlines()]
+    # The first days are 0.52, 0.45 and 0.61, not the day_s median.
+    assert row["raw"] == {"day_loop_s": 0.59, "first_day_s": 0.52}
+
+
 def test_row_carries_unpaced_query_p50(tmp_path):
     env = json.loads(ENV_LINE)
     env["env"]["workload"] = "query-scan"

@@ -71,8 +71,6 @@ KEEPERS = {
     "NameFactory.next_ascii": "one label of NameFactory.labels; test_names.py checks it against per-call numpy draws",
     "NameFactory.next_cyrillic": "one label of NameFactory.labels; test_names.py checks it against per-call numpy draws",
     # Not yet audited.
-    "Prefix.subnets": _LEFTOVER,
-    "summarize": _LEFTOVER,
     "label_name": _LEFTOVER,
     "fmt_count": _LEFTOVER,
     "country_name": _LEFTOVER,
