@@ -40,7 +40,7 @@ from .kernel import summarize_snapshot
 from .manifest import DayEntry, Manifest, scenario_fingerprint
 from .shard import probe_shard
 from .store import MeasurementArchive
-from .stream import DayStream, write_shard_stream
+from .stream import DayStream, EncodedColumn, write_shard_stream
 
 __all__ = [
     "DAYS_IN_FLIGHT",
@@ -117,15 +117,17 @@ class ArchiveShardReducer:
     """Day reducer that persists each snapshot as one day shard.
 
     Carries :meth:`DayStream.from_snapshot
-    <repro.archive.stream.DayStream.from_snapshot>`'s caches from day to
-    day: the encoded name bytes per domain index, the encoded apex run
-    per ``(domain_index, hosting_id)``, and the NS plan table entry per
-    ``(epoch, dns_id)``.  Assignments change rarely, so consecutive days
-    hit almost every time and a day's columns are mostly joins of
-    cached bytes.  :class:`ArchiveBuilder` keeps one reducer for its
-    lifetime, so the caches also carry across its ``build()`` calls.
-    They grow with the measured domains and the distinct ``(domain,
-    plan)`` pairs the builder has seen.
+    <repro.archive.stream.DayStream.from_snapshot>`'s accelerators from
+    day to day: the encoded name column, the encoded apex column (one
+    slot per domain, under the hosting plan it was last measured on;
+    see :class:`~repro.archive.stream.EncodedColumn`) and the NS plan
+    table entry per ``(epoch, dns_id)``.  Assignments change rarely, so
+    consecutive days hit almost every time and a day's columns are
+    mostly gathers of stored bytes.  :class:`ArchiveBuilder` keeps one
+    reducer for its lifetime, so the columns also carry across its
+    ``build()`` calls.  Their arrays are sized once for the population;
+    their blobs grow with the domains the builder has measured and with
+    each plan change, whose refill leaves the old bytes dead.
 
     The engine hands it whole runs (:meth:`reduce_run`), which overlap
     up to :data:`DAYS_IN_FLIGHT` days' writes; :meth:`reduce_day`
@@ -142,8 +144,8 @@ class ArchiveShardReducer:
         self.faults = faults
         #: Metrics for RSS sampling after every written day.
         self.metrics = metrics
-        self._name_cache: Dict[int, bytes] = {}
-        self._apex_cache: Dict[int, bytes] = {}
+        self._names = EncodedColumn()
+        self._apexes = EncodedColumn(keyed=True)
         self._plan_cache: Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]] = {}
         #: Started, unfinished writes by date, oldest first.
         self._in_flight: Dict[_dt.date, _DayWrite] = {}
@@ -212,8 +214,7 @@ class ArchiveShardReducer:
         # without decoding the columns or building a world.
         summary = summarize_snapshot(snapshot)
         stream = DayStream.from_snapshot(
-            snapshot, summary, self._apex_cache, self._plan_cache,
-            self._name_cache,
+            snapshot, summary, self._names, self._apexes, self._plan_cache
         )
         write = write_shard_stream(
             os.path.join(self.directory, shard_filename(snapshot.date)),

@@ -247,7 +247,8 @@ class DayShardRecord:
     def from_snapshot(
         cls,
         snapshot,
-        apex_cache: Optional[Dict[int, bytes]] = None,
+        names=None,
+        apexes=None,
         plan_cache: Optional[Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]]] = None,
     ) -> "DayShardRecord":
         """Columnarise one :class:`DailySnapshot`; ``summary`` stays unset.
@@ -255,12 +256,12 @@ class DayShardRecord:
         Decodes the uncompressed payload of :meth:`DayStream.from_snapshot
         <repro.archive.stream.DayStream.from_snapshot>` — the bytes a
         shard of the day would hold — so the record and the shard cannot
-        disagree.  The encoded apex cache and the plan cache (see there)
-        are forwarded.
+        disagree.  The encoded name and apex columns and the plan cache
+        (see there) are forwarded.
         """
         from .stream import DayStream, _stream_pieces
 
-        stream = DayStream.from_snapshot(snapshot, None, apex_cache, plan_cache)
+        stream = DayStream.from_snapshot(snapshot, None, names, apexes, plan_cache)
         payload = b"".join(_stream_pieces(stream))
         return _decode_payload(stream.date, len(stream), payload)
 

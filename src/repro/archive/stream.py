@@ -12,14 +12,15 @@ shard file:
   of a list of positions that a writer pulls in ``[lo, hi)`` chunks of
   :data:`CHUNK_DOMAINS`;
 * a stream built by :meth:`DayStream.from_snapshot` may carry two
-  *encoded caches* that outlive the day: each domain's
-  ``write_string`` bytes keyed by its population index, and each
-  ``write_delta_run`` apex run keyed by ``(domain_index, hosting_id)``.
-  A name never changes and an apex run is a function of that pair, so
-  a chunk is a ``b"".join`` of cache hits and only the misses reach
-  the world, all of a chunk's in one call.  The caches grow with the
-  distinct measured domains and ``(domain, plan)`` pairs a builder has
-  seen;
+  :class:`EncodedColumn` s that outlive the day: one holds each domain's
+  ``write_string`` bytes, the other each domain's ``write_delta_run``
+  apex run beside the hosting plan id it was encoded under.  A column is
+  one ``bytearray`` of codec bytes plus per-domain start/size arrays, so
+  an entry costs its bytes and a few array slots rather than a dict
+  slot, an int and a ``bytes`` object.  A name never changes and an
+  apex run is a function of ``(domain, plan)``, so a chunk is a numpy
+  gather of the column's entries and only the misses reach the world, a
+  bounded batch of them at a time;
 * :func:`write_shard_stream` produces the prefix slices, then the
   domain chunks, then the apex chunks on the calling thread, folding
   the payload CRC as it goes, and hands each piece through a queue of
@@ -77,6 +78,7 @@ __all__ = [
     "CHUNK_DOMAINS",
     "QUEUE_DEPTH",
     "DayStream",
+    "EncodedColumn",
     "ShardWrite",
     "encode_stream",
     "write_shard_stream",
@@ -93,6 +95,150 @@ CHUNK_DOMAINS = 50_000
 #: writer's in-flight payload at a few chunks.
 QUEUE_DEPTH = 4
 
+#: Positions per gather and per fill batch of an :class:`EncodedColumn`.
+#: A batch's index arrays and its misses' name texts or apex tuples are
+#: the column's only transients.  One in-process 93-day 1:250 build (2
+#: cores) peaked at 55-56 MiB of RSS with batches of 1,024 or 4,096
+#: positions, 60-61 MiB at 16,384 and 64-65 MiB at one batch per chunk,
+#: with the same day-loop time.
+BATCH_DOMAINS = 4_096
+
+#: Widest entry an :class:`EncodedColumn` stores (its ``size`` dtype).
+_MAX_ENTRY = np.iinfo(np.int16).max
+#: Longest blob an :class:`EncodedColumn` addresses (its ``start`` dtype).
+_MAX_BLOB = np.iinfo(np.uint32).max
+
+
+class EncodedColumn:
+    """Codec bytes per domain that outlive the day, in one byte blob.
+
+    ``blob`` holds the entries back to back; domain ``i``'s entry is
+    ``blob[start[i]:start[i] + size[i]]``, and ``size[i] == -1`` means
+    it has none yet.  A *keyed* column also stores the ``key`` (the
+    hosting plan id) each entry was encoded under; an entry whose key
+    differs from the one asked for is a miss, and its refill overwrites
+    the domain's one slot, leaving the old bytes dead in the blob.  A
+    domain that returns to an earlier plan re-encodes the same bytes.
+
+    The arrays are sized once, by :meth:`sized`, for the population the
+    column serves.  They use the narrowest dtypes the entries need:
+    ``uint32`` starts, ``int16`` sizes and the shard format's ``int32``
+    plan ids.  A fill that would not fit is refused with
+    :class:`ArchiveError`, never truncated.
+    """
+
+    __slots__ = ("blob", "start", "size", "key", "keyed")
+
+    def __init__(self, keyed: bool = False) -> None:
+        self.keyed = keyed
+        self.blob = bytearray()
+        self.start: Optional[np.ndarray] = None
+        self.size: Optional[np.ndarray] = None
+        self.key: Optional[np.ndarray] = None
+
+    def sized(self, domains: int) -> "EncodedColumn":
+        """This column with its arrays sized for ``domains`` domains.
+
+        The first call allocates them; a later call with another size
+        raises :class:`ArchiveError` (the column serves one population).
+        """
+        if self.start is None:
+            self.start = np.zeros(domains, dtype=np.uint32)
+            self.size = np.full(domains, -1, dtype=np.int16)
+            if self.keyed:
+                self.key = np.zeros(domains, dtype=np.int32)
+        elif len(self.start) != domains:
+            raise ArchiveError(
+                f"encoded column sized for {len(self.start)} domains, "
+                f"not {domains}"
+            )
+        return self
+
+    def chunk(
+        self,
+        indices: np.ndarray,
+        keys: Optional[np.ndarray],
+        lo: int,
+        values_at: Callable[[List[int]], List[object]],
+        write: Callable[[bytearray, object], None],
+    ) -> bytes:
+        """The entries of ``indices`` (positions ``lo ..``), joined.
+
+        Works in batches of :data:`BATCH_DOMAINS` positions: a batch's
+        misses (no entry, or one under another key than ``keys``) get
+        their values from one ``values_at`` call with their positions
+        and are encoded by ``write`` into the blob; then the batch's
+        entries are gathered.  A hit makes no Python object.
+        """
+        pieces = []
+        for begin in range(0, len(indices), BATCH_DOMAINS):
+            batch = indices[begin:begin + BATCH_DOMAINS]
+            missing = self.size[batch] < 0
+            if keys is not None:
+                batch_keys = keys[begin:begin + BATCH_DOMAINS]
+                missing |= self.key[batch] != batch_keys
+            offsets = np.flatnonzero(missing)
+            if len(offsets):
+                self._fill(
+                    batch[offsets],
+                    None if keys is None else batch_keys[offsets],
+                    values_at((offsets + (lo + begin)).tolist()),
+                    write,
+                )
+            pieces.append(self._gather(batch))
+        return b"".join(pieces)
+
+    def texts(self, indices) -> Optional[List[str]]:
+        """The strings stored for ``indices``, or ``None`` if one is missing."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if (self.size[indices] < 0).any():
+            return None
+        view = memoryview(self._gather(indices))
+        texts = []
+        offset = 0
+        for _ in range(len(indices)):
+            text, offset = read_string(view, offset)
+            texts.append(text)
+        return texts
+
+    def _fill(self, indices, keys, values, write) -> None:
+        """Encode ``values`` onto the blob as the entries of ``indices``."""
+        blob = self.blob
+        begin = len(blob)
+        ends = []
+        for value in values:
+            write(blob, value)
+            ends.append(len(blob))
+        ends = np.asarray(ends, dtype=np.int64)
+        starts = np.empty_like(ends)
+        starts[0] = begin
+        starts[1:] = ends[:-1]
+        sizes = ends - starts
+        if ends[-1] > _MAX_BLOB or sizes.max() > _MAX_ENTRY:
+            del blob[begin:]
+            raise ArchiveError(
+                f"encoded column cannot hold {len(values)} more entries: "
+                f"{int(ends[-1])} blob bytes (limit {_MAX_BLOB}), widest "
+                f"entry {int(sizes.max())} bytes (limit {_MAX_ENTRY})"
+            )
+        self.start[indices] = starts
+        self.size[indices] = sizes
+        if keys is not None:
+            self.key[indices] = keys
+
+    def _gather(self, indices: np.ndarray) -> bytes:
+        """The entries of ``indices`` (all present), joined."""
+        sizes = self.size[indices].astype(np.int64)
+        ends = np.cumsum(sizes)
+        if not len(ends) or not ends[-1]:
+            return b""
+        # Output byte k of entry j is blob byte start[j] + k - (ends[j] - sizes[j]).
+        source = np.arange(ends[-1], dtype=np.int64)
+        source += np.repeat(
+            self.start[indices].astype(np.int64) - (ends - sizes), sizes
+        )
+        return np.frombuffer(self.blob, dtype=np.uint8)[source].tobytes()
+
 
 class DayStream:
     """One day's shard content, domain columns addressable by position.
@@ -108,9 +254,9 @@ class DayStream:
     stream that disagrees with its own plan table raises
     :class:`ArchiveError` here, before any byte of it is written.
 
-    ``name_cache`` and ``apex_cache`` are the optional encoded caches
-    (see :meth:`from_snapshot`); without them every position is encoded
-    afresh.
+    ``names`` and ``apexes`` are the optional :class:`EncodedColumn` s
+    (see :meth:`from_snapshot`), indexed by domain; without them each
+    chunk is encoded afresh through a throwaway column of its own.
     """
 
     __slots__ = (
@@ -124,8 +270,8 @@ class DayStream:
         "summary",
         "domains_at",
         "apexes_at",
-        "name_cache",
-        "apex_cache",
+        "names",
+        "apexes",
     )
 
     def __init__(
@@ -140,8 +286,8 @@ class DayStream:
         summary: Optional[DaySummary],
         domains_at: Callable[[List[int]], List[str]],
         apexes_at: Callable[[List[int]], List[Tuple[int, ...]]],
-        name_cache: Optional[Dict[int, bytes]] = None,
-        apex_cache: Optional[Dict[int, bytes]] = None,
+        names: Optional[EncodedColumn] = None,
+        apexes: Optional[EncodedColumn] = None,
     ) -> None:
         self.date = date
         self.epoch_start_day = int(epoch_start_day)
@@ -162,8 +308,8 @@ class DayStream:
         self.summary = summary
         self.domains_at = domains_at
         self.apexes_at = apexes_at
-        self.name_cache = name_cache
-        self.apex_cache = apex_cache
+        self.names = names
+        self.apexes = apexes
 
     def __len__(self) -> int:
         return len(self.measured)
@@ -177,9 +323,9 @@ class DayStream:
         cls,
         snapshot,
         summary: Optional[DaySummary],
-        apex_cache: Optional[Dict[int, bytes]] = None,
+        names: Optional[EncodedColumn] = None,
+        apexes: Optional[EncodedColumn] = None,
         plan_cache: Optional[Dict[Tuple[int, int], Tuple[Tuple[str, ...], Tuple[int, ...]]]] = None,
-        name_cache: Optional[Dict[int, bytes]] = None,
     ) -> "DayStream":
         """Stream view of one live :class:`DailySnapshot`.
 
@@ -196,22 +342,28 @@ class DayStream:
         :func:`~repro.archive.kernel.summarize_snapshot`, computed by
         the caller.
 
-        The caches are accelerators a builder threads through
-        consecutive days.  ``name_cache`` maps a domain index to its
-        encoded name and ``apex_cache`` maps ``(domain_index,
-        hosting_id)`` — packed into one int by :func:`_apex_keys` — to
-        its encoded apex run; both hold codec bytes, so a hit skips the
-        world lookup *and* the encode.  ``plan_cache`` maps
-        ``(epoch_start_day, dns_id)`` to the plan's NS names and
-        addresses.  Names never change and an apex run depends only on
-        its key, so a hit is always current; assignments change
-        rarely, so almost every position hits.  The encoded caches hold
-        one entry per measured domain and per distinct ``(domain,
-        plan)`` pair seen.
+        The columns and the plan cache are accelerators a builder
+        threads through consecutive days.  ``names`` holds each
+        domain's encoded name and ``apexes`` (a keyed
+        :class:`EncodedColumn`) each domain's encoded apex run under
+        the hosting plan it was last measured on; both hold codec
+        bytes, so a hit skips the world lookup *and* the encode.  A
+        column given here is sized for the snapshot's population on
+        first use; ``None`` leaves each chunk a throwaway column.
+        ``plan_cache`` maps ``(epoch_start_day, dns_id)`` to the plan's
+        NS names and addresses.  Names never change and an apex run
+        depends only on its domain and plan, so a hit is always
+        current; assignments change rarely, so almost every position
+        hits.  A column holds one entry per domain ever measured.
         """
         world = snapshot.world
         epoch = snapshot.epoch
         plan_cache = {} if plan_cache is None else plan_cache
+        population_size = len(snapshot.dns_ids)
+        if names is not None:
+            names.sized(population_size)
+        if apexes is not None:
+            apexes.sized(population_size)
 
         measured = np.asarray(snapshot.measured, dtype=np.int64)
         dns_ids = np.asarray(
@@ -226,11 +378,14 @@ class DayStream:
             key = (epoch.start_day, plan_id)
             entry = plan_cache.get(key)
             if entry is None:
-                names = tuple(
+                hostnames = tuple(
                     str(hostname)
                     for hostname in world.dns_plans.plan(plan_id).ns_hostnames
                 )
-                entry = (names, tuple(epoch.ns_addresses[name] for name in names))
+                entry = (
+                    hostnames,
+                    tuple(epoch.ns_addresses[name] for name in hostnames),
+                )
                 plan_cache[key] = entry
             dns_plan_ns[plan_id] = entry
 
@@ -238,17 +393,17 @@ class DayStream:
             return world.population.name_texts(measured[positions].tolist())
 
         def apexes_at(positions: List[int]) -> List[Tuple[int, ...]]:
-            indices = measured[positions].tolist()
+            indices = measured[positions]
             runs = world.apex_addresses_for_plans(
-                indices, hosting_ids[positions].tolist(),
-                _cached_names(name_cache, indices),
+                indices.tolist(), hosting_ids[positions].tolist(),
+                None if names is None else names.texts(indices),
             )
             return [tuple(sorted(run)) for run in runs]
 
         return cls(
             snapshot.date,
             epoch.start_day,
-            len(snapshot.dns_ids),
+            population_size,
             measured,
             dns_ids,
             hosting_ids,
@@ -256,8 +411,8 @@ class DayStream:
             summary,
             domains_at,
             apexes_at,
-            name_cache,
-            apex_cache,
+            names,
+            apexes,
         )
 
     @classmethod
@@ -292,74 +447,42 @@ class DayStream:
     def domains_chunk(self, lo: int, hi: int) -> bytes:
         """Encoded domain-name column for positions ``[lo, hi)``."""
         return _encoded_chunk(
-            self.name_cache, self.measured[lo:hi].tolist(), lo,
-            self.domains_at, write_string,
+            self.names, self.measured, None, lo, hi, self.domains_at,
+            write_string,
         )
 
     def apex_chunk(self, lo: int, hi: int) -> bytes:
         """Encoded apex delta-run column for positions ``[lo, hi)``."""
         return _encoded_chunk(
-            self.apex_cache,
-            _apex_keys(self.measured[lo:hi], self.hosting_ids[lo:hi]),
-            lo, self.apexes_at, write_delta_run,
+            self.apexes, self.measured, self.hosting_ids, lo, hi,
+            self.apexes_at, write_delta_run,
         )
 
     def __repr__(self) -> str:
         return f"DayStream({self.date}, {len(self.measured)} measured)"
 
 
-def _cached_names(
-    name_cache: Optional[Dict[int, bytes]], indices: List[int]
-) -> Optional[List[str]]:
-    """The names of ``indices`` decoded from ``name_cache``, if all are there.
-
-    A stream's domain chunks are encoded before its apex chunks, so by
-    the time an apex run misses, its domain's name is normally cached
-    and need not be read and checked again.
-    """
-    if name_cache is None:
-        return None
-    pieces = list(map(name_cache.get, indices))
-    if None in pieces:
-        return None
-    return [read_string(piece, 0)[0] for piece in pieces]
-
-
-def _apex_keys(measured: np.ndarray, hosting_ids: np.ndarray) -> List[int]:
-    """One int per ``(domain_index, hosting_id)`` pair, injectively.
-
-    The hosting id fills the low 32 bits (as unsigned), so keys are
-    built vectorised and cost one int apiece rather than a tuple.
-    """
-    low = hosting_ids.astype(np.int64) & 0xFFFFFFFF
-    return ((measured.astype(np.int64) << 32) | low).tolist()
-
-
 def _encoded_chunk(
-    cache: Optional[Dict[int, bytes]],
-    keys: List[int],
+    column: Optional[EncodedColumn],
+    measured: np.ndarray,
+    keys: Optional[np.ndarray],
     lo: int,
+    hi: int,
     values_at: Callable[[List[int]], List[object]],
     write: Callable[[bytearray, object], None],
 ) -> bytes:
-    """Positions ``lo ..`` encoded by ``write``: cache hits, joined.
+    """Positions ``[lo, hi)`` encoded by ``write``, through ``column``.
 
-    ``keys[i]`` names position ``lo + i`` in ``cache``.  The misses'
-    values come from one ``values_at`` call with their positions; each
-    is encoded and stored for the next day.  With no cache the chunk
-    fills a throwaway one.
+    The column is indexed by domain (``measured``); without one, the
+    chunk fills a throwaway column indexed by offset.
     """
-    if cache is None:
-        cache = {}
-    pieces = list(map(cache.get, keys))
-    missing = [offset for offset, piece in enumerate(pieces) if piece is None]
-    if missing:
-        values = values_at([lo + offset for offset in missing])
-        for offset, value in zip(missing, values):
-            buffer = bytearray()
-            write(buffer, value)
-            pieces[offset] = cache[keys[offset]] = bytes(buffer)
-    return b"".join(pieces)
+    keys = None if keys is None else keys[lo:hi]
+    if column is None:
+        column = EncodedColumn(keyed=keys is not None).sized(hi - lo)
+        indices = np.arange(hi - lo)
+    else:
+        indices = measured[lo:hi]
+    return column.chunk(indices, keys, lo, values_at, write)
 
 
 # ----------------------------------------------------------------------

@@ -29,12 +29,11 @@ from .labels import (
     classify_hosting_geo,
     classify_ns_geo,
     classify_ns_tld,
-    label_name,
     snapshot_hosting_geo_labels,
     snapshot_ns_geo_labels,
     snapshot_ns_tld_labels,
 )
-from .movement import MovementReport, analyze_movement, transition_matrix
+from .movement import MovementReport, analyze_movement
 from .reducers import RecentWindowSeries, SweepSeries
 from .revocation import IssuerRevocation, RevocationTable, analyze_revocations
 from .summary import HeadlineStats, compute_headline_stats
@@ -66,13 +65,11 @@ __all__ = [
     "classify_hosting_geo",
     "classify_ns_geo",
     "classify_ns_tld",
-    "label_name",
     "snapshot_hosting_geo_labels",
     "snapshot_ns_geo_labels",
     "snapshot_ns_tld_labels",
     "MovementReport",
     "analyze_movement",
-    "transition_matrix",
     "RecentWindowSeries",
     "SweepSeries",
     "IssuerRevocation",

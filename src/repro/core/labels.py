@@ -33,7 +33,6 @@ __all__ = [
     "LABEL_FULL",
     "LABEL_PART",
     "LABEL_NON",
-    "label_name",
     "classify_flags",
     "classify_ns_geo",
     "classify_hosting_geo",
@@ -42,14 +41,6 @@ __all__ = [
     "snapshot_hosting_geo_labels",
     "snapshot_ns_tld_labels",
 ]
-
-_NAMES = {LABEL_FULL: "full", LABEL_PART: "part", LABEL_NON: "non"}
-
-
-def label_name(label: int) -> str:
-    """Human-readable label name."""
-    return _NAMES[label]
-
 
 def classify_flags(flags: Tuple[bool, ...]) -> int:
     """Full/part/non from per-element "is Russian" booleans."""

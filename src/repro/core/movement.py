@@ -12,7 +12,6 @@ from __future__ import annotations
 import datetime as _dt
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
 
 from ..errors import AnalysisError
 from ..measurement.fast import DailySnapshot, FastCollector
@@ -102,40 +101,6 @@ class MovementReport:
 def _primary_asn_of(snapshot: DailySnapshot, index: int) -> int:
     labels = snapshot.epoch.hosting_labels
     return int(labels.primary_asn[snapshot.hosting_ids[index]])
-
-
-def transition_matrix(
-    collector: FastCollector,
-    date_from: _dt.date,
-    date_to: _dt.date,
-    min_count: int = 1,
-) -> Dict[Tuple[int, int], int]:
-    """Full ASN-to-ASN movement between two dates.
-
-    Counts every domain active on both dates by its (primary ASN at
-    ``date_from``, primary ASN at ``date_to``); the generalisation behind
-    Figures 6 and 7's per-provider views.  Entries below ``min_count``
-    are dropped.
-    """
-    if date_to <= date_from:
-        raise AnalysisError(f"movement window is empty: {date_from} -> {date_to}")
-    snap_from = collector.collect(date_from)
-    snap_to = collector.collect(date_to)
-    import numpy as np
-
-    both = np.intersect1d(snap_from.measured, snap_to.measured)
-    from_labels = snap_from.epoch.hosting_labels
-    to_labels = snap_to.epoch.hosting_labels
-    from_asn = from_labels.primary_asn[snap_from.hosting_ids[both]]
-    to_asn = to_labels.primary_asn[snap_to.hosting_ids[both]]
-
-    matrix: Dict[Tuple[int, int], int] = {}
-    for source, destination in zip(from_asn, to_asn):
-        key = (int(source), int(destination))
-        matrix[key] = matrix.get(key, 0) + 1
-    return {
-        key: count for key, count in matrix.items() if count >= min_count
-    }
 
 
 def analyze_movement(

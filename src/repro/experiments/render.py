@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["format_table", "sparkline", "fmt_pct", "fmt_count", "dot_timeline"]
+__all__ = ["format_table", "sparkline", "fmt_pct", "dot_timeline"]
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -12,11 +12,6 @@ _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 def fmt_pct(value: float, digits: int = 1) -> str:
     """Format a percentage value."""
     return f"{value:.{digits}f}%"
-
-
-def fmt_count(value: int) -> str:
-    """Format a count with thousands separators."""
-    return f"{value:,}"
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

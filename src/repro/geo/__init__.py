@@ -1,14 +1,12 @@
 """Geolocation substrate: countries, range databases, versioned service."""
 
-from .countries import COUNTRY_NAMES, RU, country_name, is_russian, validate_country
+from .countries import COUNTRY_NAMES, RU, validate_country
 from .database import GeoDatabase, GeoDatabaseBuilder, GeoRange, with_override
 from .service import GeoService
 
 __all__ = [
     "COUNTRY_NAMES",
     "RU",
-    "country_name",
-    "is_russian",
     "validate_country",
     "GeoDatabase",
     "GeoDatabaseBuilder",

@@ -1,15 +1,14 @@
 """Country codes used throughout the simulation.
 
 A tiny ISO-3166-alpha-2 subset covering every country the paper mentions,
-plus helpers for the one distinction the analysis cares about: Russian
-Federation vs everything else.
+and the code of the one country the analysis pivots on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["RU", "COUNTRY_NAMES", "country_name", "is_russian", "validate_country"]
+__all__ = ["RU", "COUNTRY_NAMES", "validate_country"]
 
 #: The Russian Federation, the pivot of the whole analysis.
 RU = "RU"
@@ -45,12 +44,3 @@ def validate_country(code: str) -> str:
         raise ValueError(f"not an ISO alpha-2 country code: {code!r}")
     return code
 
-
-def country_name(code: str) -> str:
-    """Human-readable name, falling back to the code itself."""
-    return COUNTRY_NAMES.get(code, code)
-
-
-def is_russian(code: Optional[str]) -> bool:
-    """True when ``code`` is the Russian Federation."""
-    return code == RU

@@ -17,7 +17,7 @@ from repro.archive.shard import (
     read_shard,
     read_summary,
 )
-from repro.archive.stream import DayStream, _stream_pieces, write_shard_stream
+from repro.archive.stream import DayStream, EncodedColumn, _stream_pieces, write_shard_stream
 from repro.archive.summary import DaySummary
 from repro.dns.name import DomainName
 from repro.errors import ArchiveError
@@ -368,12 +368,15 @@ class TestFromSnapshot:
     def test_caches_are_reused(self, tiny_world):
         from repro.archive.kernel import summarize_snapshot
 
-        apex_cache, plan_cache = {}, {}
+        names, apexes, plan_cache = EncodedColumn(), EncodedColumn(keyed=True), {}
         snapshot = FastCollector(tiny_world).collect("2022-03-04")
-        first = DayShardRecord.from_snapshot(snapshot, apex_cache, plan_cache)
-        assert apex_cache and plan_cache
+        first = DayShardRecord.from_snapshot(snapshot, names, apexes, plan_cache)
+        assert names.blob and apexes.blob and plan_cache
+        filled = len(names.blob), len(apexes.blob)
         again = DayShardRecord.from_snapshot(
-            FastCollector(tiny_world).collect("2022-03-04"), apex_cache, plan_cache
+            FastCollector(tiny_world).collect("2022-03-04"),
+            names, apexes, plan_cache,
         )
+        assert (len(names.blob), len(apexes.blob)) == filled
         first.summary = again.summary = summarize_snapshot(snapshot)
         assert encode_shard(again) == encode_shard(first)

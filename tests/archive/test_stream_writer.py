@@ -4,11 +4,11 @@
   failing on the calling thread, must surface in the caller (retried
   into :class:`RecoveryError` where the error is retryable), leave no
   temp file and leave no thread running;
-* **encoded caches** — a reducer that carries its caches across days
+* **encoded columns** — a reducer that carries its columns across days
   in which measured domains change hosting plan must write the same
-  bytes as fresh reducers, so the ``(domain_index, hosting_id)`` key
-  cannot serve a stale apex run; and a builder must carry its caches
-  across one-day ``build()`` calls.
+  bytes as fresh reducers, so an apex entry stored under another plan
+  cannot be served stale; and a builder must carry its columns across
+  one-day ``build()`` calls.
 """
 
 import datetime as dt
@@ -179,7 +179,7 @@ class TestEncodedCaches:
         reducer = ArchiveShardReducer(str(shared))
         for snapshot in (first, second):
             reducer.reduce_day(snapshot)
-        assert reducer._name_cache and reducer._apex_cache
+        assert reducer._names.blob and reducer._apexes.blob
         for snapshot in (first, second):
             fresh = tmp_path / f"fresh-{snapshot.date}"
             fresh.mkdir()
@@ -191,19 +191,27 @@ class TestEncodedCaches:
         self, tmp_path, archive_config
     ):
         """Live follow and self-heal call ``build(day, day, 1)`` once per
-        day on one builder; the second call reuses the first call's
-        encoded bytes and writes what one multi-day build writes."""
+        day on one builder; the later calls reuse the first call's
+        columns, refill none of its names, and write what one multi-day
+        build writes."""
         start = dt.date(2022, 3, 11)
         days = [start + dt.timedelta(days=offset) for offset in range(3)]
         follow = ArchiveBuilder(str(tmp_path / "follow"), archive_config)
         follow.build(days[0], days[0], 1)
-        names = dict(follow._reducer._name_cache)
-        apex = dict(follow._reducer._apex_cache)
-        assert names and apex
+        names, apexes = follow._reducer._names, follow._reducer._apexes
+        named = np.flatnonzero(names.size >= 0)
+        name_slots = names.start[named].copy(), names.blob[:]
+        apex_slots = apexes.start.copy(), apexes.key.copy()
+        assert len(named) and apexes.blob
         for day in days[1:]:
             follow.build(day, day, 1)
-        assert all(follow._reducer._name_cache[key] is names[key] for key in names)
-        assert all(follow._reducer._apex_cache[key] is apex[key] for key in apex)
+        assert follow._reducer._names is names
+        assert follow._reducer._apexes is apexes
+        # A refilled name would sit past the first call's blob.
+        assert (names.start[named] == name_slots[0]).all()
+        assert names.blob[:len(name_slots[1])] == name_slots[1]
+        same_plan = apexes.key == apex_slots[1]
+        assert (apexes.start[same_plan] == apex_slots[0][same_plan]).all()
 
         ArchiveBuilder(str(tmp_path / "once"), archive_config).build(
             days[0], days[-1]

@@ -33,7 +33,7 @@ from repro.archive import ArchiveBuilder, kernel, stream as stream_module
 from repro.archive.kernel import summarize_snapshot
 from repro.archive.manifest import Manifest
 from repro.archive.shard import encode_shard, read_shard
-from repro.archive.stream import DayStream, write_shard_stream
+from repro.archive.stream import DayStream, EncodedColumn, write_shard_stream
 from repro.archive.summary import DaySummary
 from repro.errors import ArchiveError
 from repro.measurement.fast import FastCollector
@@ -230,12 +230,13 @@ class TestSnapshotStreams:
         )
 
     def test_stream_caches_are_shared(self, tiny_world):
-        """from_snapshot reuses the reducer's apex/plan caches."""
-        apex_cache, plan_cache = {}, {}
+        """from_snapshot reuses the reducer's apex column and plan cache."""
+        apexes, plan_cache = EncodedColumn(keyed=True), {}
         snapshot = FastCollector(tiny_world).collect("2022-03-04")
-        stream = DayStream.from_snapshot(snapshot, None, apex_cache, plan_cache)
+        stream = DayStream.from_snapshot(snapshot, None, None, apexes, plan_cache)
         stream.apex_chunk(0, len(stream))
-        assert apex_cache and plan_cache
+        assert apexes.blob and plan_cache
+        assert (apexes.size[snapshot.measured] >= 0).all()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.core.labels import (
     classify_hosting_geo,
     classify_ns_geo,
     classify_ns_tld,
-    label_name,
     snapshot_hosting_geo_labels,
     snapshot_ns_geo_labels,
     snapshot_ns_tld_labels,
@@ -77,11 +76,6 @@ class TestRecordForm:
     def test_empty_rejected(self, geo):
         with pytest.raises(AnalysisError):
             classify_ns_geo(measurement(ns_addresses=()), geo)
-
-    def test_label_names(self):
-        assert label_name(LABEL_FULL) == "full"
-        assert label_name(LABEL_PART) == "part"
-        assert label_name(LABEL_NON) == "non"
 
     @given(st.lists(st.booleans(), min_size=1, max_size=6))
     def test_classify_flags_total(self, flags):

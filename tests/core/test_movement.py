@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.core.movement import analyze_movement, transition_matrix
+from repro.core.movement import analyze_movement
 from repro.core.topasn import asn_members
 from repro.errors import AnalysisError
 from repro.measurement.fast import FastCollector
@@ -66,34 +66,3 @@ class TestAccounting:
         serverel_report = analyze_movement(collector, serverel, FROM, TO)
         sedo_to_serverel = sedo_report.relocation_destinations.get(serverel, 0)
         assert serverel_report.inflow_relocated >= sedo_to_serverel
-
-
-class TestTransitionMatrix:
-    def test_diagonal_dominates(self, collector):
-        matrix = transition_matrix(collector, FROM, TO)
-        stayed = sum(c for (a, b), c in matrix.items() if a == b)
-        moved = sum(c for (a, b), c in matrix.items() if a != b)
-        assert stayed > moved  # most of the Internet does not move
-
-    def test_consistent_with_analyze_movement(self, collector):
-        matrix = transition_matrix(collector, FROM, TO)
-        report = analyze_movement(collector, SEDO, FROM, TO)
-        sedo_outflow = sum(
-            c for (a, b), c in matrix.items() if a == SEDO and b != SEDO
-        )
-        # analyze_movement counts membership by *any* component ASN while
-        # the matrix uses the primary ASN, so they agree up to the tiny
-        # dual-homed cohort.
-        assert abs(sedo_outflow - report.relocated) <= 3
-
-    def test_min_count_filters(self, collector):
-        full = transition_matrix(collector, FROM, TO, min_count=1)
-        filtered = transition_matrix(collector, FROM, TO, min_count=5)
-        assert set(filtered) <= set(full)
-        assert all(count >= 5 for count in filtered.values())
-
-    def test_empty_window_rejected(self, collector):
-        import pytest as _pytest
-
-        with _pytest.raises(Exception):
-            transition_matrix(collector, FROM, FROM)

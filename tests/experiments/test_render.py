@@ -1,6 +1,6 @@
 """Tests for repro.experiments.render."""
 
-from repro.experiments.render import dot_timeline, fmt_count, fmt_pct, format_table, sparkline
+from repro.experiments.render import dot_timeline, fmt_pct, format_table, sparkline
 
 
 class TestFormatTable:
@@ -40,6 +40,3 @@ class TestDotTimeline:
 class TestNumbers:
     def test_pct(self):
         assert fmt_pct(12.345) == "12.3%"
-
-    def test_count(self):
-        assert fmt_count(1234567) == "1,234,567"

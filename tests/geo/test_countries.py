@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geo.countries import RU, country_name, is_russian, validate_country
+from repro.geo.countries import validate_country
 
 
 class TestValidation:
@@ -14,15 +14,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_country(code)
 
-
-class TestHelpers:
-    def test_is_russian(self):
-        assert is_russian(RU)
-        assert not is_russian("US")
-        assert not is_russian(None)
-
-    def test_known_name(self):
-        assert country_name("SE") == "Sweden"
-
-    def test_unknown_name_falls_back_to_code(self):
-        assert country_name("ZZ") == "ZZ"

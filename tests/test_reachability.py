@@ -25,7 +25,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CALLER_TREES = ("src", "scripts", "examples", "benchmarks", "perfbench")
 
 _DNS = "repro.dns object model, kept whole as the resolving path's substrate (DESIGN §2)"
-_LEFTOVER = "reached only by its own tests; a later reachability batch (ROADMAP, Smaller leftovers)"
 
 #: Definitions no caller tree reaches, kept on purpose -> the reason.
 KEEPERS = {
@@ -70,12 +69,6 @@ KEEPERS = {
     "QueryClient.follow_events": "the client's SSE reader, documented in docs/live.md",
     "NameFactory.next_ascii": "one label of NameFactory.labels; test_names.py checks it against per-call numpy draws",
     "NameFactory.next_cyrillic": "one label of NameFactory.labels; test_names.py checks it against per-call numpy draws",
-    # Not yet audited.
-    "label_name": _LEFTOVER,
-    "fmt_count": _LEFTOVER,
-    "country_name": _LEFTOVER,
-    "is_russian": _LEFTOVER,
-    "transition_matrix": _LEFTOVER,
 }
 
 
